@@ -7,7 +7,10 @@ exactly, so it terminates in at most d rounds of default-set growth.  The LP
 engine maximizes a strictly increasing linear objective over the limited
 liability region and recovers the same vector.  The aggregation function is
 the total payment of the maximal clearing vector (minus infinity off the
-nonnegative orthant), and its supergradient comes from the LP dual.
+nonnegative orthant).  One batched kernel computes it together with its
+supergradient, which is closed-form per default pattern D: (I - pi_DD)^{-1} 1
+on the defaulters and zero on solvent banks.  The payment LP's dual is only
+the fallback when that system is singular or ill-posed.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def aggregate_en(net: FinancialNetwork, x: np.ndarray) -> float:
     return clearing_fixed_point(net, x).total_payment
 
 
-def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray) -> np.ndarray:
+def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: bool = False):
     """Aggregate payments for a batch of scenarios (rows of xs).
 
     Rows with a negative entry map to -inf.  Fully solvent scenarios are
@@ -149,7 +152,13 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray) -> np.ndarray:
     iteration from pbar; since those iterates stay above the maximal
     clearing vector, every bank they show short is a certified defaulter,
     so one exact defaulter-subsystem solve (batched per default pattern)
-    finishes each row, with the scalar engine as the fallback.
+    finishes each row, with the scalar engine as the fallback.  Rows are
+    grouped by their default mask packed into uint64 words.
+
+    With ``supergradients=True`` the call returns ``(totals, grads)``, where
+    row k of grads is a supergradient of the aggregation function at xs[k]
+    (see ``en_supergradient``; NaN on rows off the domain).  The gradient is
+    solved once per default pattern.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
@@ -158,14 +167,17 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray) -> np.ndarray:
     pbar = np.asarray(net.pbar, dtype=float)
     deficit = pbar - pi.T @ pbar
     out = np.empty(xs.shape[0])
+    grads = np.zeros(xs.shape) if supergradients else None
     full = float(pbar.sum())
     solvent = np.all(xs >= deficit, axis=1)
     negative = np.any(xs < 0, axis=1)
     out[solvent] = full
     out[negative] = -np.inf
+    if supergradients:
+        grads[negative] = np.nan
     rows = np.flatnonzero(~solvent & ~negative)
     if rows.size == 0:
-        return out
+        return (out, grads) if supergradients else out
 
     x_sub = xs[rows]
     p = np.broadcast_to(pbar, x_sub.shape).copy()
@@ -177,20 +189,15 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray) -> np.ndarray:
             break
         p = nxt
 
-    patterns: dict[tuple, list[int]] = {}
-    for k in range(rows.size):
-        key = tuple(np.flatnonzero(p[k] < pbar - DEFAULT_TOL))
-        patterns.setdefault(key, []).append(k)
-
-    for key, members in patterns.items():
-        idx = np.array(key, dtype=int)
-        sub_rows = np.array(members, dtype=int)
+    masks = p < pbar - DEFAULT_TOL
+    for sub_rows in _group_by_pattern(masks):
+        mask = masks[sub_rows[0]]
+        idx = np.flatnonzero(mask)
         if idx.size == 0:
             out[rows[sub_rows]] = full
             continue
-        keep = np.setdiff1d(np.arange(net.d), idx)
         mat = np.eye(idx.size) - pi[np.ix_(idx, idx)].T
-        inflow_from_solvent = pi[np.ix_(keep, idx)].T @ pbar[keep]
+        inflow_from_solvent = pi[np.ix_(~mask, idx)].T @ pbar[~mask]
         rhs = x_sub[sub_rows][:, idx] + inflow_from_solvent
         try:
             p_def = np.linalg.solve(mat, rhs.T).T
@@ -209,19 +216,88 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray) -> np.ndarray:
             )
             out[rows[sub_rows[good]]] = trial[good].sum(axis=1)
             handled = good
+            if supergradients and good.any():
+                _set_supergradients(grads, net, xs, rows[sub_rows[good]], idx)
         for k in sub_rows[~handled]:
-            out[rows[k]] = clearing_fixed_point(net, x_sub[k]).total_payment
-    return out
+            res = clearing_fixed_point(net, x_sub[k])
+            out[rows[k]] = res.total_payment
+            if supergradients:
+                _set_supergradients(grads, net, xs, rows[k:k + 1], np.flatnonzero(res.defaults))
+    return (out, grads) if supergradients else out
+
+
+def _group_by_pattern(masks: np.ndarray) -> list[np.ndarray]:
+    """Row indices grouped by identical boolean rows, ascending within a group.
+
+    Each mask is packed into little-endian bits padded to whole uint64
+    words, so one stable sort over the words (one word per 64 banks) brings
+    equal patterns together without a per-row Python key.
+    """
+    n, d = masks.shape
+    words = -(-d // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-d // 8)] = np.packbits(masks, axis=1, bitorder="little")
+    keys = packed.view("<u8")
+    order = np.lexsort(keys.T)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)) + 1
+    return np.split(order, starts)
+
+
+def _pattern_gradient(pi: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
+    """Solve (I - pi_DD) g = 1 over the default set D; None if unusable.
+
+    At the maximal clearing vector the total payment is affine in x_D with
+    this gradient.  A singular system (D holds a closed class) raises; a
+    non-finite or negative solution marks an ill-posed one.
+    """
+    try:
+        g = np.linalg.solve(np.eye(idx.size) - pi[np.ix_(idx, idx)], np.ones(idx.size))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(g)) or g.min() < 0:
+        return None
+    return g
+
+
+def _set_supergradients(grads: np.ndarray, net: FinancialNetwork, xs: np.ndarray,
+                        members: np.ndarray, idx: np.ndarray) -> None:
+    """Write the supergradient of default set idx into the (zeroed) member
+    rows of grads; each row takes its LP dual if the pattern solve is
+    unusable."""
+    if idx.size == 0:
+        return
+    g = _pattern_gradient(np.asarray(net.pi, dtype=float), idx)
+    if g is None:
+        for k in members:
+            grads[k] = _lp_supergradient(net, xs[k])
+    else:
+        grads[np.ix_(members, idx)] = g
 
 
 def en_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
     """A supergradient of the aggregation function at x >= 0.
 
-    The dual of the payment LP prices the limited-liability rows; any optimal
-    row dual mu satisfies aggregate(x') <= aggregate(x) + mu.(x' - x) for all
-    x' >= 0.  Degenerate optima may make mu nonunique; any vertex dual works.
+    At the maximal clearing vector with default set D the total payment is
+    affine in x_D: g_D = (I - pi_DD)^{-1} 1 and g = 0 on solvent banks.
+    This is an optimal dual of the payment LP (it prices the defaulters'
+    limited-liability rows and is complementary to the solvent ones), so
+    aggregate(x') <= aggregate(x) + g.(x' - x) for all x' >= 0.  It is the
+    one-row call of ``aggregate_en_many``; the payment LP's dual remains the
+    fallback when the defaulter system is singular or ill-posed.
     """
     x = _check_nonnegative(x)
+    _, grads = aggregate_en_many(net, x[None, :], supergradients=True)
+    return grads[0]
+
+
+def _lp_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
+    """Supergradient from the payment LP dual.
+
+    Any optimal row dual mu satisfies aggregate(x') <= aggregate(x) +
+    mu.(x' - x) for all x' >= 0.  Degenerate optima may make mu nonunique;
+    any vertex dual works.
+    """
     pi = np.asarray(net.pi, dtype=float)
     pbar = np.asarray(net.pbar, dtype=float)
     d = net.d

@@ -4,7 +4,8 @@ Subcommands cover the full pipeline: network generation, shock sampling,
 clearing, enumeration of clearing vectors, scalarizations, grid-search set
 approximation, convergence studies, network statistics, and plot-data
 extraction.  Exit codes: 0 success, 2 validation error, 3 infeasibility,
-4 solver capacity.  Every run writes a manifest with the configuration, a
+4 solver capacity (including a branch-and-bound node budget exhausted before
+optimality was proven).  Every run writes a manifest with the configuration, a
 config hash, library versions, and wall time; numeric artifacts embed the
 configuration but never timestamps, so reruns are byte-identical.
 """
@@ -49,7 +50,7 @@ from .risk import RiskSpec
 from .saa import approximate_by_clearing, approximate_by_norm_min, convergence_study
 from .scalarize import norm_min, weighted_sum
 from .shocks import ShockParams, sample_shocks
-from .util import CapacityError, SolverError, ValidationError, resolve_threads
+from .util import CapacityError, SolverError, ValidationError, log_event, resolve_threads
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -213,6 +214,12 @@ def _cmd_scalarize(args) -> int:
     payload["lambda"] = spec.lam
     payload["provenance"] = _provenance(args)
     dump_json(args.out, payload)
+    if res.status == "budget_exhausted":
+        # the artifact holds the best incumbent and its gap, but optimality
+        # is not proven
+        log_event("budget_exhausted", level=logging.WARNING, mode=payload["mode"],
+                  nodes=payload["nodes"], gap=payload["gap"])
+        return EXIT_CAPACITY
     return EXIT_INFEASIBLE if res.status == "infeasible" else EXIT_OK
 
 
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (SYSVAR_THREADS overrides; default all cores)")
+                       help="worker threads (SYSVAR_THREADS overrides; default 1)")
 
     p = sub.add_parser("gen-network", help="generate a core-periphery clearing network")
     p.add_argument("--theta", type=float, required=True)

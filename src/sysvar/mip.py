@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clearing import aggregate_en_many, en_supergradient
+# en_supergradient is not called here: cut slopes come from the batched kernel.
+# The name stays bound because bench/tracing.py wraps sysvar.mip.en_supergradient.
+from .clearing import aggregate_en_many, en_supergradient  # noqa: F401
 from .network import FinancialNetwork, Grouping
 from .optim import LinearProgram, min_norm_qp, solve_lp
 from .shocks import ScenarioSet
@@ -153,18 +155,18 @@ def _node_relax(
 
     z = None
     totals = np.zeros(n_scen)
+    grads = np.zeros((n_scen, model.net.d))
     converged = False
     for _ in range(_NODE_MAX_ROUNDS):
         z = inner(pat_a + count_a, pat_b + count_b)
         shift = grouping.spread(z)
         if watched.size:
-            totals[watched] = aggregate_en_many(
-                model.net, np.maximum(scen[watched] + shift, 0.0))
+            totals[watched], grads[watched] = aggregate_en_many(
+                model.net, np.maximum(scen[watched] + shift, 0.0), supergradients=True)
         ok = True
         for n in forced:
             if violates(totals[n], model.alpha):
-                shifted = np.maximum(scen[n] + shift, 0.0)
-                slope = bmat @ en_supergradient(model.net, shifted)
+                slope = bmat @ grads[n]
                 pat_a.append(-slope)
                 pat_b.append(float(totals[n] - slope @ z - model.alpha))
                 ok = False
@@ -174,8 +176,7 @@ def _node_relax(
             if phi < need - 1e-9:
                 slope = np.zeros(grouping.g)
                 for n in free[caps < 1.0]:
-                    shifted = np.maximum(scen[n] + shift, 0.0)
-                    slope += (bmat @ en_supergradient(model.net, shifted)) / model.alpha
+                    slope += (bmat @ grads[n]) / model.alpha
                 count_a.append(-slope)
                 count_b.append(float(phi - slope @ z - need))
                 ok = False

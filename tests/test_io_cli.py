@@ -136,6 +136,28 @@ class TestCli:
                        "--out", str(tmp_path / "e.json"))
         assert code == 4
 
+    def test_budget_exhausted_exits_four(self, pipeline, tmp_path, monkeypatch, capsys):
+        import functools
+        import sysvar.cli
+        from sysvar.scalarize import weighted_sum
+        # the instance needs three nodes; a zero budget stops after the first
+        monkeypatch.setattr(sysvar.cli, "weighted_sum",
+                            functools.partial(weighted_sum, node_budget=0))
+        out = str(tmp_path / "ws.json")
+        code = run_cli(
+            "scalarize", "--network", pipeline["net"],
+            "--scenarios", pipeline["scen"],
+            "--alpha-frac", "0.8", "--lambda", "0.25",
+            "--weights", "1,1", "--out", out)
+        assert code == 4
+        payload = json.load(open(out))
+        assert payload["status"] == "budget_exhausted"
+        assert payload["gap"] > 0 and len(payload["z"]) == 2
+        assert os.path.exists(out + ".manifest.json")
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert {"event": "budget_exhausted", "mode": "weighted_sum",
+                "nodes": payload["nodes"], "gap": payload["gap"]} in lines
+
     def test_clear_and_enumerate_outputs(self, pipeline, tmp_path):
         net, _ = io.read_network(pipeline["net"])
         out = str(tmp_path / "clear.json")
@@ -221,6 +243,7 @@ class TestCli:
         from sysvar.util import resolve_threads
         monkeypatch.delenv("SYSVAR_THREADS", raising=False)
         assert resolve_threads(3) == 3
+        assert resolve_threads(None) == 1
         monkeypatch.setenv("SYSVAR_THREADS", "2")
         assert resolve_threads(8) == 2
         monkeypatch.setenv("SYSVAR_THREADS", "zulu")
