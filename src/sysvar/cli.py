@@ -50,7 +50,7 @@ from .risk import RiskSpec
 from .saa import approximate_by_clearing, approximate_by_norm_min, convergence_study
 from .scalarize import norm_min, weighted_sum
 from .shocks import ShockParams, sample_shocks
-from .util import CapacityError, SolverError, ValidationError, log_event, resolve_threads
+from .util import CapacityError, SolverError, ValidationError, log_event
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -98,7 +98,7 @@ def _resolve_alpha(args, net) -> float:
 
 def _provenance(args: argparse.Namespace) -> dict:
     # runtime-only knobs do not determine the artifact and are excluded so
-    # reruns with different thread counts stay byte-identical
+    # reruns stay byte-identical whatever --threads or --log-level says
     skip = {"func", "threads", "log_level"}
     config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     return {"tool": "sysvar", "version": __version__, "config": config}
@@ -227,9 +227,8 @@ def _cmd_saa(args) -> int:
     net, grouping = read_network(args.network)
     scen = read_scenarios(args.scenarios)
     spec = RiskSpec(alpha=_resolve_alpha(args, net), lam=args.lam)
-    threads = resolve_threads(args.threads)
     fn = approximate_by_clearing if args.algo == 1 else approximate_by_norm_min
-    approx = fn(net, grouping, scen, spec, args.epsilon, threads=threads)
+    approx = fn(net, grouping, scen, spec, args.epsilon)
     write_approx(args.out, approx, provenance=_provenance(args))
     return EXIT_OK if approx.feasible else EXIT_INFEASIBLE
 
@@ -241,14 +240,12 @@ def _cmd_converge(args) -> int:
         nu=args.nu, beta_by_group=np.asarray(_floats(args.beta)),
         rho=args.rho, n=args.n_ref, seed=args.seed,
     )
-    threads = resolve_threads(args.threads)
     rows = convergence_study(
         net, grouping, params, spec,
         n_list=_ints(args.n_list),
         seeds=[args.seed + i for i in range(args.seeds)],
         epsilon=args.epsilon,
         n_ref=args.n_ref,
-        threads=threads,
     )
     write_table(args.out, rows)
     return EXIT_OK
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (SYSVAR_THREADS overrides; default 1)")
+                       help="accepted and ignored: the library runs single-threaded")
 
     p = sub.add_parser("gen-network", help="generate a core-periphery clearing network")
     p.add_argument("--theta", type=float, required=True)

@@ -311,11 +311,12 @@ def branch_and_bound(
         if prune_ok(bound):
             final_lb = bound
             break
-        nodes_done += 1
-        if nodes_done > node_budget:
+        if nodes_done >= node_budget:
+            # the popped node is not expanded, so it is not counted
             exhausted = True
             final_lb = min([bound] + [h[0] for h in heap])
             break
+        nodes_done += 1
 
         free = np.flatnonzero(y_fix == -1)
         if free.size == 0:

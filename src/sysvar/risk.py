@@ -9,7 +9,7 @@ import numpy as np
 from .clearing import aggregate_en_many
 from .network import FinancialNetwork, Grouping
 from .shocks import ScenarioSet
-from .util import ValidationError, max_violations, parallel_map, violates
+from .util import ValidationError, max_violations, violates
 
 # slack on the nonnegativity selection constraint, consistent with the
 # violation tolerance on the aggregate threshold
@@ -82,7 +82,6 @@ def membership(
     scenarios: ScenarioSet,
     spec: RiskSpec,
     z: np.ndarray,
-    threads: int = 1,
 ) -> MembershipResult:
     """Does capital vector z belong to the sampled risk set?
 
@@ -100,16 +99,7 @@ def membership(
     selection_ok = bool(shifted.min() >= -_SELECT_TOL)
 
     n = xs.shape[0]
-    if threads > 1 and n >= 2 * threads:
-        chunks = np.array_split(np.arange(n), threads)
-        parts = parallel_map(
-            lambda idx: aggregate_en_many(net, np.maximum(shifted[idx], 0.0)),
-            chunks,
-            threads,
-        )
-        values = np.concatenate(parts)
-    else:
-        values = aggregate_en_many(net, np.maximum(shifted, 0.0))
+    values = aggregate_en_many(net, np.maximum(shifted, 0.0))
     bad_rows = np.any(shifted < -_SELECT_TOL, axis=1)
     viol = bad_rows | np.array([violates(v, spec.alpha) for v in values])
     fraction = float(viol.sum()) / n

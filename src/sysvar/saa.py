@@ -21,13 +21,7 @@ from .network import FinancialNetwork, Grouping
 from .risk import CapitalBox, RiskSpec, membership, z_bounds
 from .scalarize import ideal_point, norm_min
 from .shocks import ScenarioSet, ShockParams, sample_shocks
-from .util import (
-    CapacityError,
-    ValidationError,
-    log_event,
-    max_violations,
-    parallel_map,
-)
+from .util import CapacityError, ValidationError, log_event, max_violations
 
 _GRID_POINT_CAP = 50_000_000
 _IDEAL_MARGIN = 1e-5
@@ -56,17 +50,15 @@ class Grid:
             raise ValidationError("epsilon must be positive")
         if np.any(lo > hi + 1e-12):
             raise ValidationError("grid corners are inverted")
-        g = lo.size
-        step = epsilon / math.sqrt(g)
-        levels = []
-        total = 1
-        for j in range(g):
-            count = int(math.ceil(max(hi[j] - lo[j], 0.0) / step - 1e-12))
-            levels.append(hi[j] - step * np.arange(count + 1))
-            total *= count + 1
-            if total > _GRID_POINT_CAP:
-                raise CapacityError(f"grid would exceed {_GRID_POINT_CAP} points")
-        return Grid(lo=lo, hi=hi, step=step, levels=tuple(levels))
+        step = epsilon / math.sqrt(lo.size)
+        # count first and allocate after the cap check, so an oversized
+        # request fails fast instead of filling memory
+        counts = [int(math.ceil(max(top - bottom, 0.0) / step - 1e-12)) + 1
+                  for bottom, top in zip(lo, hi)]
+        if math.prod(counts) > _GRID_POINT_CAP:
+            raise CapacityError(f"grid would exceed {_GRID_POINT_CAP} points")
+        levels = tuple(top - step * np.arange(n) for top, n in zip(hi, counts))
+        return Grid(lo=lo, hi=hi, step=step, levels=levels)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,14 +111,13 @@ def _traversal(grid: Grid, shuffle_seed: int | None) -> np.ndarray:
     return idx[:, np.lexsort(tuple(keys))].T
 
 
-def _mark_upper(status: np.ndarray, idx: tuple[int, ...]) -> None:
-    region = status[tuple(slice(0, i + 1) for i in idx)]
-    region[region == 0] = 1
-
-
-def _mark_lower(status: np.ndarray, idx: tuple[int, ...]) -> None:
-    region = status[tuple(slice(i, None) for i in idx)]
-    region[region == 0] = 2
+def _mark(status: np.ndarray, idx: tuple[int, ...], accepted: bool) -> None:
+    """Label the unlabelled part of idx's upper cone acceptable, or of its
+    lower cone not acceptable (levels descend, so the upper cone is the
+    index box below idx)."""
+    cone = tuple(slice(0, i + 1) if accepted else slice(i, None) for i in idx)
+    region = status[cone]
+    region[region == 0] = 1 if accepted else 2
 
 
 def _generators(grid: Grid, status: np.ndarray) -> np.ndarray:
@@ -159,19 +150,38 @@ def _generators(grid: Grid, status: np.ndarray) -> np.ndarray:
     return arr[order]
 
 
-def _prepare(net, grouping, scenarios, spec, epsilon, box, grid_lo, threads):
+def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
+                 shuffle_seed, visit, event, counts) -> ApproxSet:
+    """Shared grid core of both algorithms.
+
+    Builds the grid from the box top down to the ideal point (or grid_lo),
+    hands every point still unlabelled in traversal order to
+    ``visit(grid, status, idx)``, which must label at least that point
+    (status 1 acceptable, 2 not), and returns the minimal acceptable points.
+    ``counts`` holds the visitor's counters for the ``event`` log line.
+    """
     spec.validate()
     box = z_bounds(net, grouping, scenarios) if box is None else box
     box.validate()
     if spec.alpha > net.total_obligations:
-        return box, None
+        return _empty_set(epsilon, box, grouping.g)
     if grid_lo is None:
-        ideal = ideal_point(net, grouping, scenarios, spec, box=box,
-                            method="bisection", threads=threads)
+        ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection")
         grid_lo = ideal - _IDEAL_MARGIN
     grid = Grid.build(np.asarray(grid_lo, dtype=float),
                       np.asarray(box.hi, dtype=float), epsilon)
-    return box, grid
+    status = np.zeros(grid.shape, dtype=np.int8)
+    for idx_arr in _traversal(grid, shuffle_seed):
+        idx = tuple(int(i) for i in idx_arr)
+        if status[idx] == 0:
+            visit(grid, status, idx)
+    log_event(event, points=grid.size, **counts)
+    return ApproxSet(
+        epsilon=epsilon,
+        generators=_generators(grid, status),
+        box=box,
+        ideal=grid.lo.copy(),
+    )
 
 
 def approximate_by_clearing(
@@ -182,7 +192,6 @@ def approximate_by_clearing(
     epsilon: float,
     box: CapitalBox | None = None,
     grid_lo: np.ndarray | None = None,
-    threads: int = 1,
     shuffle_seed: int | None = None,
 ) -> ApproxSet:
     """Inner approximation by per-point membership with cone propagation.
@@ -191,28 +200,15 @@ def approximate_by_clearing(
     classify it; the cones only save evaluations.  The returned upper set is
     within epsilon Hausdorff distance of the sampled risk set.
     """
-    box, grid = _prepare(net, grouping, scenarios, spec, epsilon, box, grid_lo, threads)
-    if grid is None:
-        return _empty_set(epsilon, box, grouping.g)
-    status = np.zeros(grid.shape, dtype=np.int8)
-    evals = 0
-    for idx_arr in _traversal(grid, shuffle_seed):
-        idx = tuple(int(i) for i in idx_arr)
-        if status[idx] != 0:
-            continue
-        res = membership(net, grouping, scenarios, spec, grid.value(idx), threads=threads)
-        evals += 1
-        if res.accepted:
-            _mark_upper(status, idx)
-        else:
-            _mark_lower(status, idx)
-    log_event("grid_clearing_done", points=grid.size, evaluations=evals)
-    return ApproxSet(
-        epsilon=epsilon,
-        generators=_generators(grid, status),
-        box=box,
-        ideal=grid.lo.copy(),
-    )
+    counts = {"evaluations": 0}
+
+    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
+        counts["evaluations"] += 1
+        res = membership(net, grouping, scenarios, spec, grid.value(idx))
+        _mark(status, idx, res.accepted)
+
+    return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
+                        shuffle_seed, visit, "grid_clearing_done", counts)
 
 
 def approximate_by_norm_min(
@@ -223,7 +219,6 @@ def approximate_by_norm_min(
     epsilon: float,
     box: CapitalBox | None = None,
     grid_lo: np.ndarray | None = None,
-    threads: int = 1,
     shuffle_seed: int | None = None,
     node_budget: int = 100_000,
 ) -> ApproxSet:
@@ -236,60 +231,37 @@ def approximate_by_norm_min(
     unresolved falls back to direct membership, so the final classification
     matches the clearing-based algorithm.
     """
-    box, grid = _prepare(net, grouping, scenarios, spec, epsilon, box, grid_lo, threads)
-    if grid is None:
-        return _empty_set(epsilon, box, grouping.g)
-    status = np.zeros(grid.shape, dtype=np.int8)
-    value_mesh = np.stack(
-        np.meshgrid(*grid.levels, indexing="ij"), axis=-1
-    )
-    solves = 0
-    fallbacks = 0
+    # every solve searches the box the grid is built in
+    box = z_bounds(net, grouping, scenarios) if box is None else box
+    counts = {"solves": 0, "fallbacks": 0}
     cut_cache: dict = {}
-    for idx_arr in _traversal(grid, shuffle_seed):
-        idx = tuple(int(i) for i in idx_arr)
-        if status[idx] != 0:
-            continue
+
+    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
         z = grid.value(idx)
         res = norm_min(net, grouping, scenarios, spec, z, box=box,
                        node_budget=node_budget, cut_cache=cut_cache)
-        solves += 1
+        counts["solves"] += 1
         if res.status == "budget_exhausted":
-            fallbacks += 1
-            ok = membership(net, grouping, scenarios, spec, z, threads=threads).accepted
-            if ok:
-                _mark_upper(status, idx)
-            else:
-                _mark_lower(status, idx)
-            continue
-        zbar = np.asarray(res.z, dtype=float)
-        cone = tuple(
-            slice(0, int(np.sum(grid.levels[j] >= zbar[j] - 1e-12)))
-            for j in range(grouping.g)
-        )
-        region = status[cone]
-        region[region == 0] = 1
-        radius = res.value - _BALL_SHRINK
-        if radius > 0:
+            counts["fallbacks"] += 1
+        else:
+            zbar = np.asarray(res.z, dtype=float)
+            cone = tuple(slice(0, int(np.sum(lv >= zj - 1e-12)))
+                         for lv, zj in zip(grid.levels, zbar))
+            region = status[cone]
+            region[region == 0] = 1
+            radius = res.value - _BALL_SHRINK
             unknown = status == 0
-            if np.any(unknown):
-                dist = np.sqrt(np.sum((value_mesh - z) ** 2, axis=-1))
-                status[unknown & (dist < radius)] = 2
+            if radius > 0 and unknown.any():
+                # squared distances summed axis by axis over the open mesh
+                sq = sum(np.ix_(*[(lv - zj) ** 2 for lv, zj in zip(grid.levels, z)]))
+                status[unknown & (np.sqrt(sq) < radius)] = 2
         if status[idx] == 0:
-            # distance too small to exclude and the cone missed the point
-            ok = membership(net, grouping, scenarios, spec, z, threads=threads).accepted
-            status[idx] = 1 if ok else 2
-            if ok:
-                _mark_upper(status, idx)
-            else:
-                _mark_lower(status, idx)
-    log_event("grid_norm_min_done", points=grid.size, solves=solves, fallbacks=fallbacks)
-    return ApproxSet(
-        epsilon=epsilon,
-        generators=_generators(grid, status),
-        box=box,
-        ideal=grid.lo.copy(),
-    )
+            # the budget ran out, or the cone missed the point and the
+            # distance was too small to exclude it
+            _mark(status, idx, membership(net, grouping, scenarios, spec, z).accepted)
+
+    return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
+                        shuffle_seed, visit, "grid_norm_min_done", counts)
 
 
 def hausdorff_distance(set_a: ApproxSet, set_b: ApproxSet) -> float:
@@ -346,7 +318,6 @@ def convergence_study(
     epsilon: float,
     n_ref: int,
     probe_points: list[np.ndarray] | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Distance of sampled sets to a high-sample reference, per seed and size.
 
@@ -366,11 +337,11 @@ def convergence_study(
         probe_points = [0.25 * hi, 0.5 * hi]
     probe_points = [np.asarray(p, dtype=float) for p in probe_points]
 
-    def run_seed(seed: int) -> list[dict]:
+    rows = []
+    for seed in seeds:
         params = replace(shock_params, n=n_ref, seed=seed)
         scen_full = sample_shocks(params, grouping)
         ref = approximate_by_clearing(net, grouping, scen_full, spec, epsilon)
-        rows = []
         for n in n_list:
             approx = approximate_by_clearing(
                 net, grouping, scen_full.head(n), spec, epsilon
@@ -386,10 +357,6 @@ def convergence_study(
             for i, p in enumerate(probe_points, start=1):
                 row[f"probe_{i}"] = distance_probe(p, approx)
             rows.append(row)
-        return rows
-
-    per_seed = parallel_map(run_seed, seeds, threads)
-    rows = [row for chunk in per_seed for row in chunk]
     for n in n_list:
         cells = [r for r in rows if r["N"] == n and isinstance(r["seed"], int)]
         med = {"seed": "median", "N": n,

@@ -17,7 +17,7 @@ from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
 from .risk import CapitalBox, RiskSpec, membership, z_bounds
 from .shocks import ScenarioSet
-from .util import ValidationError, log_event, parallel_map
+from .util import ValidationError, log_event
 
 _BISECT_TOL = 1e-6
 
@@ -152,7 +152,6 @@ def ideal_point(
     spec: RiskSpec,
     box: CapitalBox | None = None,
     method: str = "milp",
-    threads: int = 1,
 ) -> np.ndarray:
     """Componentwise minimum of the boxed risk set.
 
@@ -175,7 +174,6 @@ def ideal_point(
             return bisection_unit(net, grouping, scenarios, spec, j, box=box)
         raise ValidationError(f"unknown ideal-point method {method!r}")
 
-    values = parallel_map(component, range(grouping.g), threads)
-    ideal = np.asarray(values, dtype=float)
+    ideal = np.asarray([component(j) for j in range(grouping.g)], dtype=float)
     log_event("ideal_point", method=method, ideal=ideal)
     return ideal

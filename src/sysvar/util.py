@@ -1,4 +1,10 @@
-"""Shared helpers: error types, tolerances, thread pool, structured logging."""
+"""Shared helpers: error types, tolerances, formatting, structured logging
+and atomic writes.
+
+The library runs single-threaded.  A thread pool over membership and
+convergence studies was measured about 2x slower than one thread, so none
+is kept.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,6 @@ import logging
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,36 +60,6 @@ def fmt17(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return format(float(x), ".17g")
-
-
-def parallel_map(fn, items, threads: int = 1):
-    """Map `fn` over `items`, optionally on a thread pool.
-
-    Results are gathered by index, so the output is identical to the
-    sequential map regardless of thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def resolve_threads(requested: int | None) -> int:
-    """Worker count: SYSVAR_THREADS overrides the flag, else one thread.
-
-    One is the default because the thread pool was measured about 2x slower
-    than a single thread on membership and convergence studies.
-    """
-    env = os.environ.get("SYSVAR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"SYSVAR_THREADS is not an integer: {env!r}") from exc
-    if requested is not None and requested > 0:
-        return requested
-    return 1
 
 
 def log_event(event: str, level: int = logging.DEBUG, **fields) -> None:

@@ -280,7 +280,7 @@ def test_criterion_9_convergence_trend():
         rows = sv.convergence_study(
             net, grouping, shock, spec,
             n_list=[25, 50, 100, 200], seeds=list(range(10)),
-            epsilon=0.4, n_ref=400, threads=4)
+            epsilon=0.4, n_ref=400)
         medians = {r["N"]: r["hausdorff_to_ref"] for r in rows if r["seed"] == "median"}
         series = [medians[n] for n in (25, 50, 100, 200)]
         assert all(a >= b - 1e-12 for a, b in zip(series, series[1:]))

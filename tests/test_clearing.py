@@ -47,6 +47,25 @@ class TestEngines:
             lp2 = sv.clearing_lp(net, x, f_weights=np.ones(d) + 99 * (np.arange(d) == 0))
             assert np.abs(lp.p - lp2.p).max() <= 1e-7
 
+    def test_singular_defaulter_solve_falls_back_to_picard(self, rng, monkeypatch):
+        nets = [random_network(rng, 6) for _ in range(5)]
+        xs = [rng.exponential(0.3, size=6) for _ in range(5)]
+        refs = [sv.clearing_lp(net, x).p for net, x in zip(nets, xs)]
+        calls = []
+        picard = clearing._picard_subsystem
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(clearing.np.linalg, "solve", singular)
+        monkeypatch.setattr(clearing, "_picard_subsystem",
+                            lambda *args: calls.append(args) or picard(*args))
+        for net, x, ref in zip(nets, xs, refs):
+            res = sv.clearing_fixed_point(net, x)
+            assert res.defaults.any()
+            assert np.abs(res.p - ref).max() <= 1e-9
+        assert len(calls) >= len(nets)
+
     def test_matches_picard_oracle(self, rng):
         for _ in range(10):
             net = random_network(rng, 5)

@@ -140,7 +140,7 @@ class TestCli:
         import functools
         import sysvar.cli
         from sysvar.scalarize import weighted_sum
-        # the instance needs three nodes; a zero budget stops after the first
+        # the instance needs three nodes; a zero budget expands none
         monkeypatch.setattr(sysvar.cli, "weighted_sum",
                             functools.partial(weighted_sum, node_budget=0))
         out = str(tmp_path / "ws.json")
@@ -152,6 +152,7 @@ class TestCli:
         assert code == 4
         payload = json.load(open(out))
         assert payload["status"] == "budget_exhausted"
+        assert payload["nodes"] == 0
         assert payload["gap"] > 0 and len(payload["z"]) == 2
         assert os.path.exists(out + ".manifest.json")
         lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
@@ -239,13 +240,3 @@ class TestCli:
         payload = json.load(open(out))
         assert 0.0 <= payload["cpi"] <= 1.0
 
-    def test_env_var_overrides_thread_flag(self, monkeypatch):
-        from sysvar.util import resolve_threads
-        monkeypatch.delenv("SYSVAR_THREADS", raising=False)
-        assert resolve_threads(3) == 3
-        assert resolve_threads(None) == 1
-        monkeypatch.setenv("SYSVAR_THREADS", "2")
-        assert resolve_threads(8) == 2
-        monkeypatch.setenv("SYSVAR_THREADS", "zulu")
-        with pytest.raises(sv.ValidationError):
-            resolve_threads(None)

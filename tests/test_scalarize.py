@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sysvar as sv
-from sysvar.util import ValidationError
+from sysvar.util import ValidationError, max_violations
 from conftest import (
     exp_scenarios,
     random_network,
@@ -82,6 +82,22 @@ class TestWeightedSum:
         assert res2.value == pytest.approx(2.0 * res.value, abs=1e-6)
         # the original optimizer stays optimal-valued under the scaled weights
         assert float(2.0 * w @ res.z) == pytest.approx(res2.value, abs=1e-6)
+
+    def test_nonconverged_leaf_raises(self, rng, monkeypatch):
+        # one cut round cannot settle a leaf whose forced scenarios fail at
+        # the box bottom, so the first incumbent's leaf solve gives up
+        monkeypatch.setattr(sv.mip, "_NODE_MAX_ROUNDS", 1)
+        net, grouping, scen, spec = instance(rng, alpha_frac=0.999)
+        box = sv.z_bounds(net, grouping, scen)
+        bottom = sv.aggregate_en_many(
+            net, np.maximum(scen.values + grouping.spread(box.lo), 0.0))
+        # more failures than the level allows, so every leaf forces one
+        assert (bottom < spec.alpha).sum() > max_violations(scen.n, spec.lam)
+        model = sv.ScenarioMip(
+            net=net, grouping=grouping, scenarios=scen, alpha=spec.alpha,
+            lam=spec.lam, z_lower=box.lo, z_upper=box.hi, weights=np.ones(2))
+        with pytest.raises(sv.SolverError, match="failed to converge"):
+            sv.branch_and_bound(model)
 
     def test_rejects_bad_weights(self, rng):
         net, grouping, scen, spec = instance(rng)
