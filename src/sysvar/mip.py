@@ -192,7 +192,7 @@ def _node_relax(
     y_frac[forced] = 1.0
     if free.size:
         y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / model.alpha, 1.0)
-    passing = forced.size + int(sum(not violates(totals[n], model.alpha) for n in free))
+    passing = forced.size + int(np.count_nonzero(~violates(totals[free], model.alpha)))
     value = float(np.sum((v - z) ** 2)) if quadratic else float(w @ z)
     return _Relaxation(
         value=value, z=z, y_frac=y_frac, totals=totals,

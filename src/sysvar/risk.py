@@ -101,7 +101,6 @@ def membership(
     n = xs.shape[0]
     values = aggregate_en_many(net, np.maximum(shifted, 0.0))
     bad_rows = np.any(shifted < -_SELECT_TOL, axis=1)
-    viol = bad_rows | np.array([violates(v, spec.alpha) for v in values])
-    fraction = float(viol.sum()) / n
-    accepted = selection_ok and viol.sum() <= max_violations(n, spec.lam)
-    return MembershipResult(accepted=accepted, violation_fraction=fraction)
+    count = int(np.count_nonzero(bad_rows | violates(values, spec.alpha)))
+    accepted = selection_ok and count <= max_violations(n, spec.lam)
+    return MembershipResult(accepted=accepted, violation_fraction=count / n)

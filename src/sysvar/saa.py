@@ -1,13 +1,16 @@
 """Grid-search approximation of the sampled risk set, set metrics, convergence.
 
 Two interchangeable algorithms classify a downward-anchored grid against the
-sampled risk set: one queries the membership oracle point by point and
-propagates labels along the componentwise order (acceptable points seed an
-upper cone, rejected points a lower cone); the other solves a least-distance
-scalarization per visited point, marking the nearest point's upper cone
-acceptable and the open ball below the distance not acceptable.  Both return
-the same acceptable set: the grid intersected with the risk set, represented
-by its minimal elements.
+sampled risk set.  Both visit points in one order, a monotone boundary
+search: the risk set is an upper set, so along each line parallel to the
+longest grid axis the labels switch once, and each line is bisected until it
+is fully labelled (Feinstein, Rudloff & Weber 2017).  One algorithm queries
+the membership oracle at each visited point and propagates labels along the
+componentwise order (acceptable points seed an upper cone, rejected points a
+lower cone); the other solves a least-distance scalarization per visited
+point, marking the nearest point's upper cone acceptable and the open ball
+below the distance not acceptable.  Both return the same acceptable set: the
+grid intersected with the risk set, represented by its minimal elements.
 """
 
 from __future__ import annotations
@@ -99,16 +102,31 @@ def _empty_set(epsilon: float, box: CapitalBox, g: int) -> ApproxSet:
     )
 
 
-def _traversal(grid: Grid, shuffle_seed: int | None) -> np.ndarray:
-    """Indices ordered by decreasing coordinate sum (ties lexicographic)."""
+def _traversal(grid: Grid, status: np.ndarray, shuffle_seed: int | None):
+    """Yield grid indices for the core loop to classify, reading ``status``
+    as it goes.
+
+    Along every line parallel to the longest axis the labels switch once,
+    from acceptable to not acceptable, because the risk set is an upper set.
+    Lines are taken in ``np.ndindex`` order of the other axes, and each is
+    bisected: the middle of its still-unlabelled points is yielded until the
+    line is fully labelled, so a line of length L costs at most
+    ceil(log2(L+1)) visits and the cones of earlier visits shorten later
+    lines.  Each visit labels at least its own point, so the search ends
+    with every point labelled even if the labels are not monotone.
+    ``shuffle_seed`` instead yields every point in a random static order.
+    """
     shape = grid.shape
-    idx = np.indices(shape).reshape(len(shape), -1)
     if shuffle_seed is not None:
-        perm = np.random.default_rng(shuffle_seed).permutation(idx.shape[1])
-        return idx[:, perm].T
-    total = idx.sum(axis=0)
-    keys = [idx[j] for j in reversed(range(len(shape)))] + [total]
-    return idx[:, np.lexsort(tuple(keys))].T
+        perm = np.random.default_rng(shuffle_seed).permutation(grid.size)
+        yield from zip(*(i.tolist() for i in np.unravel_index(perm, shape)))
+        return
+    axis = int(np.argmax(shape))
+    for outer in np.ndindex(*shape[:axis], *shape[axis + 1:]):
+        head, tail = outer[:axis], outer[axis:]
+        line = status[head + (slice(None),) + tail]
+        while (open_ := np.flatnonzero(line == 0)).size:
+            yield head + (int(open_[open_.size // 2]),) + tail
 
 
 def _mark(status: np.ndarray, idx: tuple[int, ...], accepted: bool) -> None:
@@ -118,6 +136,29 @@ def _mark(status: np.ndarray, idx: tuple[int, ...], accepted: bool) -> None:
     cone = tuple(slice(0, i + 1) if accepted else slice(i, None) for i in idx)
     region = status[cone]
     region[region == 0] = 1 if accepted else 2
+
+
+def _mark_ball(grid: Grid, status: np.ndarray, z: np.ndarray, radius: float) -> None:
+    """Label the unlabelled grid points strictly closer to z than radius not
+    acceptable.
+
+    Only the ball's bounding box is scanned: its per-axis slices keep every
+    level within radius (padded by a relative 1e-12) of z, and a point
+    outside them has one squared term alone above radius**2.  Inside, the
+    squared distances are summed axis by axis over the open mesh, so each
+    equals the whole-grid sum bit for bit.  A radius <= 0 marks nothing.
+    """
+    box, diffs = [], []
+    for lv, zj in zip(grid.levels, z):
+        diff = lv - zj
+        near = np.flatnonzero(np.abs(diff) <= radius * (1 + 1e-12))
+        if near.size == 0:
+            return
+        box.append(slice(near[0], near[-1] + 1))
+        diffs.append(diff[box[-1]])
+    region = status[tuple(box)]
+    sq = sum(np.ix_(*[d ** 2 for d in diffs]))
+    region[(region == 0) & (np.sqrt(sq) < radius)] = 2
 
 
 def _generators(grid: Grid, status: np.ndarray) -> np.ndarray:
@@ -155,7 +196,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     """Shared grid core of both algorithms.
 
     Builds the grid from the box top down to the ideal point (or grid_lo),
-    hands every point still unlabelled in traversal order to
+    hands every point the traversal yields that is still unlabelled to
     ``visit(grid, status, idx)``, which must label at least that point
     (status 1 acceptable, 2 not), and returns the minimal acceptable points.
     ``counts`` holds the visitor's counters for the ``event`` log line.
@@ -171,8 +212,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     grid = Grid.build(np.asarray(grid_lo, dtype=float),
                       np.asarray(box.hi, dtype=float), epsilon)
     status = np.zeros(grid.shape, dtype=np.int8)
-    for idx_arr in _traversal(grid, shuffle_seed):
-        idx = tuple(int(i) for i in idx_arr)
+    for idx in _traversal(grid, status, shuffle_seed):
         if status[idx] == 0:
             visit(grid, status, idx)
     log_event(event, points=grid.size, **counts)
@@ -196,9 +236,12 @@ def approximate_by_clearing(
 ) -> ApproxSet:
     """Inner approximation by per-point membership with cone propagation.
 
-    Every grid point is classified exactly as the membership oracle would
-    classify it; the cones only save evaluations.  The returned upper set is
-    within epsilon Hausdorff distance of the sampled risk set.
+    The boundary search bisects each line along the longest grid axis, so a
+    line of length L costs at most ceil(log2(L+1)) oracle calls, and the
+    cones label the rest.  Every grid point is classified exactly as the
+    membership oracle would classify it; the search and the cones only save
+    evaluations.  The returned upper set is within epsilon Hausdorff
+    distance of the sampled risk set.
     """
     counts = {"evaluations": 0}
 
@@ -249,12 +292,7 @@ def approximate_by_norm_min(
                          for lv, zj in zip(grid.levels, zbar))
             region = status[cone]
             region[region == 0] = 1
-            radius = res.value - _BALL_SHRINK
-            unknown = status == 0
-            if radius > 0 and unknown.any():
-                # squared distances summed axis by axis over the open mesh
-                sq = sum(np.ix_(*[(lv - zj) ** 2 for lv, zj in zip(grid.levels, z)]))
-                status[unknown & (np.sqrt(sq) < radius)] = 2
+            _mark_ball(grid, status, z, res.value - _BALL_SHRINK)
         if status[idx] == 0:
             # the budget ran out, or the cone missed the point and the
             # distance was too small to exclude it

@@ -40,8 +40,10 @@ class SolverError(RuntimeError):
     """Internal numerical solver failure (cycling guard, residual blow-up)."""
 
 
-def violates(value: float, alpha: float) -> bool:
-    """Chance-constraint violation indicator shared by every code path."""
+def violates(value: float | np.ndarray, alpha: float) -> bool | np.ndarray:
+    """Chance-constraint violation indicator shared by every code path.
+
+    Takes one aggregate or an array of them (elementwise booleans)."""
     return value < alpha - VIOL_TOL
 
 

@@ -1,8 +1,10 @@
-"""Property tests of the batched clearing kernel on small random networks.
+"""Property tests on small random networks.
 
-The references are the payment LP's dual (``_lp_supergradient``), the
-aggregation function itself through the global supergradient inequality,
-and the scalar fixed-point engine.
+For the batched clearing kernel the references are the payment LP's dual
+(``_lp_supergradient``), the aggregation function itself through the global
+supergradient inequality, and the scalar fixed-point engine.  For the
+membership oracle they are the two properties the grid search relies on:
+monotonicity and translativity in the capital vector.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import sysvar as sv
 from sysvar.clearing import _group_by_pattern, _lp_supergradient
-from conftest import random_network
+from conftest import exp_scenarios, random_network, two_group_split
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -83,3 +85,44 @@ def test_pattern_groups_partition_rows(seed, d, n):
         assert (masks[members] == masks[members[0]]).all()
     firsts = np.array([masks[members[0]] for members in groups])
     assert len(np.unique(firsts, axis=0)) == len(groups)
+
+
+def _risk_instance(seed: int, d: int, n: int):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, d, pbar_range=(0.5, 1.6))
+    grouping = two_group_split(rng, d)
+    # dyadic scenarios keep every shift below exact in floating point
+    scen = sv.ScenarioSet(values=np.round(exp_scenarios(rng, n, d, 0.3).values * 64) / 64)
+    spec = sv.RiskSpec(alpha=float(rng.uniform(0.75, 0.95)) * net.total_obligations,
+                       lam=float(rng.uniform(0.1, 0.5)))
+    return net, grouping, scen, spec, rng
+
+
+@_SETTINGS
+@given(seed=seeds, d=st.integers(2, 6), n=st.integers(1, 12))
+def test_membership_monotone_in_z(seed, d, n):
+    net, grouping, scen, spec, rng = _risk_instance(seed, d, n)
+    box = sv.z_bounds(net, grouping, scen)
+    z = rng.uniform(box.lo - 0.2, box.hi)
+    w = rng.uniform(0.0, 0.5, size=2) * (rng.random(2) < 0.7)
+    lower = sv.membership(net, grouping, scen, spec, z)
+    upper = sv.membership(net, grouping, scen, spec, z + w)
+    assert upper.violation_fraction <= lower.violation_fraction
+    if lower.accepted:
+        assert upper.accepted
+
+
+@_SETTINGS
+@given(seed=seeds, d=st.integers(2, 6), n=st.integers(1, 12),
+       axis=st.integers(0, 1), shift=st.integers(-16, 16))
+def test_membership_translative_along_group_axis(seed, d, n, axis, shift):
+    # adding shift to group `axis` in every scenario is the same as adding
+    # it to that group's capital; dyadic values make both sums exact
+    net, grouping, scen, spec, rng = _risk_instance(seed, d, n)
+    box = sv.z_bounds(net, grouping, scen)
+    z = np.round(rng.uniform(box.lo - 0.2, box.hi) * 64) / 64
+    w = np.zeros(2)
+    w[axis] = shift / 4
+    moved = sv.ScenarioSet(values=scen.values + grouping.spread(w)[None, :])
+    assert (sv.membership(net, grouping, moved, spec, z - w)
+            == sv.membership(net, grouping, scen, spec, z))

@@ -1,8 +1,13 @@
+import json
+import logging
+import math
+
 import numpy as np
 import pytest
 
 import sysvar as sv
-from sysvar.saa import Grid
+import sysvar.saa
+from sysvar.saa import Grid, _mark_ball
 from sysvar.util import ValidationError
 from conftest import (
     exhaustive_grid_generators,
@@ -19,6 +24,32 @@ def instance(rng, d=4, n_scen=8, lam=0.3, alpha_frac=0.85, scale=0.3):
     scen = exp_scenarios(rng, n_scen, d, scale)
     spec = sv.RiskSpec(alpha=alpha_frac * net.total_obligations, lam=lam)
     return net, grouping, scen, spec
+
+
+def three_group_instance(rng, d=6, n_scen=12, lam=0.2):
+    net = random_network(rng, d, pbar_range=(0.5, 1.6))
+    assignment = np.sort(rng.integers(0, 3, size=d))
+    assignment[:3] = [0, 1, 2]
+    grouping = sv.Grouping(g=3, assignment=np.sort(assignment))
+    scen = exp_scenarios(rng, n_scen, d, 0.3)
+    spec = sv.RiskSpec(alpha=0.9 * net.total_obligations, lam=lam)
+    return net, grouping, scen, spec
+
+
+def criterion9_instance():
+    params = sv.BollobasParams(theta=0.2, eta=0.6, zeta=0.2, delta_in=0.5,
+                               delta_out=0.5, target_nodes=10, seed=5)
+    m = sv.IntergroupLiabilityMatrix(values=np.array([[4.0, 2.0], [3.0, 1.5]]))
+    net, grouping = sv.build_liabilities(sv.generate_bollobas(params), 2, m)
+    spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=0.2)
+    shock = sv.ShockParams(nu=3.0, beta_by_group=np.array([1.0, 0.5]),
+                           rho=0.3, n=400, seed=0)
+    return net, grouping, sv.sample_shocks(shock, grouping), spec
+
+
+def done_event(caplog, event):
+    lines = [json.loads(r.getMessage()) for r in caplog.records if r.name == "sysvar"]
+    return [line for line in lines if line["event"] == event][-1]
 
 
 class TestMembership:
@@ -78,6 +109,24 @@ class TestGrid:
         with pytest.raises(sv.CapacityError):
             Grid.build(np.zeros(2), np.array([1e12, 1.0]), epsilon=0.01)
 
+    def test_ball_slice_matches_full_mesh(self, rng):
+        for g in (1, 2, 3):
+            for _ in range(150):
+                lo = rng.uniform(-1.0, 0.5, size=g)
+                grid = Grid.build(lo, lo + rng.uniform(0.0, 2.0, size=g),
+                                  float(rng.uniform(0.05, 0.5)))
+                status = rng.choice(np.array([0, 0, 1, 2], dtype=np.int8), size=grid.shape)
+                z = rng.uniform(lo - 0.5, grid.hi + 0.5)
+                # radii at exact level distances probe the slice boundary
+                radius = float(rng.choice([rng.uniform(-0.1, 1.5),
+                                           abs(grid.levels[0][-1] - z[0])]))
+                expected = status.copy()
+                if radius > 0:
+                    sq = sum(np.ix_(*[(lv - zj) ** 2 for lv, zj in zip(grid.levels, z)]))
+                    expected[(expected == 0) & (np.sqrt(sq) < radius)] = 2
+                _mark_ball(grid, status, z, radius)
+                assert np.array_equal(status, expected)
+
 
 class TestGridAlgorithms:
     def test_both_algorithms_match_exhaustive(self, rng):
@@ -90,6 +139,67 @@ class TestGridAlgorithms:
             expected = exhaustive_grid_generators(net, grouping, scen, spec, grid)
             assert np.array_equal(a1.generators, expected)
             assert np.array_equal(a2.generators, expected)
+
+    def test_both_algorithms_match_exhaustive_three_groups(self, rng):
+        for _ in range(2):
+            net, grouping, scen, spec = three_group_instance(rng)
+            eps = 0.3
+            a1 = sv.approximate_by_clearing(net, grouping, scen, spec, eps)
+            a2 = sv.approximate_by_norm_min(net, grouping, scen, spec, eps)
+            grid = Grid.build(a1.ideal, a1.box.hi, eps)
+            assert len(grid.shape) == 3 and min(grid.shape) > 1
+            expected = exhaustive_grid_generators(net, grouping, scen, spec, grid)
+            assert len(expected) > 1
+            assert np.array_equal(a1.generators, expected)
+            assert np.array_equal(a2.generators, expected)
+
+    def test_boundary_search_call_bound(self, rng, caplog):
+        caplog.set_level(logging.DEBUG, logger="sysvar")
+        cases = [instance(rng, n_scen=8) + (0.15,) for _ in range(3)]
+        cases.append(criterion9_instance() + (0.4,))
+        for net, grouping, scen, spec, eps in cases:
+            approx = sv.approximate_by_clearing(net, grouping, scen, spec, eps)
+            shape = Grid.build(approx.ideal, approx.box.hi, eps).shape
+            line = max(shape)
+            bound = math.prod(shape) // line * math.ceil(math.log2(line + 1))
+            done = done_event(caplog, "grid_clearing_done")
+            assert done["points"] == math.prod(shape)
+            assert done["evaluations"] <= bound
+        # the criterion-9 grid, (30, 14): a sweep in coordinate-sum order
+        # needed 375 calls
+        assert shape == (30, 14)
+        assert done["evaluations"] <= 70
+
+    def test_search_labels_every_point_for_non_monotone_oracle(self, rng, monkeypatch):
+        net, grouping, scen, spec = instance(rng, n_scen=6)
+        box = sv.z_bounds(net, grouping, scen)
+        flips = np.random.default_rng(7)
+        answers = {}
+
+        def oracle(net, grouping, scenarios, spec, z):
+            answers[tuple(z)] = bool(flips.random() < 0.5)
+            return sv.MembershipResult(accepted=answers[tuple(z)], violation_fraction=0.0)
+
+        seen = []
+        real_generators = sysvar.saa._generators
+
+        def generators(grid, status):
+            seen.append((grid, status.copy()))
+            return real_generators(grid, status)
+
+        monkeypatch.setattr(sysvar.saa, "membership", oracle)
+        monkeypatch.setattr(sysvar.saa, "_generators", generators)
+        sv.approximate_by_clearing(net, grouping, scen, spec, 0.1,
+                                   box=box, grid_lo=box.lo)
+        grid, status = seen[0]
+        assert grid.size > 100
+        assert np.all(status != 0)
+        assert 0 < len(answers) <= grid.size
+        # every visited point keeps the label the oracle gave it
+        for idx in np.ndindex(*grid.shape):
+            z = tuple(grid.value(idx))
+            if z in answers:
+                assert status[idx] == (1 if answers[z] else 2)
 
     def test_traversal_order_is_irrelevant(self, rng):
         net, grouping, scen, spec = instance(rng, n_scen=6)
