@@ -16,6 +16,7 @@ grid intersected with the risk set, represented by its minimal elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,7 +103,8 @@ def _empty_set(epsilon: float, box: CapitalBox, g: int) -> ApproxSet:
     )
 
 
-def _traversal(grid: Grid, status: np.ndarray, shuffle_seed: int | None):
+def _traversal(grid: Grid, status: np.ndarray,
+               shuffle_seed: int | None) -> Iterator[tuple[int, ...]]:
     """Yield grid indices for the core loop to classify, reading ``status``
     as it goes.
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sysvar as sv
 from sysvar.clearing import _group_by_pattern, _lp_supergradient
+from sysvar.util import max_violations, violates
 from conftest import exp_scenarios, random_network, two_group_split
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -96,6 +97,22 @@ def _risk_instance(seed: int, d: int, n: int):
     spec = sv.RiskSpec(alpha=float(rng.uniform(0.75, 0.95)) * net.total_obligations,
                        lam=float(rng.uniform(0.1, 0.5)))
     return net, grouping, scen, spec, rng
+
+
+@_SETTINGS
+@given(seed=seeds, d=st.integers(2, 6), n=st.integers(1, 12))
+def test_membership_matches_per_scenario_loop(seed, d, n):
+    net, grouping, scen, spec, rng = _risk_instance(seed, d, n)
+    box = sv.z_bounds(net, grouping, scen)
+    z = rng.uniform(box.lo - 0.2, box.hi)
+    count = 0
+    for row in scen.values + grouping.spread(z):
+        count += bool(row.min() < -1e-9
+                      or violates(sv.aggregate_en(net, np.maximum(row, 0.0)), spec.alpha))
+    res = sv.membership(net, grouping, scen, spec, z)
+    assert res.violation_fraction == count / n
+    selection_ok = (scen.values + grouping.spread(z)).min() >= -1e-9
+    assert res.accepted == (selection_ok and count <= max_violations(n, spec.lam))
 
 
 @_SETTINGS
