@@ -7,10 +7,15 @@ exactly, so it terminates in at most d rounds of default-set growth.  The LP
 engine maximizes a strictly increasing linear objective over the limited
 liability region and recovers the same vector.  The aggregation function is
 the total payment of the maximal clearing vector (minus infinity off the
-nonnegative orthant).  One batched kernel computes it together with its
-supergradient, which is closed-form per default pattern D: (I - pi_DD)^{-1} 1
-on the defaulters and zero on solvent banks.  The payment LP's dual is only
-the fallback when that system is singular or ill-posed.
+nonnegative orthant).  One batched kernel, ``aggregate_en_many``, computes it
+together with its supergradient, which is closed-form per default pattern D:
+(I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  The kernel
+runs the same fictitious-default algorithm in rounds over a whole batch,
+solving each default pattern's system once per round for all rows that share
+it, and keeps those systems on the network (``FinancialNetwork.derived``)
+under a fixed byte budget.  The scalar engine runs only for rows whose system
+is singular or whose payments leave [0, pbar]; the payment LP's dual only
+where a pattern's gradient system is singular or ill-posed.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FinancialNetwork
+from .network import DerivedCache, FinancialNetwork
 from .optim import LinearProgram, solve_lp
 from .util import CapacityError, DEFAULT_TOL, SolverError, ValidationError
 
 _FP_TOL = 1e-12
+# per network; patterns past it are solved without being stored
+_PATTERN_BUDGET_BYTES = 4 << 20
 
 
 @dataclass
@@ -148,17 +155,29 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
 
     Rows with a negative entry map to -inf.  Fully solvent scenarios are
     resolved without iteration: everyone pays in full as soon as
-    x >= pbar - pi^T pbar componentwise.  The rest run a batched capped
-    iteration from pbar; since those iterates stay above the maximal
-    clearing vector, every bank they show short is a certified defaulter,
-    so one exact defaulter-subsystem solve (batched per default pattern)
-    finishes each row, with the scalar engine as the fallback.  Rows are
-    grouped by their default mask packed into uint64 words.
+    x >= pbar - pi^T pbar componentwise.  The rest run the fictitious-default
+    algorithm in batched rounds.  Each row's default mask starts as the
+    banks short of their obligations one step from pbar (certified
+    defaulters, since the clearing vector lies below pbar).  A round sorts
+    its rows by packed mask, solves each pattern's defaulter system once for
+    all of that pattern's rows, and then checks the whole round at once:
+    payments in [0, pbar] and no bank outside the mask short of its
+    obligations.  Rows that show newly short banks add them to their mask
+    and go to the next round, so a row takes at most d rounds.  The scalar
+    engine ``clearing_fixed_point`` runs only for rows whose system is
+    singular or whose payments leave [0, pbar].  If any row needed a
+    second round, the totals come from one last solve per final pattern
+    over all the rows that share it, so a row's total depends only on
+    which rows share its final pattern.
+
+    Each pattern's system (defaulters, I - pi_DD^T, the solvent banks'
+    inflow and, once needed, its supergradient) is kept on the network in
+    ``net.derived`` up to a fixed byte budget, so later calls with the same
+    patterns skip building them; ``np.linalg.solve`` is never cached.
 
     With ``supergradients=True`` the call returns ``(totals, grads)``, where
     row k of grads is a supergradient of the aggregation function at xs[k]
-    (see ``en_supergradient``; NaN on rows off the domain).  The gradient is
-    solved once per default pattern.
+    (see ``en_supergradient``; NaN on rows off the domain).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
@@ -179,59 +198,95 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
     if rows.size == 0:
         return (out, grads) if supergradients else out
 
-    x_sub = xs[rows]
-    p = np.broadcast_to(pbar, x_sub.shape).copy()
-    scale = max(1.0, float(pbar.max()))
-    for _ in range(50):
-        nxt = np.minimum(x_sub + p @ pi, pbar)
-        if np.abs(nxt - p).max() <= 1e-13 * scale:
-            p = nxt
-            break
-        p = nxt
+    cache = net.derived.valid_for(pi, pbar)
+    masks = xs[rows] + pbar @ pi < pbar - DEFAULT_TOL
+    fallback = []
+    live = np.arange(rows.size)
+    rounds = 0
+    while live.size:
+        rounds += 1
+        order, bounds = _sort_by_pattern(masks[live])
+        live = live[order]
+        totals, done, again, grown, systems = _fictitious_round(
+            cache, pi, pbar, xs[rows[live]], masks[live], bounds)
+        fallback.extend(live[~done & ~again])
+        out[rows[live[done]]] = totals[done]
+        masks[live[again]] = grown[again]
+        if supergradients:
+            for system, s, e in zip(systems, bounds[:-1], bounds[1:]):
+                members = rows[live[s:e][done[s:e]]]
+                if members.size:
+                    _set_supergradients(grads, net, xs, members, system)
+        live = np.sort(live[again])
 
-    masks = p < pbar - DEFAULT_TOL
-    for sub_rows in _group_by_pattern(masks):
-        mask = masks[sub_rows[0]]
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            out[rows[sub_rows]] = full
-            continue
-        mat = np.eye(idx.size) - pi[np.ix_(idx, idx)].T
-        inflow_from_solvent = pi[np.ix_(~mask, idx)].T @ pbar[~mask]
-        rhs = x_sub[sub_rows][:, idx] + inflow_from_solvent
-        try:
-            p_def = np.linalg.solve(mat, rhs.T).T
-        except np.linalg.LinAlgError:
-            p_def = None
-        handled = np.zeros(sub_rows.size, dtype=bool)
-        if p_def is not None:
-            # accept rows where the seeded default set is already complete
-            trial = np.broadcast_to(pbar, (sub_rows.size, net.d)).copy()
-            trial[:, idx] = p_def
-            inflow = x_sub[sub_rows] + trial @ pi
-            good = (
-                (p_def >= -1e-9).all(axis=1)
-                & (p_def <= pbar[idx] + 1e-9).all(axis=1)
-                & (trial <= inflow + DEFAULT_TOL).all(axis=1)
-            )
-            out[rows[sub_rows[good]]] = trial[good].sum(axis=1)
-            handled = good
-            if supergradients and good.any():
-                _set_supergradients(grads, net, xs, rows[sub_rows[good]], idx)
-        for k in sub_rows[~handled]:
-            res = clearing_fixed_point(net, x_sub[k])
-            out[rows[k]] = res.total_payment
-            if supergradients:
-                _set_supergradients(grads, net, xs, rows[k:k + 1], np.flatnonzero(res.defaults))
+    if rounds > 1:
+        # a solve's result for one row can change in the last bit with the
+        # right-hand sides beside it, so the totals come from one solve per
+        # final pattern over all the rows that share it
+        settled = np.setdiff1d(np.arange(rows.size), fallback)
+        order, bounds = _sort_by_pattern(masks[settled])
+        settled = settled[order]
+        trial, _, _ = _solve_patterns(cache, pi, pbar, xs[rows[settled]], masks[settled], bounds)
+        out[rows[settled]] = trial.sum(axis=1)
+    for k in fallback:
+        res = clearing_fixed_point(net, xs[rows[k]])
+        out[rows[k]] = res.total_payment
+        if supergradients:
+            system = _pattern_system(cache, pi, pbar, res.defaults)
+            _set_supergradients(grads, net, xs, rows[k:k + 1], system)
     return (out, grads) if supergradients else out
 
 
-def _group_by_pattern(masks: np.ndarray) -> list[np.ndarray]:
-    """Row indices grouped by identical boolean rows, ascending within a group.
+def _fictitious_round(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: np.ndarray,
+                      masks: np.ndarray, bounds: np.ndarray):
+    """One fictitious-default round over rows grouped by default mask.
 
-    Each mask is packed into little-endian bits padded to whole uint64
-    words, so one stable sort over the words (one word per 64 banks) brings
-    equal patterns together without a per-row Python key.
+    Returns each row's total payment, which rows settled (payments in
+    [0, pbar], no bank short of its obligations), which rows must go on
+    (in range, with banks outside the mask newly short), the masks grown by
+    those banks, and the groups' pattern systems.  The full-batch arrays
+    are freed on return, before the next round allocates its own.
+    """
+    trial, solved, systems = _solve_patterns(cache, pi, pbar, x, masks, bounds)
+    inflow = trial @ pi
+    inflow += x
+    inflow += DEFAULT_TOL
+    short = trial > inflow
+    ok = solved & (trial >= -1e-9).all(axis=1) & (trial <= pbar + 1e-9).all(axis=1)
+    done = ok & ~short.any(axis=1)
+    again = ok & (short & ~masks).any(axis=1)
+    return trial.sum(axis=1), done, again, masks | short, systems
+
+
+def _solve_patterns(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: np.ndarray,
+                    masks: np.ndarray, bounds: np.ndarray):
+    """Payments of rows grouped by default mask (group j is rows
+    bounds[j]:bounds[j + 1]), with each group's defaulters solved in one
+    call: returns the payment rows (pbar off the pattern), which rows'
+    solves succeeded, and the groups' pattern systems."""
+    trial = np.tile(pbar, (x.shape[0], 1))
+    solved = np.ones(x.shape[0], dtype=bool)
+    systems = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        system = _pattern_system(cache, pi, pbar, masks[s])
+        systems.append(system)
+        if system.idx.size == 0:
+            continue
+        try:
+            trial[s:e, system.idx] = np.linalg.solve(
+                system.mat, (x[s:e, system.idx] + system.inflow).T).T
+        except np.linalg.LinAlgError:
+            solved[s:e] = False
+    return trial, solved, systems
+
+
+def _sort_by_pattern(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order that makes equal boolean rows contiguous, and group bounds.
+
+    Group j is ``order[bounds[j]:bounds[j + 1]]``, ascending within the
+    group.  Each mask is packed into little-endian bits padded to whole
+    uint64 words, so one stable sort over the words (one word per 64 banks)
+    brings equal patterns together without a per-row Python key.
     """
     n, d = masks.shape
     words = -(-d // 64)
@@ -241,7 +296,52 @@ def _group_by_pattern(masks: np.ndarray) -> list[np.ndarray]:
     order = np.lexsort(keys.T)
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)) + 1
-    return np.split(order, starts)
+    return order, np.concatenate(([0], starts, [n]))
+
+
+class _PatternSystem:
+    """The linear system of one default pattern D for a fixed (pi, pbar).
+
+    With the solvent banks S paying in full, the defaulters pay
+    p_D = (I - pi_DD^T)^{-1} (x_D + inflow), inflow = pi_SD^T pbar_S.  The
+    closed-form supergradient is solved on first use and kept, or marked
+    unusable (None).
+    """
+
+    __slots__ = ("idx", "mat", "inflow", "_grad", "_grad_known")
+
+    def __init__(self, pi: np.ndarray, pbar: np.ndarray, mask: np.ndarray):
+        self.idx = np.flatnonzero(mask)
+        self.mat = np.eye(self.idx.size) - pi[np.ix_(self.idx, self.idx)].T
+        self.inflow = pi[np.ix_(~mask, self.idx)].T @ pbar[~mask]
+        self._grad: np.ndarray | None = None
+        self._grad_known = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held once the gradient is known (idx, inflow, gradient)."""
+        return self.mat.nbytes + 3 * 8 * self.idx.size
+
+    def gradient(self, pi: np.ndarray) -> np.ndarray | None:
+        if not self._grad_known:
+            self._grad = _pattern_gradient(pi, self.idx)
+            self._grad_known = True
+        return self._grad
+
+
+def _pattern_system(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray,
+                    mask: np.ndarray) -> _PatternSystem:
+    """The pattern's system from the network's cache, built on a miss and
+    stored while the cache stays within ``_PATTERN_BUDGET_BYTES``."""
+    key = mask.tobytes()
+    system = cache.entries.get(key)
+    if system is None:
+        system = _PatternSystem(pi, pbar, mask)
+        size = system.nbytes + len(key)
+        if cache.nbytes + size <= _PATTERN_BUDGET_BYTES:
+            cache.entries[key] = system
+            cache.nbytes += size
+    return system
 
 
 def _pattern_gradient(pi: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
@@ -261,18 +361,18 @@ def _pattern_gradient(pi: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
 
 
 def _set_supergradients(grads: np.ndarray, net: FinancialNetwork, xs: np.ndarray,
-                        members: np.ndarray, idx: np.ndarray) -> None:
-    """Write the supergradient of default set idx into the (zeroed) member
-    rows of grads; each row takes its LP dual if the pattern solve is
-    unusable."""
-    if idx.size == 0:
+                        members: np.ndarray, system: _PatternSystem) -> None:
+    """Write the supergradient of the system's pattern into the (zeroed)
+    member rows of grads; each row takes its LP dual if the pattern solve
+    is unusable."""
+    if system.idx.size == 0:
         return
-    g = _pattern_gradient(np.asarray(net.pi, dtype=float), idx)
+    g = system.gradient(np.asarray(net.pi, dtype=float))
     if g is None:
         for k in members:
             grads[k] = _lp_supergradient(net, xs[k])
     else:
-        grads[np.ix_(members, idx)] = g
+        grads[np.ix_(members, system.idx)] = g
 
 
 def en_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ exactly; every writer goes through an atomic temp-file-plus-rename.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -118,13 +119,23 @@ def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
 
 
 def read_scenarios(path: str) -> ScenarioSet:
+    """Scenario CSV: an x1.. header, then one row of d numbers per scenario.
+
+    Blank lines are skipped; a ragged row or a cell that is not a number
+    raises ``ValidationError``.
+    """
     with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or not rows[0].startswith("x1"):
-        raise ValidationError(f"{path} is not a scenario CSV (missing x1.. header)")
-    values = np.asarray(
-        [[float(v) for v in row.split(",")] for row in rows[1:]], dtype=float
-    )
+        lines = (line for line in fh if line.strip())
+        if not next(lines, "").lstrip().startswith("x1"):
+            raise ValidationError(f"{path} is not a scenario CSV (missing x1.. header)")
+        first = next(lines, None)
+        if first is None:
+            raise ValidationError(f"{path} holds no scenario rows")
+        try:
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"malformed scenario CSV {path}: {exc}") from exc
     out = ScenarioSet(values=values)
     out.validate()
     return out

@@ -10,7 +10,7 @@ descriptive statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,13 +66,44 @@ class DirectedMultigraph:
         return a
 
 
+class DerivedCache:
+    """Data derived from one (pi, pbar) pair, dropped once either changes.
+
+    The clearing kernel keeps its per-pattern linear systems in ``entries``
+    and their size in ``nbytes``.  The cache holds private copies of the
+    arrays it was built from and compares them on every ``valid_for``, so an
+    in-place edit of ``pi`` or ``pbar`` empties it.
+    """
+
+    def __init__(self) -> None:
+        self.pi: np.ndarray | None = None
+        self.pbar: np.ndarray | None = None
+        self.entries: dict = {}
+        self.nbytes = 0
+
+    def valid_for(self, pi: np.ndarray, pbar: np.ndarray) -> DerivedCache:
+        """This cache, emptied first unless it was built from (pi, pbar)."""
+        if not (self.pi is not None and np.array_equal(self.pi, pi)
+                and np.array_equal(self.pbar, pbar)):
+            self.pi, self.pbar = pi.copy(), pbar.copy()
+            self.entries = {}
+            self.nbytes = 0
+        return self
+
+
 @dataclass(frozen=True)
 class FinancialNetwork:
-    """Relative-liability matrix and total obligations of a clearing network."""
+    """Relative-liability matrix and total obligations of a clearing network.
+
+    ``derived`` is a cache for the clearing kernel; it takes no part in
+    equality, ``repr`` or the network file.
+    """
 
     d: int
     pi: np.ndarray
     pbar: np.ndarray
+    derived: DerivedCache = field(default_factory=DerivedCache, init=False,
+                                  compare=False, repr=False)
 
     def validate(self) -> None:
         pi = np.asarray(self.pi, dtype=float)

@@ -4,6 +4,7 @@ import pytest
 import sysvar as sv
 import sysvar.clearing as clearing
 from sysvar.clearing import polytope_contains
+from sysvar.io import read_network, write_network
 from sysvar.util import CapacityError, ValidationError
 from conftest import picard_totals, random_network, ring2
 
@@ -170,20 +171,25 @@ class TestSupergradient:
         assert len(lp_calls) > 0
 
     def test_row_missed_by_picard_seed(self, monkeypatch):
-        # banks 0 and 1 form a cycle leaking 1% per round, so the capped
-        # Picard seed is still far above the clearing vector after its 50
-        # sweeps and does not yet show bank 2 (fed by the leak) short
+        # banks 0 and 1 form a cycle leaking 1% per round, so one step from
+        # pbar shows only bank 0 short; bank 1 and then bank 2 (fed by the
+        # leak) join the default set in later rounds, with no scalar engine
         pi = np.array([[0.0, 1.0, 0.0, 0.0], [0.99, 0.0, 0.01, 0.0],
                        [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
         net = sv.FinancialNetwork(d=4, pi=pi, pbar=np.array([1.0, 1.0, 0.005, 0.001]))
         net.validate()
         x = np.array([0.0, 0.0, 0.0, 3e-4])
-        calls = []
+        calls, patterns = [], []
         engine = clearing.clearing_fixed_point
+        system = clearing._pattern_system
         monkeypatch.setattr(clearing, "clearing_fixed_point",
                             lambda net, x: calls.append(x) or engine(net, x))
+        monkeypatch.setattr(clearing, "_pattern_system", lambda cache, pi, pbar, mask:
+                            patterns.append(np.flatnonzero(mask).tolist())
+                            or system(cache, pi, pbar, mask))
         mu = sv.en_supergradient(net, x)
-        assert len(calls) == 1
+        assert len(calls) == 0
+        assert patterns[:3] == [[0], [0, 1], [0, 1, 2]]
         assert engine(net, x).defaults.tolist() == [True, True, True, False]
         assert np.allclose(mu, clearing._lp_supergradient(net, x), atol=1e-9)
         rng = np.random.default_rng(3)
@@ -191,6 +197,101 @@ class TestSupergradient:
             x2 = np.maximum(x2, 0.0)
             rhs = sv.aggregate_en(net, x) + mu @ (x2 - x)
             assert sv.aggregate_en(net, x2) <= rhs + 1e-8
+
+    @staticmethod
+    def _fallback_instance(rng):
+        net = random_network(rng, 6)
+        xs = rng.exponential(0.3, size=(40, 6))
+        xs[:3] += net.pbar          # fully solvent: no solve, no fallback
+        xs[3, 0] = -1.0             # off the domain
+        refs = [sv.clearing_lp(net, x) for x in np.maximum(xs, 0.0)]
+        expected = sum(ref.defaults.any() for ref in refs[4:])
+        assert expected > 30
+        ref_totals = np.array([ref.total_payment for ref in refs])
+        ref_totals[3] = -np.inf
+        return net, xs, expected, ref_totals
+
+    def _count_fallbacks(self, monkeypatch):
+        calls = []
+        engine = clearing.clearing_fixed_point
+        monkeypatch.setattr(clearing, "clearing_fixed_point",
+                            lambda net, x: calls.append(x) or engine(net, x))
+        return calls
+
+    def test_every_row_falls_back_when_solve_raises(self, rng, monkeypatch):
+        net, xs, expected, ref_totals = self._fallback_instance(rng)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(clearing.np.linalg, "solve", singular)
+        calls = self._count_fallbacks(monkeypatch)
+        totals = sv.aggregate_en_many(net, xs)
+        assert len(calls) == expected
+        assert totals[3] == -np.inf
+        keep = np.arange(40) != 3
+        assert np.abs(totals[keep] - ref_totals[keep]).max() <= 1e-9
+
+    def test_out_of_range_rows_fall_back(self, rng, monkeypatch):
+        # a pattern solve that leaves [0, pbar] sends its rows to the
+        # scalar engine; rows without defaulters still settle in the kernel
+        net, xs, expected, ref_totals = self._fallback_instance(rng)
+        solve = clearing._solve_patterns
+
+        def negative_defaulters(cache, pi, pbar, x, masks, bounds):
+            trial, solved, systems = solve(cache, pi, pbar, x, masks, bounds)
+            return np.where(masks, -1.0, trial), solved, systems
+
+        monkeypatch.setattr(clearing, "_solve_patterns", negative_defaulters)
+        calls = self._count_fallbacks(monkeypatch)
+        totals = sv.aggregate_en_many(net, xs)
+        assert len(calls) == expected
+        assert np.abs(totals[4:] - ref_totals[4:]).max() <= 1e-9
+        assert totals[:3].tolist() == [net.total_obligations] * 3
+
+
+class TestPatternSystems:
+    def test_zero_budget_stores_nothing_and_changes_no_bit(self, rng, monkeypatch):
+        net = random_network(rng, 7)
+        xs = rng.exponential(0.4, size=(300, 7))
+        totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
+        assert net.derived.entries and net.derived.nbytes > 0
+        monkeypatch.setattr(clearing, "_PATTERN_BUDGET_BYTES", 0)
+        bare = sv.FinancialNetwork(d=7, pi=net.pi, pbar=net.pbar)
+        for _ in range(2):
+            totals0, grads0 = sv.aggregate_en_many(bare, xs, supergradients=True)
+            assert np.array_equal(totals0, totals)
+            assert np.array_equal(grads0, grads)
+            assert bare.derived.entries == {} and bare.derived.nbytes == 0
+
+    def test_in_place_edit_of_pbar_resets_the_cache(self, rng):
+        net = random_network(rng, 6)
+        xs = rng.exponential(0.4, size=(200, 6))
+        sv.aggregate_en_many(net, xs, supergradients=True)
+        net.pbar[:] = net.pbar * rng.uniform(0.5, 1.5, size=6)
+        net.pi[0, 1:] = rng.dirichlet(np.ones(5))
+        fresh = sv.FinancialNetwork(d=6, pi=net.pi.copy(), pbar=net.pbar.copy())
+        totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
+        totals0, grads0 = sv.aggregate_en_many(fresh, xs, supergradients=True)
+        assert np.array_equal(totals, totals0)
+        assert np.array_equal(grads, grads0)
+        assert np.array_equal(net.derived.pbar, net.pbar)
+
+    def test_cache_is_not_part_of_the_network_value(self, rng, tmp_path):
+        net = random_network(rng, 5)
+        other = sv.FinancialNetwork(d=5, pi=net.pi, pbar=net.pbar)
+        text = repr(other)
+        sv.aggregate_en_many(net, rng.exponential(0.4, size=(50, 5)))
+        assert net.derived.entries
+        assert net == other and repr(net) == text
+        assert "derived" not in text
+        grouping = sv.Grouping(g=2, assignment=np.array([0, 0, 1, 1, 1]))
+        write_network(str(tmp_path / "a.json"), net, grouping)
+        write_network(str(tmp_path / "b.json"), other, grouping)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        back, _ = read_network(str(tmp_path / "a.json"))
+        assert np.array_equal(back.pi, net.pi) and np.array_equal(back.pbar, net.pbar)
+        assert back.derived.entries == {}
 
 
 class TestEnumeration:

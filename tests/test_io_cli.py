@@ -32,6 +32,19 @@ class TestRoundTrips:
         header = open(path).readline().strip()
         assert header == "x1,x2,x3"
 
+    def test_scenarios_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\n x1,x2\n1.5,2\n\n   \n0.25,1e-3\n\n")
+        assert io.read_scenarios(str(path)).values.tolist() == [[1.5, 2.0], [0.25, 1e-3]]
+
+    @pytest.mark.parametrize("body", ["1,2\n3\n", "1,2\n3,4,5\n", "1,abc\n", "1,2,\n",
+                                      "# 1,2\n", ""])
+    def test_malformed_scenarios_csv_raises_validation_error(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_text("x1,x2\n" + body)
+        with pytest.raises(sv.ValidationError):
+            io.read_scenarios(str(path))
+
     def test_edges_csv(self, tmp_path):
         g = sv.DirectedMultigraph(n=4, edges=((0, 0), (0, 1), (1, 2), (2, 3)))
         path = str(tmp_path / "g.csv")
@@ -114,6 +127,19 @@ class TestCli:
             "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,x,2.0"])
+    def test_malformed_scenarios_exit_two(self, pipeline, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        lines = open(pipeline["scen"]).read().splitlines()
+        bad.write_text("\n".join(lines[:3] + [row] + lines[3:]) + "\n")
+        code = run_cli(
+            "saa", "--network", pipeline["net"], "--scenarios", str(bad),
+            "--alpha-frac", "0.8", "--lambda", "0.25", "--epsilon", "1.0",
+            "--algo", "1", "--out", str(tmp_path / "set.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed scenario CSV" in err and "Traceback" not in err
 
     def test_infeasible_exits_three(self, pipeline, tmp_path):
         out = str(tmp_path / "ws.json")
