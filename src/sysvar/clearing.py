@@ -319,7 +319,7 @@ class _PatternSystem:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held once the gradient is known (idx, inflow, gradient)."""
+        """Bytes of the matrix, idx, inflow and (once solved) the gradient."""
         return self.mat.nbytes + 3 * 8 * self.idx.size
 
     def gradient(self, pi: np.ndarray) -> np.ndarray | None:
