@@ -10,12 +10,13 @@ the total payment of the maximal clearing vector (minus infinity off the
 nonnegative orthant).  One batched kernel, ``aggregate_en_many``, computes it
 together with its supergradient, which is closed-form per default pattern D:
 (I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  The kernel
-runs the same fictitious-default algorithm in rounds over a whole batch,
-solving each default pattern's system once per round for all rows that share
-it, and keeps those systems on the network (``FinancialNetwork.derived``)
-under a fixed byte budget.  The scalar engine runs only for rows whose system
-is singular or whose payments leave [0, pbar]; the payment LP's dual only
-where a pattern's gradient system is singular or ill-posed.
+runs the same fictitious-default algorithm in rounds over a whole batch.
+Each default pattern's inverse (I - pi_DD^T)^{-1} is built once, kept on the
+network (``FinancialNetwork.derived``) under a fixed byte budget, and applied
+row by row, so a row's total and supergradient do not depend on the rows
+cleared beside it.  The scalar engine runs only for rows whose pattern is
+singular or whose payments leave [0, pbar]; the payment LP's dual only where
+a pattern's supergradient is unusable.
 """
 
 from __future__ import annotations
@@ -159,21 +160,20 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
     algorithm in batched rounds.  Each row's default mask starts as the
     banks short of their obligations one step from pbar (certified
     defaulters, since the clearing vector lies below pbar).  A round sorts
-    its rows by packed mask, solves each pattern's defaulter system once for
-    all of that pattern's rows, and then checks the whole round at once:
-    payments in [0, pbar] and no bank outside the mask short of its
-    obligations.  Rows that show newly short banks add them to their mask
-    and go to the next round, so a row takes at most d rounds.  The scalar
-    engine ``clearing_fixed_point`` runs only for rows whose system is
-    singular or whose payments leave [0, pbar].  If any row needed a
-    second round, the totals come from one last solve per final pattern
-    over all the rows that share it, so a row's total depends only on
-    which rows share its final pattern.
+    its rows by packed mask, applies each pattern's inverse to all of that
+    pattern's rows, and then checks the whole round at once: payments in
+    [0, pbar] and no bank outside the mask short of its obligations.  Rows
+    that show newly short banks add them to their mask and go to the next
+    round, so a row takes at most d rounds.  The scalar engine
+    ``clearing_fixed_point`` runs only for rows whose pattern is singular or
+    whose payments leave [0, pbar].
 
-    Each pattern's system (defaulters, I - pi_DD^T, the solvent banks'
-    inflow and, once needed, its supergradient) is kept on the network in
+    Each pattern's system (defaulters, (I - pi_DD^T)^{-1}, the solvent
+    banks' inflow and the supergradient) is kept on the network in
     ``net.derived`` up to a fixed byte budget, so later calls with the same
-    patterns skip building them; ``np.linalg.solve`` is never cached.
+    patterns skip building them.  The inverse is applied with ``np.einsum``,
+    which sums each row in a fixed order, so a row's results are the same
+    alone, in any batch and in any row order.
 
     With ``supergradients=True`` the call returns ``(totals, grads)``, where
     row k of grads is a supergradient of the aggregation function at xs[k]
@@ -202,9 +202,7 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
     masks = xs[rows] + pbar @ pi < pbar - DEFAULT_TOL
     fallback = []
     live = np.arange(rows.size)
-    rounds = 0
     while live.size:
-        rounds += 1
         order, bounds = _sort_by_pattern(masks[live])
         live = live[order]
         totals, done, again, grown, systems = _fictitious_round(
@@ -219,15 +217,6 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
                     _set_supergradients(grads, net, xs, members, system)
         live = np.sort(live[again])
 
-    if rounds > 1:
-        # a solve's result for one row can change in the last bit with the
-        # right-hand sides beside it, so the totals come from one solve per
-        # final pattern over all the rows that share it
-        settled = np.setdiff1d(np.arange(rows.size), fallback)
-        order, bounds = _sort_by_pattern(masks[settled])
-        settled = settled[order]
-        trial, _, _ = _solve_patterns(cache, pi, pbar, xs[rows[settled]], masks[settled], bounds)
-        out[rows[settled]] = trial.sum(axis=1)
     for k in fallback:
         res = clearing_fixed_point(net, xs[rows[k]])
         out[rows[k]] = res.total_payment
@@ -239,15 +228,31 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
 
 def _fictitious_round(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: np.ndarray,
                       masks: np.ndarray, bounds: np.ndarray):
-    """One fictitious-default round over rows grouped by default mask.
+    """One fictitious-default round over rows grouped by default mask
+    (group j is rows bounds[j]:bounds[j + 1]).
 
     Returns each row's total payment, which rows settled (payments in
     [0, pbar], no bank short of its obligations), which rows must go on
     (in range, with banks outside the mask newly short), the masks grown by
-    those banks, and the groups' pattern systems.  The full-batch arrays
-    are freed on return, before the next round allocates its own.
+    those banks, and the groups' pattern systems.  Rows of a singular
+    pattern neither settle nor go on.  The full-batch arrays are freed on
+    return, before the next round allocates its own.
     """
-    trial, solved, systems = _solve_patterns(cache, pi, pbar, x, masks, bounds)
+    trial = np.tile(pbar, (x.shape[0], 1))
+    solved = np.ones(x.shape[0], dtype=bool)
+    systems = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        system = _pattern_system(cache, pi, pbar, masks[s])
+        systems.append(system)
+        if system.inv is None:
+            solved[s:e] = False
+        elif system.idx.size:
+            # fancy indexing yields an F-ordered block, which einsum would
+            # sum in another order; the C-ordered copy keeps each row's sum
+            # independent of the rows beside it
+            rhs = np.ascontiguousarray(x[s:e, system.idx])
+            rhs += system.inflow
+            trial[s:e, system.idx] = np.einsum("ij,nj->ni", system.inv, rhs)
     inflow = trial @ pi
     inflow += x
     inflow += DEFAULT_TOL
@@ -256,28 +261,6 @@ def _fictitious_round(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: 
     done = ok & ~short.any(axis=1)
     again = ok & (short & ~masks).any(axis=1)
     return trial.sum(axis=1), done, again, masks | short, systems
-
-
-def _solve_patterns(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: np.ndarray,
-                    masks: np.ndarray, bounds: np.ndarray):
-    """Payments of rows grouped by default mask (group j is rows
-    bounds[j]:bounds[j + 1]), with each group's defaulters solved in one
-    call: returns the payment rows (pbar off the pattern), which rows'
-    solves succeeded, and the groups' pattern systems."""
-    trial = np.tile(pbar, (x.shape[0], 1))
-    solved = np.ones(x.shape[0], dtype=bool)
-    systems = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        system = _pattern_system(cache, pi, pbar, masks[s])
-        systems.append(system)
-        if system.idx.size == 0:
-            continue
-        try:
-            trial[s:e, system.idx] = np.linalg.solve(
-                system.mat, (x[s:e, system.idx] + system.inflow).T).T
-        except np.linalg.LinAlgError:
-            solved[s:e] = False
-    return trial, solved, systems
 
 
 def _sort_by_pattern(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,30 +286,36 @@ class _PatternSystem:
     """The linear system of one default pattern D for a fixed (pi, pbar).
 
     With the solvent banks S paying in full, the defaulters pay
-    p_D = (I - pi_DD^T)^{-1} (x_D + inflow), inflow = pi_SD^T pbar_S.  The
-    closed-form supergradient is solved on first use and kept, or marked
-    unusable (None).
+    p_D = inv (x_D + inflow), with inv = (I - pi_DD^T)^{-1} and
+    inflow = pi_SD^T pbar_S.  At the maximal clearing vector the total
+    payment is affine in x_D with gradient (I - pi_DD)^{-1} 1, the column
+    sums of inv.  ``inv`` is None for a singular pattern (D holds a closed
+    class): ``np.linalg.inv`` raises or returns non-finite entries.
+    ``grad`` is None where the gradient is unusable: singular, non-finite
+    or with a negative entry.
     """
 
-    __slots__ = ("idx", "mat", "inflow", "_grad", "_grad_known")
+    __slots__ = ("idx", "inv", "inflow", "grad")
 
     def __init__(self, pi: np.ndarray, pbar: np.ndarray, mask: np.ndarray):
         self.idx = np.flatnonzero(mask)
-        self.mat = np.eye(self.idx.size) - pi[np.ix_(self.idx, self.idx)].T
         self.inflow = pi[np.ix_(~mask, self.idx)].T @ pbar[~mask]
-        self._grad: np.ndarray | None = None
-        self._grad_known = False
+        self.inv = self.grad = None
+        try:
+            inv = np.linalg.inv(np.eye(self.idx.size) - pi[np.ix_(self.idx, self.idx)].T)
+        except np.linalg.LinAlgError:
+            return
+        if not np.all(np.isfinite(inv)):
+            return
+        self.inv = inv
+        grad = inv.sum(axis=0)
+        if np.all(np.isfinite(grad) & (grad >= 0)):
+            self.grad = grad
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the matrix, idx, inflow and (once solved) the gradient."""
-        return self.mat.nbytes + 3 * 8 * self.idx.size
-
-    def gradient(self, pi: np.ndarray) -> np.ndarray | None:
-        if not self._grad_known:
-            self._grad = _pattern_gradient(pi, self.idx)
-            self._grad_known = True
-        return self._grad
+        """Bytes of the inverse, idx, inflow and the gradient."""
+        return 8 * self.idx.size * (self.idx.size + 3)
 
 
 def _pattern_system(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray,
@@ -344,35 +333,18 @@ def _pattern_system(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray,
     return system
 
 
-def _pattern_gradient(pi: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
-    """Solve (I - pi_DD) g = 1 over the default set D; None if unusable.
-
-    At the maximal clearing vector the total payment is affine in x_D with
-    this gradient.  A singular system (D holds a closed class) raises; a
-    non-finite or negative solution marks an ill-posed one.
-    """
-    try:
-        g = np.linalg.solve(np.eye(idx.size) - pi[np.ix_(idx, idx)], np.ones(idx.size))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(g)) or g.min() < 0:
-        return None
-    return g
-
-
 def _set_supergradients(grads: np.ndarray, net: FinancialNetwork, xs: np.ndarray,
                         members: np.ndarray, system: _PatternSystem) -> None:
     """Write the supergradient of the system's pattern into the (zeroed)
-    member rows of grads; each row takes its LP dual if the pattern solve
-    is unusable."""
+    member rows of grads; each row takes its LP dual if the pattern's
+    gradient is unusable."""
     if system.idx.size == 0:
         return
-    g = system.gradient(np.asarray(net.pi, dtype=float))
-    if g is None:
+    if system.grad is None:
         for k in members:
             grads[k] = _lp_supergradient(net, xs[k])
     else:
-        grads[np.ix_(members, system.idx)] = g
+        grads[np.ix_(members, system.idx)] = system.grad
 
 
 def en_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:

@@ -121,12 +121,13 @@ def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
 def read_scenarios(path: str) -> ScenarioSet:
     """Scenario CSV: an x1.. header, then one row of d numbers per scenario.
 
-    Blank lines are skipped; a ragged row or a cell that is not a number
-    raises ``ValidationError``.
+    Blank lines are skipped; a ragged row, a cell that is not a number or
+    rows wider or narrower than the header raise ``ValidationError``.
     """
     with open(path) as fh:
         lines = (line for line in fh if line.strip())
-        if not next(lines, "").lstrip().startswith("x1"):
+        header = next(lines, "")
+        if not header.lstrip().startswith("x1"):
             raise ValidationError(f"{path} is not a scenario CSV (missing x1.. header)")
         first = next(lines, None)
         if first is None:
@@ -136,6 +137,10 @@ def read_scenarios(path: str) -> ScenarioSet:
                                 comments=None, ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"malformed scenario CSV {path}: {exc}") from exc
+    width = header.count(",") + 1
+    if values.shape[1] != width:
+        raise ValidationError(f"malformed scenario CSV {path}: the header names {width} "
+                              f"columns, the rows hold {values.shape[1]}")
     out = ScenarioSet(values=values)
     out.validate()
     return out

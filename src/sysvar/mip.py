@@ -116,7 +116,6 @@ def _node_relax(
     bmat = grouping.matrix.astype(float)
     forced = np.flatnonzero(y_fix == 1)
     free = np.flatnonzero(y_fix == -1)
-    watched = np.concatenate([forced, free])
     need = hits - forced.size
 
     key = frozenset(int(n) for n in forced)
@@ -154,15 +153,11 @@ def _node_relax(
         return np.clip(res.x, model.z_lower, model.z_upper)
 
     z = None
-    totals = np.zeros(n_scen)
-    grads = np.zeros((n_scen, model.net.d))
     converged = False
     for _ in range(_NODE_MAX_ROUNDS):
         z = inner(pat_a + count_a, pat_b + count_b)
-        shift = grouping.spread(z)
-        if watched.size:
-            totals[watched], grads[watched] = aggregate_en_many(
-                model.net, np.maximum(scen[watched] + shift, 0.0), supergradients=True)
+        totals, grads = aggregate_en_many(
+            model.net, np.maximum(scen + grouping.spread(z), 0.0), supergradients=True)
         ok = True
         for n in forced:
             if violates(totals[n], model.alpha):
@@ -184,10 +179,6 @@ def _node_relax(
             converged = True
             break
 
-    fixed0 = np.flatnonzero(y_fix == 0)
-    if fixed0.size:
-        totals[fixed0] = aggregate_en_many(
-            model.net, np.maximum(scen[fixed0] + grouping.spread(z), 0.0))
     y_frac = np.zeros(n_scen)
     y_frac[forced] = 1.0
     if free.size:

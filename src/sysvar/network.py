@@ -119,6 +119,12 @@ class FinancialNetwork:
         if np.any(pbar <= 0):
             raise ValidationError("pbar must be strictly positive")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d == other.d and np.array_equal(self.pi, other.pi)
+                and np.array_equal(self.pbar, other.pbar))
+
     @property
     def total_obligations(self) -> float:
         return float(np.sum(self.pbar))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,24 @@ from sysvar.clearing import polytope_contains
 from sysvar.io import read_network, write_network
 from sysvar.util import CapacityError, ValidationError
 from conftest import picard_totals, random_network, ring2
+
+
+_inv = np.linalg.inv
+
+
+def _break_pattern_inverse(monkeypatch, fake):
+    """Make ``np.linalg.inv`` return ``fake(m)`` when called from the
+    clearing module; the LP solver inverts its bases with the same function."""
+    def patched(m):
+        if sys._getframe(1).f_globals["__name__"] == clearing.__name__:
+            return fake(m)
+        return _inv(m)
+
+    monkeypatch.setattr(clearing.np.linalg, "inv", patched)
+
+
+def _singular(m):
+    raise np.linalg.LinAlgError("forced")
 
 
 class TestEngines:
@@ -154,21 +174,28 @@ class TestSupergradient:
     def test_lp_fallback_when_pattern_solve_fails(self, rng, monkeypatch):
         # the closed form rejects a singular defaulter system (a closed class)
         ring = ring2([2.0, 2.0])
-        assert clearing._pattern_gradient(ring.pi, np.array([0, 1])) is None
+        system = clearing._PatternSystem(ring.pi, ring.pbar, np.array([True, True]))
+        assert system.inv is None and system.grad is None
 
         lp_calls = []
         lp = clearing._lp_supergradient
-        monkeypatch.setattr(clearing, "_pattern_gradient", lambda pi, idx: None)
         monkeypatch.setattr(clearing, "_lp_supergradient",
                             lambda net, x: lp_calls.append(x) or lp(net, x))
         net = random_network(rng, 5)
-        for _ in range(30):
-            x = rng.exponential(0.5, size=5)
-            x2 = rng.exponential(0.5, size=5)
-            mu = sv.en_supergradient(net, x)
-            rhs = sv.aggregate_en(net, x) + mu @ (x2 - x)
-            assert sv.aggregate_en(net, x2) <= rhs + 1e-8
-        assert len(lp_calls) > 0
+        xs = rng.exponential(0.5, size=(30, 5))
+        defaulting = sum(sv.clearing_fixed_point(net, x).defaults.any() for x in xs)
+        assert defaulting > 0
+        # an inverse that raises, is not finite, or has negative column sums
+        for fake in (_singular, lambda m: np.full(m.shape, np.nan), lambda m: -_inv(m)):
+            _break_pattern_inverse(monkeypatch, fake)
+            bare = sv.FinancialNetwork(d=5, pi=net.pi, pbar=net.pbar)
+            lp_calls.clear()
+            for x in xs:
+                x2 = rng.exponential(0.5, size=5)
+                mu = sv.en_supergradient(bare, x)
+                rhs = sv.aggregate_en(bare, x) + mu @ (x2 - x)
+                assert sv.aggregate_en(bare, x2) <= rhs + 1e-8
+            assert len(lp_calls) == defaulting
 
     def test_row_missed_by_picard_seed(self, monkeypatch):
         # banks 0 and 1 form a cycle leaking 1% per round, so one step from
@@ -219,12 +246,10 @@ class TestSupergradient:
         return calls
 
     def test_every_row_falls_back_when_solve_raises(self, rng, monkeypatch):
+        # every pattern's inverse fails to build, so every row with a
+        # defaulter goes to the scalar engine
         net, xs, expected, ref_totals = self._fallback_instance(rng)
-
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(clearing.np.linalg, "solve", singular)
+        _break_pattern_inverse(monkeypatch, _singular)
         calls = self._count_fallbacks(monkeypatch)
         totals = sv.aggregate_en_many(net, xs)
         assert len(calls) == expected
@@ -233,16 +258,11 @@ class TestSupergradient:
         assert np.abs(totals[keep] - ref_totals[keep]).max() <= 1e-9
 
     def test_out_of_range_rows_fall_back(self, rng, monkeypatch):
-        # a pattern solve that leaves [0, pbar] sends its rows to the
-        # scalar engine; rows without defaulters still settle in the kernel
+        # a negated inverse gives defaulters negative payments, which send
+        # their rows to the scalar engine; rows without defaulters still
+        # settle in the kernel
         net, xs, expected, ref_totals = self._fallback_instance(rng)
-        solve = clearing._solve_patterns
-
-        def negative_defaulters(cache, pi, pbar, x, masks, bounds):
-            trial, solved, systems = solve(cache, pi, pbar, x, masks, bounds)
-            return np.where(masks, -1.0, trial), solved, systems
-
-        monkeypatch.setattr(clearing, "_solve_patterns", negative_defaulters)
+        _break_pattern_inverse(monkeypatch, lambda m: -_inv(m))
         calls = self._count_fallbacks(monkeypatch)
         totals = sv.aggregate_en_many(net, xs)
         assert len(calls) == expected

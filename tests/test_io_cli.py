@@ -38,10 +38,11 @@ class TestRoundTrips:
         assert io.read_scenarios(str(path)).values.tolist() == [[1.5, 2.0], [0.25, 1e-3]]
 
     @pytest.mark.parametrize("body", ["1,2\n3\n", "1,2\n3,4,5\n", "1,abc\n", "1,2,\n",
-                                      "# 1,2\n", ""])
+                                      "# 1,2\n", "", "x1,x2,x3\n1,2\n3,4\n"])
     def test_malformed_scenarios_csv_raises_validation_error(self, tmp_path, body):
+        # bodies without their own header go under a two-column one
         path = tmp_path / "s.csv"
-        path.write_text("x1,x2\n" + body)
+        path.write_text(body if body.startswith("x1") else "x1,x2\n" + body)
         with pytest.raises(sv.ValidationError):
             io.read_scenarios(str(path))
 

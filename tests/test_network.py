@@ -112,6 +112,16 @@ class TestLiabilities:
             net, _ = sv.build_liabilities(g, core_size=3, intergroup=m)
             assert np.abs(net.pi.sum(axis=1) - 1.0).max() <= 1e-12
 
+    def test_equality_compares_array_values(self):
+        pi = np.array([[0.0, 1.0], [1.0, 0.0]])
+        pbar = np.array([1.0, 2.0])
+        net = sv.FinancialNetwork(d=2, pi=pi, pbar=pbar)
+        assert net == sv.FinancialNetwork(d=2, pi=pi.copy(), pbar=pbar.copy())
+        assert net != sv.FinancialNetwork(d=2, pi=pi, pbar=2 * pbar)
+        assert net != sv.FinancialNetwork(d=2, pi=pi[::-1].copy(), pbar=pbar)
+        assert net != sv.FinancialNetwork(d=3, pi=pi, pbar=pbar)
+        assert net != (2, pi, pbar)
+
 
 class TestStats:
     def test_star(self):

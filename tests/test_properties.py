@@ -183,14 +183,30 @@ def test_membership_translative_along_group_axis(seed, d, n, axis, shift):
             == sv.membership(net, grouping, scen, spec, z))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def _same_bits_alone_and_in_any_order(net, xs, seed):
+    totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
+    perm = np.random.default_rng(seed).permutation(xs.shape[0])
+    shuffled, shuffled_grads = sv.aggregate_en_many(net, xs[perm], supergradients=True)
+    assert np.array_equal(shuffled, totals[perm])
+    assert np.array_equal(shuffled_grads, grads[perm])
+    for k, x in enumerate(xs):
+        alone, alone_grads = sv.aggregate_en_many(net, x[None, :], supergradients=True)
+        assert np.array_equal(alone, totals[k:k + 1])
+        assert np.array_equal(alone_grads[0], grads[k])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=seeds)
-def test_total_depends_only_on_rows_sharing_the_final_pattern(seed):
-    # rows settle in different rounds, but each total must come out as one
-    # solve over exactly the rows of its final default pattern
+def test_row_results_do_not_depend_on_the_batch(seed):
+    # a row's total and supergradient are the same bits alone, in the full
+    # batch and under a row permutation: on leaky cycles, where rows settle
+    # in different rounds, and at 70 banks, where patterns take two key words
     net, xs = _leaky_cycle_instance(seed, 8, 60)
-    totals = sv.aggregate_en_many(net, xs)
-    patterns = np.array([sv.clearing_fixed_point(net, x).defaults for x in xs])
-    for pattern in np.unique(patterns, axis=0):
-        group = np.flatnonzero((patterns == pattern).all(axis=1))
-        assert np.array_equal(sv.aggregate_en_many(net, xs[group]), totals[group])
+    seeded = xs + net.pbar @ net.pi < net.pbar - DEFAULT_TOL
+    final = np.array([sv.clearing_fixed_point(net, x).defaults for x in xs])
+    assert np.any(seeded != final)
+    _same_bits_alone_and_in_any_order(net, xs, seed)
+
+    net, xs, _ = _instance(seed, 70, 40)
+    xs[::2, :64] += net.pbar[:64]
+    _same_bits_alone_and_in_any_order(net, xs, seed)
