@@ -1,7 +1,10 @@
 """File formats: network JSON, scenario/edge CSV, approximation-set JSON.
 
 All floats are written at 17 significant digits so artifacts round-trip
-exactly; every writer goes through an atomic temp-file-plus-rename.
+exactly.  Every writer goes through one atomic path that streams text chunks
+to a temp file and then renames it (`util.atomic_write_chunks`); the scenario
+CSV is formatted and streamed in blocks of rows, so its whole text is never
+held in memory.
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ from .network import DirectedMultigraph, FinancialNetwork, Grouping
 from .risk import CapitalBox
 from .saa import ApproxSet
 from .shocks import ScenarioSet
-from .util import ValidationError, atomic_write_text, fmt17
+from .util import ValidationError, atomic_write_chunks, atomic_write_text, fmt17
+
+# rows per chunk of the streamed scenario write; each chunk's .tolist()
+# holds rows * d Python floats at once, so a small block keeps memory flat
+_WRITE_BLOCK_ROWS = 256
 
 
 def _jsonable(obj: Any) -> Any:
@@ -111,11 +118,19 @@ def read_edges(path: str) -> DirectedMultigraph:
 # -- scenarios ----------------------------------------------------------------
 
 def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
+    """Scenario CSV streamed in blocks of rows, so the whole text is never
+    held in memory; each cell is ``%.17g``, the same text as `fmt17`."""
     d = scenarios.d
-    lines = [",".join(f"x{i + 1}" for i in range(d))]
-    for row in scenarios.values:
-        lines.append(",".join(fmt17(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = scenarios.values
+    row_fmt = ",".join(["%.17g"] * d) + "\n"
+
+    def chunks():
+        yield ",".join(f"x{i + 1}" for i in range(d)) + "\n"
+        for start in range(0, values.shape[0], _WRITE_BLOCK_ROWS):
+            block = values[start:start + _WRITE_BLOCK_ROWS]
+            yield "".join([row_fmt % tuple(row) for row in block.tolist()])
+
+    atomic_write_chunks(path, chunks())
 
 
 def read_scenarios(path: str) -> ScenarioSet:

@@ -4,6 +4,13 @@ Each scenario is drawn from a Gaussian copula with equicorrelation rho across
 all banks and mapped through the Lomax (Pareto type II) inverse CDF, with a
 shared shape ``nu`` and one scale per group.  The Lomax support is [0, inf),
 so every cash flow profile stays in the nonnegative orthant.
+
+Scenario n owns the Philox counter block that starts at n * 2^64 (Salmon et
+al. 2011), so it does not depend on the sample count.  One generator is
+reseeked before each scenario by setting its 256-bit counter to the words
+``[0, n, 0, 0]`` and emptying its output buffer; this is the same stream as
+a fresh ``Philox(key=seed, counter=n << 64)`` per scenario.  The copula and
+the marginal transforms then run once over the whole N x (d+1) matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ from scipy.special import ndtr
 from .network import Grouping
 from .util import ValidationError, as_array
 
-# Philox counter stride per scenario; one scenario consumes d+1 normals,
-# far below 2^64 counter steps.
-_SCENARIO_STRIDE = 1 << 64
+# Scenario n starts at Philox counter n << 64, whose little-endian uint64
+# words are [0, n, 0, 0]: n goes in word 1.  One scenario consumes d+1
+# normals, far below the 2^64 counter steps between two scenarios.
+_SCENARIO_WORD = 1
 
 
 @dataclass(frozen=True)
@@ -87,12 +95,6 @@ def lomax_mean(nu: float, beta: float) -> float:
     return beta / (nu - 1.0)
 
 
-def _scenario_normals(seed: int, index: int, count: int) -> np.ndarray:
-    """Counter-based substream: scenario `index` owns its own Philox block,
-    so scenario n is reproducible independent of the total sample count."""
-    gen = Generator(Philox(key=seed, counter=index * _SCENARIO_STRIDE))
-    return gen.standard_normal(count)
-
 def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
     """Draw N correlated Lomax scenarios for the banks of `grouping`.
 
@@ -113,13 +115,28 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
     sq_common = np.sqrt(params.rho)
     sq_own = np.sqrt(1.0 - params.rho)
 
-    values = np.empty((params.n, d))
+    # one generator, reseeked to scenario n's counter block before each row;
+    # an empty output buffer makes the first draw start the block
+    bitgen = Philox(key=params.seed)
+    gen = Generator(bitgen)
+    state = bitgen.state
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
+    counter = state["state"]["counter"]
+    counter[:] = 0
+    normals = np.empty((params.n, d + 1))
     for n in range(params.n):
-        normals = _scenario_normals(params.seed, n, d + 1)
-        z = sq_common * normals[0] + sq_own * normals[1:]
-        # 1 - Phi(z) computed as Phi(-z) for tail accuracy
-        tail = ndtr(-z)
-        values[n] = beta_bank * (np.power(tail, -1.0 / params.nu) - 1.0)
+        counter[_SCENARIO_WORD] = n
+        bitgen.state = state
+        gen.standard_normal(out=normals[n])
+    values = np.multiply(normals[:, 1:], sq_own)
+    values += sq_common * normals[:, :1]
+    # 1 - Phi(z) computed as Phi(-z) for tail accuracy
+    np.negative(values, out=values)
+    ndtr(values, out=values)
+    np.power(values, -1.0 / params.nu, out=values)
+    values -= 1.0
+    values *= beta_bank
 
     out = ScenarioSet(values=values)
     out.validate()

@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -80,18 +81,26 @@ def _json_default(obj):
     return str(obj)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write a file atomically: stream the chunks to a temp file in the same
+    directory, then rename it over `path`.  If a chunk fails, the temp file is
+    removed and an existing `path` is left untouched."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sysvar-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write one string atomically (see `atomic_write_chunks`)."""
+    atomic_write_chunks(path, (text,))
 
 
 def as_array(values, name: str, dtype=float) -> np.ndarray:

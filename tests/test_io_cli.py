@@ -7,6 +7,7 @@ import pytest
 import sysvar as sv
 from sysvar import io
 from sysvar.cli import main
+from sysvar.util import atomic_write_chunks, fmt17
 from conftest import exp_scenarios, random_network, two_group_split
 
 
@@ -87,6 +88,35 @@ class TestRoundTrips:
         assert rows[1] == {"z1": 1.0, "z2": 2.0}
         assert rows[2] == {"z1": 1.0, "z2": 1.0}
         assert len(rows) == 5
+
+
+_EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 2**53 + 1.0, 1e300]
+
+
+class TestStreamedWrite:
+    @pytest.mark.parametrize("n, d", [(1, 4), (1024, 4), (1025, 4), (6, 1)])
+    def test_scenario_bytes_match_per_cell_fmt17(self, tmp_path, n, d):
+        # 1,024 rows fill whole streamed blocks; 1,025 start one more
+        values = np.resize(np.array(_EDGE_VALUES), n * d).reshape(n, d)
+        path = tmp_path / "s.csv"
+        io.write_scenarios(str(path), sv.ScenarioSet(values=values))
+        lines = [",".join(f"x{i + 1}" for i in range(d))]
+        lines += [",".join(fmt17(v) for v in row) for row in values]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert io.read_scenarios(str(path)).values.tobytes() == values.tobytes()
+
+    def test_failure_mid_stream_keeps_target_and_removes_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous contents\n")
+
+        def chunks():
+            yield "x1\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            atomic_write_chunks(str(target), chunks())
+        assert target.read_text() == "previous contents\n"
+        assert not list(tmp_path.glob(".sysvar-*.tmp"))
 
 
 def run_cli(*argv):

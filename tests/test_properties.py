@@ -4,14 +4,21 @@ For the batched clearing kernel the references are the payment LP's dual
 (``_lp_supergradient``), the aggregation function itself through the global
 supergradient inequality, and the scalar fixed-point engine.  For the
 membership oracle they are the two properties the grid search relies on:
-monotonicity and translativity in the capital vector.
+monotonicity and translativity in the capital vector.  The README pipeline,
+run twice in-process, must write the same artifacts byte for byte.
 """
+
+import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sysvar as sv
+from sysvar.cli import main
 from sysvar.clearing import _lp_supergradient, _sort_by_pattern
 from sysvar.util import DEFAULT_TOL, max_violations, violates
 from conftest import exp_scenarios, random_network, two_group_split
@@ -210,3 +217,45 @@ def test_row_results_do_not_depend_on_the_batch(seed):
     net, xs, _ = _instance(seed, 70, 40)
     xs[::2, :64] += net.pbar[:64]
     _same_bits_alone_and_in_any_order(net, xs, seed)
+
+
+def _pipeline_bytes(workdir: str, net_seed: int, nodes: int, n: int, seed: int) -> dict:
+    """Run gen-network, sample-shocks, saa --algo 1 and scalarize --weights 1,1
+    in-process; return exit codes and artifact bytes, manifests without their
+    wall time."""
+    p = {name: os.path.join(workdir, name)
+         for name in ("net.json", "scen.csv", "set.json", "ws.json")}
+    risk = ["--network", p["net.json"], "--scenarios", p["scen.csv"],
+            "--alpha-frac", "0.8", "--lambda", "0.25"]
+    codes = [
+        main(["gen-network", "--nodes", str(nodes), "--core-size", "2", "--theta", "0.2",
+              "--eta", "0.6", "--zeta", "0.2", "--delta-in", "0.5", "--delta-out", "0.5",
+              "--m", "4,2,3,1.5", "--seed", str(net_seed), "--out", p["net.json"]]),
+        main(["sample-shocks", "--network", p["net.json"], "--nu", "3", "--beta", "1.0,0.5",
+              "--rho", "0.3", "--n", str(n), "--seed", str(seed), "--out", p["scen.csv"]]),
+        main(["saa", *risk, "--epsilon", "1.0", "--algo", "1", "--out", p["set.json"]]),
+        main(["scalarize", *risk, "--weights", "1,1", "--out", p["ws.json"]]),
+    ]
+    out = {"codes": codes}
+    for name in ("scen.csv", "set.json", "ws.json"):
+        path = Path(p[name])
+        out[name] = path.read_bytes() if path.exists() else None
+        manifest = Path(p[name] + ".manifest.json")
+        if manifest.exists():
+            payload = json.loads(manifest.read_text())
+            payload.pop("wall_time_s")
+            out[name + ".manifest"] = payload
+    return out
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(net_seed=st.integers(0, 1000), nodes=st.integers(6, 10), n=st.integers(1, 20),
+       seed=st.integers(0, 2**70))
+def test_pipeline_artifacts_identical_across_reruns(net_seed, nodes, n, seed):
+    with tempfile.TemporaryDirectory() as workdir:
+        first = _pipeline_bytes(workdir, net_seed, nodes, n, seed)
+        for name in os.listdir(workdir):
+            os.unlink(os.path.join(workdir, name))
+        second = _pipeline_bytes(workdir, net_seed, nodes, n, seed)
+    assert first["codes"][:2] == [0, 0]
+    assert first == second
