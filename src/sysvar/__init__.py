@@ -29,7 +29,7 @@ from .network import (
     generate_bollobas,
     network_stats,
 )
-from .optim import LinearProgram, LpResult, QpResult, dual_objective, min_norm_qp, solve_lp
+from .optim import LinearProgram, LpResult, QpResult, min_norm_qp, solve_lp
 from .risk import CapitalBox, MembershipResult, RiskSpec, membership, z_bounds
 from .saa import (
     ApproxSet,
@@ -90,7 +90,6 @@ __all__ = [
     "convergence_study",
     "core_periphery_grouping",
     "distance_probe",
-    "dual_objective",
     "en_supergradient",
     "enumerate_clearing_vectors",
     "generate_bollobas",

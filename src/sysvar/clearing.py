@@ -113,28 +113,30 @@ def _picard_subsystem(sub: np.ndarray, rhs: np.ndarray, cap: np.ndarray) -> np.n
     return p
 
 
+def _payment_lp(net: FinancialNetwork, x: np.ndarray, weights: np.ndarray) -> LinearProgram:
+    """max weights.p subject to (I - pi^T) p <= x and 0 <= p <= pbar."""
+    return LinearProgram(
+        c=weights,
+        a_ub=np.eye(net.d) - np.asarray(net.pi, dtype=float).T,
+        b_ub=x,
+        lower=np.zeros(net.d),
+        upper=np.array(net.pbar, dtype=float),
+        sense="max",
+    )
+
+
 def clearing_lp(net: FinancialNetwork, x: np.ndarray,
                 f_weights: np.ndarray | None = None) -> ClearingResult:
     """Clearing vector from the payment-maximization LP."""
     x = _check_nonnegative(x)
-    pi = np.asarray(net.pi, dtype=float)
     pbar = np.asarray(net.pbar, dtype=float)
-    d = net.d
     if f_weights is None:
-        f_weights = np.ones(d)
+        f_weights = np.ones(net.d)
     f_weights = np.asarray(f_weights, dtype=float)
     if np.any(f_weights <= 0):
         raise ValidationError("objective weights must be strictly positive")
 
-    lp = LinearProgram(
-        c=f_weights,
-        a_ub=np.eye(d) - pi.T,
-        b_ub=x,
-        lower=np.zeros(d),
-        upper=pbar.copy(),
-        sense="max",
-    )
-    res = solve_lp(lp)
+    res = solve_lp(_payment_lp(net, x, f_weights))
     if res.status != "optimal":
         raise SolverError(f"clearing LP returned status {res.status}")
     p = np.clip(res.x, 0.0, pbar)
@@ -370,18 +372,7 @@ def _lp_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
     mu.(x' - x) for all x' >= 0.  Degenerate optima may make mu nonunique;
     any vertex dual works.
     """
-    pi = np.asarray(net.pi, dtype=float)
-    pbar = np.asarray(net.pbar, dtype=float)
-    d = net.d
-    lp = LinearProgram(
-        c=np.ones(d),
-        a_ub=np.eye(d) - pi.T,
-        b_ub=x,
-        lower=np.zeros(d),
-        upper=pbar.copy(),
-        sense="max",
-    )
-    res = solve_lp(lp)
+    res = solve_lp(_payment_lp(net, x, np.ones(net.d)))
     if res.status != "optimal":
         raise SolverError(f"clearing dual solve returned status {res.status}")
     mu = np.asarray(res.duals_ub, dtype=float)

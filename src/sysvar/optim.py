@@ -3,19 +3,19 @@
 ``solve_lp`` is a two-phase bounded-variable primal simplex on a dense
 tableau (revised form with an explicit basis inverse).  Pricing is Dantzig's
 rule, switching to Bland's rule after a run of degenerate steps to guarantee
-termination.  ``min_norm_qp`` projects a point onto a small-dimension
-polyhedron by enumerating active sets and checking KKT conditions, which is
-exact for strictly convex least-distance problems.
+termination.  ``min_norm_qp`` projects a point onto a polyhedron of any
+dimension through Lawson and Hanson's reduction of the least-distance
+program to a nonnegative least-squares problem, solved by their active-set
+method in numpy.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .util import CapacityError, SolverError, ValidationError, log_event
+from .util import SolverError, ValidationError
 
 _FEAS_TOL = 1e-9
 _COST_TOL = 1e-9
@@ -24,6 +24,9 @@ _DEGENERATE_STEP = 1e-11
 _BLAND_TRIGGER = 50
 _REFACTOR_EVERY = 500
 _MAX_ITER = 1_000_000
+_NNLS_ROUNDS_PER_ROW = 3
+_NNLS_TOL = 1e-12
+_EMPTY_TOL = 1e-9
 
 
 @dataclass
@@ -124,33 +127,6 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         reduced_costs=sign * red[:n],
         iterations=state.iterations,
     )
-
-
-def dual_objective(lp: LinearProgram, res: LpResult) -> float:
-    """Bound-adjusted dual objective; equals the primal objective at optimality.
-
-    objective = duals.b + sum over nonbasic structurals of reduced_cost * value,
-    where the value is the active bound.  Variables with zero reduced cost drop
-    out, so basic variables contribute nothing.
-    """
-    n, m_ub, m_eq = lp.dims()
-    total = 0.0
-    if m_ub:
-        total += float(np.asarray(lp.b_ub, dtype=float) @ res.duals_ub)
-    if m_eq:
-        total += float(np.asarray(lp.b_eq, dtype=float) @ res.duals_eq)
-    lower = np.full(n, -np.inf) if lp.lower is None else np.asarray(lp.lower, dtype=float)
-    upper = np.full(n, np.inf) if lp.upper is None else np.asarray(lp.upper, dtype=float)
-    rc = res.reduced_costs
-    sgn = 1.0 if lp.sense == "min" else -1.0
-    for j in range(n):
-        r = sgn * rc[j]
-        if abs(r) <= 1e-11:
-            continue
-        bound = lower[j] if r > 0 else upper[j]
-        if np.isfinite(bound):
-            total += sgn * r * bound
-    return total
 
 
 _AT_LOWER = 1
@@ -340,24 +316,48 @@ class _Simplex:
         return x[: self.n_struct], y, red
 
 
-def feasible_point(
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray | None:
-    """Phase-1 helper: a point of {a_ub x <= b_ub, lower <= x <= upper} or None."""
-    n = lower.size
-    lp = LinearProgram(c=np.zeros(n), a_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper)
-    res = solve_lp(lp)
-    return res.x if res.status == "optimal" else None
 
 
 @dataclass
 class QpResult:
     z: np.ndarray
     distance: float
-    active: tuple[int, ...] = field(default_factory=tuple)
+
+
+def _nnls(e: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active set for min ||e w - f|| over w >= 0, f the last unit vector.
+
+    The columns of ``e`` have unit or zero norm.  Each outer round frees the
+    column with the largest gradient; the inner loop steps back toward the
+    previous iterate until the least-squares solution on the passive set is
+    positive, dropping at least one column per step.
+    """
+    k, m = e.shape
+    f = np.zeros(k)
+    f[-1] = 1.0
+    w = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    for _ in range(_NNLS_ROUNDS_PER_ROW * m):
+        grad = e.T @ (f - e @ w)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= _NNLS_TOL:
+            return w
+        passive[j] = True
+        while True:
+            s = np.zeros(m)
+            s[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            if np.all(s[passive] > 0.0):
+                break
+            blocking = np.flatnonzero(passive & (s <= 0.0))
+            steps = w[blocking] / (w[blocking] - s[blocking])
+            i = int(np.argmin(steps))
+            w += steps[i] * (s - w)
+            passive[blocking[i]] = False
+            passive &= w > 0.0
+            w[~passive] = 0.0
+        w = s
+    raise SolverError("least-distance NNLS reached its iteration cap")
 
 
 def min_norm_qp(
@@ -367,18 +367,19 @@ def min_norm_qp(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> QpResult:
-    """Project v onto {a_ub z <= b_ub, lower <= z <= upper} in dimension <= 4.
+    """Project v onto {a_ub z <= b_ub, lower <= z <= upper}.
 
-    Enumerates candidate active sets of size up to the dimension and accepts
-    the first KKT-consistent one; the objective is strictly convex, so any
-    KKT point is the unique optimum.  Caller is responsible for checking the
-    region is nonempty (an LP feasibility probe); an infeasible region is
-    reported as a validation error.
+    With u = z - v and s = b - A v, the least-distance program
+    min ||u|| s.t. A u <= s reduces to the NNLS min ||E w - f||, w >= 0, for
+    E = [-A^T; -s^T] and f the last unit vector (Lawson & Hanson 1974,
+    ch. 23): a zero residual r certifies an empty region, and otherwise
+    u = -r[:g] / r[g].  The rows NNLS keeps positive are the active set; the
+    point is recomputed on them as z = v - A_P^T lam with
+    (A_P A_P^T) lam = A_P v - b_P, and the residual formula stands in only
+    when that Gram system is singular (duplicated cut rows).
     """
     v = np.asarray(v, dtype=float)
     g = v.size
-    if g > 4:
-        raise CapacityError("min_norm_qp supports dimension at most 4")
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
 
@@ -404,33 +405,30 @@ def min_norm_qp(
     else:
         return QpResult(z=v.copy(), distance=0.0)
 
-    def feasible(z: np.ndarray) -> bool:
-        return bool(np.all(big_a @ z <= big_b + 1e-9))
-
-    if feasible(v):
+    if np.all(big_a @ v <= big_b + 1e-9):
         return QpResult(z=v.copy(), distance=0.0)
 
-    m = big_a.shape[0]
-    for size in range(1, g + 1):
-        for combo in itertools.combinations(range(m), size):
-            a_s = big_a[list(combo)]
-            gram = a_s @ a_s.T
-            r = a_s @ v - big_b[list(combo)]
-            try:
-                lam = np.linalg.solve(gram, r)
-            except np.linalg.LinAlgError:
-                continue
-            if np.abs(gram @ lam - r).max() > 1e-8 * max(1.0, np.abs(r).max()):
-                continue
-            if np.any(lam < -1e-10):
-                continue
-            z = v - a_s.T @ lam
-            if feasible(z):
-                dist = float(np.linalg.norm(v - z))
-                return QpResult(z=z, distance=dist, active=tuple(combo))
-
-    probe = feasible_point(big_a, big_b, np.full(g, -np.inf), np.full(g, np.inf))
-    if probe is None:
+    # u is measured in units of the largest slack so that the residual test
+    # below does not depend on the scale of the capital
+    slack = big_b - big_a @ v
+    scale = float(np.abs(slack).max())
+    big_e = np.vstack([-big_a.T, -slack[None, :] / scale])
+    norms = np.linalg.norm(big_e, axis=0)
+    big_e /= np.where(norms > 0.0, norms, 1.0)
+    w = _nnls(big_e)
+    r = big_e @ w
+    r[g] -= 1.0
+    if np.linalg.norm(r) <= _EMPTY_TOL:
         raise ValidationError("min_norm_qp called on an empty region")
-    log_event("qp_enumeration_fallback", rows=m)
-    raise SolverError("active-set enumeration found no KKT point on a nonempty region")
+
+    active = np.flatnonzero(w > 0.0)
+    a_s = big_a[active]
+    gram = a_s @ a_s.T
+    r_s = a_s @ v - big_b[active]
+    try:
+        lam = np.linalg.solve(gram, r_s)
+        solved = np.abs(gram @ lam - r_s).max() <= 1e-8 * max(1.0, np.abs(r_s).max())
+    except np.linalg.LinAlgError:
+        solved = False
+    z = v - a_s.T @ lam if solved else v - scale * r[:g] / r[g]
+    return QpResult(z=z, distance=float(np.linalg.norm(v - z)))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import sysvar as sv
-from sysvar.optim import LinearProgram, dual_objective, feasible_point, min_norm_qp, solve_lp
-from sysvar.util import CapacityError, ValidationError, required_hits
+import sysvar.optim
+from sysvar.optim import LinearProgram, min_norm_qp, solve_lp
+from sysvar.util import SolverError, ValidationError, required_hits
 from conftest import (
     exp_scenarios,
     random_network,
@@ -11,6 +12,27 @@ from conftest import (
     subset_oracle_weighted,
     two_group_split,
 )
+
+
+def dual_objective(lp: LinearProgram, res) -> float:
+    """Bound-adjusted dual objective: duals.b plus, over the nonbasic
+    structurals, reduced cost times the active bound.  Equals the primal
+    objective at optimality."""
+    n, m_ub, m_eq = lp.dims()
+    total = 0.0
+    if m_ub:
+        total += float(np.asarray(lp.b_ub, dtype=float) @ res.duals_ub)
+    if m_eq:
+        total += float(np.asarray(lp.b_eq, dtype=float) @ res.duals_eq)
+    sgn = 1.0 if lp.sense == "min" else -1.0
+    for j in range(n):
+        r = sgn * res.reduced_costs[j]
+        if abs(r) <= 1e-11:
+            continue
+        bound = lp.lower[j] if r > 0 else lp.upper[j]
+        if np.isfinite(bound):
+            total += sgn * r * bound
+    return total
 
 
 class TestSolveLp:
@@ -68,13 +90,6 @@ class TestSolveLp:
             assert abs(res.objective - dual_objective(lp, res)) <= 1e-6
         assert solved > 100
 
-    def test_feasible_point_helper(self):
-        x = feasible_point(np.array([[1.0, 1.0]]), np.array([1.0]),
-                           np.zeros(2), np.ones(2))
-        assert x is not None and x.sum() <= 1.0 + 1e-9
-        assert feasible_point(np.array([[1.0]]), np.array([-1.0]),
-                              np.zeros(1), np.ones(1)) is None
-
     def test_matches_reference_solver(self, rng):
         # cross-check objective values and statuses against an unrelated
         # implementation on random boxes, inequalities, and equalities
@@ -127,9 +142,59 @@ class TestMinNormQp:
         assert np.allclose(res.z, [1.0, 1.0])
         assert res.distance == pytest.approx(np.sqrt(2.0))
 
-    def test_capacity_limit(self):
-        with pytest.raises(CapacityError):
-            min_norm_qp(np.zeros(5), None, None, np.zeros(5), np.ones(5))
+    def test_kkt_certificate_in_any_dimension(self, rng):
+        projected = 0
+        for _ in range(400):
+            g = int(rng.integers(1, 9))
+            a = rng.normal(size=(int(rng.integers(1, 3 * g + 2)), g))
+            a *= rng.choice([1e-3, 1.0, 10.0], size=(len(a), 1))
+            b = a @ rng.uniform(0.2, 0.8, size=g) + rng.uniform(0.0, 0.3, size=len(a))
+            if rng.random() < 0.4:
+                k = rng.integers(0, len(a), size=2)
+                a, b = np.vstack([a, a[k]]), np.concatenate([b, b[k]])
+            v = rng.uniform(-3.0, 3.0, size=g) * rng.choice([1.0, 100.0])
+            res = min_norm_qp(v, a, b, np.full(g, -1.0), np.full(g, 1.5))
+            assert_kkt(v, a, b, np.full(g, -1.0), np.full(g, 1.5), res)
+            projected += res.distance > 0
+        assert projected > 300
+
+    def test_singular_gram_takes_residual_path(self, monkeypatch):
+        # duplicated rows give NNLS identical columns, so splitting a freed
+        # column's weight with its twin is an equally optimal solution whose
+        # passive Gram system is exactly singular
+        nnls = sysvar.optim._nnls
+
+        def split(e):
+            w = nnls(e)
+            j = int(np.argmax(w))
+            twins = np.flatnonzero(np.all(e == e[:, [j]], axis=0))
+            assert twins.size == 2
+            w[twins] = w[j] / 2
+            return w
+
+        monkeypatch.setattr(sysvar.optim, "_nnls", split)
+        grams = []
+        solve = np.linalg.solve
+
+        def spy(gram, rhs):
+            grams.append(gram)
+            return solve(gram, rhs)
+
+        monkeypatch.setattr(sysvar.optim.np.linalg, "solve", spy)
+        a = np.array([[-1.0, -2.0], [1.0, 0.0], [-1.0, -2.0]])
+        b = np.array([-2.0, 3.0, -2.0])
+        v = np.array([0.0, 0.0])
+        lo, hi = np.full(2, -5.0), np.full(2, 5.0)
+        res = min_norm_qp(v, a, b, lo, hi)
+        assert len(grams) == 1 and np.linalg.matrix_rank(grams[0]) == 1
+        assert_kkt(v, a, b, lo, hi, res)
+        assert np.allclose(res.z, [0.4, 0.8], atol=1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sysvar.optim, "_NNLS_ROUNDS_PER_ROW", 0)
+        with pytest.raises(SolverError):
+            min_norm_qp(np.zeros(2), np.array([[-1.0, -1.0]]), np.array([-1.0]),
+                        np.zeros(2), np.ones(2))
 
     def test_matches_dense_grid_scan(self, rng):
         for _ in range(5):
@@ -156,6 +221,24 @@ class TestMinNormQp:
                         np.array([[1.0, 0.0], [-1.0, 0.0]]),
                         np.array([-1.0, -1.0]),
                         np.full(2, -np.inf), np.full(2, np.inf))
+
+
+def assert_kkt(v, a, b, lower, upper, res):
+    """Certificate for the projection of v onto {a z <= b, lower <= z <= upper}:
+    z is feasible and z = v - A^T lam for multipliers lam >= 0 supported on
+    the tight rows (complementary slackness)."""
+    g = v.size
+    big_a = np.vstack([a, np.eye(g), -np.eye(g)])
+    big_b = np.concatenate([b, upper, -lower])
+    z = res.z
+    slack = big_b - big_a @ z
+    assert slack.min() >= -1e-9
+    assert res.distance == pytest.approx(float(np.linalg.norm(v - z)), abs=1e-12)
+    tight = slack <= 1e-7 * max(1.0, float(np.abs(big_b).max()))
+    lam = np.zeros(big_a.shape[0])
+    lam[tight] = np.linalg.lstsq(big_a[tight].T, v - z, rcond=None)[0]
+    assert lam.min() >= -1e-10
+    assert np.allclose(big_a.T @ lam, v - z, rtol=0.0, atol=1e-8 * max(1.0, np.abs(v).max()))
 
 
 def toy_model(rng, n_scen=4, lam=0.25, quadratic=False):

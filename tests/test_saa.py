@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sysvar as sv
+import sysvar.mip
 import sysvar.saa
 from sysvar.saa import Grid, _mark_ball
 from sysvar.util import ValidationError
@@ -152,6 +153,31 @@ class TestGridAlgorithms:
             assert len(expected) > 1
             assert np.array_equal(a1.generators, expected)
             assert np.array_equal(a2.generators, expected)
+
+    def test_algorithms_agree_with_five_groups(self, monkeypatch):
+        # one bank per group; algorithm 2 projects onto cut polyhedra in
+        # five dimensions
+        rng = np.random.default_rng(0)
+        net = random_network(rng, 5, pbar_range=(0.5, 1.6))
+        grouping = sv.Grouping(g=5, assignment=np.arange(5))
+        scen = exp_scenarios(rng, 4, 5, 0.3)
+        spec = sv.RiskSpec(alpha=0.9 * net.total_obligations, lam=0.2)
+        eps = 1.4
+        projections = []
+        project = sysvar.mip.min_norm_qp
+
+        def spy(*args):
+            res = project(*args)
+            projections.append(res.distance > 0)
+            return res
+
+        monkeypatch.setattr(sysvar.mip, "min_norm_qp", spy)
+        a1 = sv.approximate_by_clearing(net, grouping, scen, spec, eps)
+        a2 = sv.approximate_by_norm_min(net, grouping, scen, spec, eps)
+        assert Grid.build(a1.ideal, a1.box.hi, eps).shape == (3, 4, 4, 4, 4)
+        assert any(projections)
+        assert len(a1.generators) > 1
+        assert np.array_equal(a1.generators, a2.generators)
 
     def test_boundary_search_call_bound(self, rng, caplog):
         caplog.set_level(logging.DEBUG, logger="sysvar")
