@@ -1,22 +1,26 @@
-"""Interbank clearing: fixed-point and LP engines, aggregation, enumeration.
+"""Interbank clearing: the batched fictitious-default kernel, the payment LP
+and the enumeration of all clearing vectors.
 
-The maximal clearing vector solves p = (pi^T p + x) ^ pbar.  The fixed-point
-engine runs the fictitious-default iteration from p = pbar: each round
-classifies the default set and solves the defaulters' linear subsystem
-exactly, so it terminates in at most d rounds of default-set growth.  The LP
-engine maximizes a strictly increasing linear objective over the limited
-liability region and recovers the same vector.  The aggregation function is
-the total payment of the maximal clearing vector (minus infinity off the
-nonnegative orthant).  One batched kernel, ``aggregate_en_many``, computes it
-together with its supergradient, which is closed-form per default pattern D:
-(I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  The kernel
-runs the same fictitious-default algorithm in rounds over a whole batch.
-Each default pattern's inverse (I - pi_DD^T)^{-1} is built once, kept on the
-network (``FinancialNetwork.derived``) under a fixed byte budget, and applied
-row by row, so a row's total and supergradient do not depend on the rows
-cleared beside it.  The scalar engine runs only for rows whose pattern is
-singular or whose payments leave [0, pbar]; the payment LP's dual only where
-a pattern's supergradient is unusable.
+The maximal clearing vector solves p = (pi^T p + x) ^ pbar.  One batched
+kernel, ``aggregate_en_many``, runs the fictitious-default algorithm from
+p = pbar in rounds over a whole batch: each round classifies every row's
+default set and solves the defaulters' linear subsystem exactly, so a row
+settles within d rounds of default-set growth.  It returns the aggregation
+function, the total payment of the maximal clearing vector (minus infinity
+off the nonnegative orthant), and on request its supergradient, which is
+closed-form per default pattern D: (I - pi_DD)^{-1} 1 on the defaulters and
+zero on solvent banks.  Each default pattern's inverse (I - pi_DD^T)^{-1} is
+built once, kept on the network (``FinancialNetwork.derived``) under a fixed
+byte budget, and applied row by row, so a row's results do not depend on the
+rows cleared beside it.  ``clearing_fixed_point``, ``aggregate_en`` and
+``en_supergradient`` are one-row calls of the kernel.
+
+The payment LP maximizes a strictly increasing linear objective over the
+limited liability region and recovers the same vector (``clearing_lp``).  It
+is also the kernel's one fallback: a row whose pattern is singular or whose
+payments leave [0, pbar] takes its payments, and its supergradient from the
+row duals, from a single LP solve; a settled row whose pattern gradient is
+unusable takes the duals of the same LP.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import DerivedCache, FinancialNetwork
-from .optim import LinearProgram, solve_lp
+from .optim import LinearProgram, LpResult, solve_lp
 from .util import CapacityError, DEFAULT_TOL, SolverError, ValidationError
 
-_FP_TOL = 1e-12
 # per network; patterns past it are solved without being stored
 _PATTERN_BUDGET_BYTES = 4 << 20
 
@@ -61,171 +64,188 @@ def _check_nonnegative(x: np.ndarray) -> np.ndarray:
 
 
 def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult:
-    """Maximal clearing vector by the fictitious-default iteration from pbar."""
+    """Maximal clearing vector by the fictitious-default iteration from pbar.
+
+    The one-row call of the batched kernel: p is the row's final pattern
+    system applied to x, bit for bit the kernel's payment row, or the
+    payment LP's p where the kernel falls back.  ``iterations`` is 1 when no
+    bank is short at pbar, else the kernel's round count plus that first
+    step.
+    """
     x = _check_nonnegative(x)
     pi = np.asarray(net.pi, dtype=float)
     pbar = np.asarray(net.pbar, dtype=float)
-    d = net.d
-
+    _, groups, fallback = _fictitious_default(net, x[None, :])
     p = pbar.copy()
-    default = np.zeros(d, dtype=bool)
-    rounds = 0
-    cap = max(50 * d, 4)
-    while rounds < cap:
-        rounds += 1
-        inflow = pi.T @ p + x
-        new_default = default | (p > inflow + DEFAULT_TOL)
-        if rounds > 1 and np.array_equal(new_default, default):
-            break
-        if not new_default.any():
-            break
-        default = new_default
-        idx = np.flatnonzero(default)
-        sub = pi[np.ix_(idx, idx)].T
-        solvent_inflow = pi[np.ix_(~default, default)].T @ pbar[~default]
-        rhs = x[idx] + solvent_inflow
-        mat = np.eye(idx.size) - sub
-        try:
-            p_def = np.linalg.solve(mat, rhs)
-            if np.any(~np.isfinite(p_def)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            p_def = _picard_subsystem(sub, rhs, pbar[idx])
-        p = pbar.copy()
-        p[idx] = np.clip(p_def, 0.0, pbar[idx])
+    iterations = 1
+    if groups and groups[-1][1].idx.size:
+        system = groups[-1][1]
+        iterations += len(groups)
+        if fallback:
+            p, _ = _solve_payment_lp(net, x)
+        else:
+            p[system.idx] = _defaulter_payments(system, x[None, :])[0]
 
     residual = np.abs(p - np.minimum(pi.T @ p + x, pbar)).max()
     if residual > 1e-7 * max(1.0, pbar.max()):
         raise SolverError(f"clearing iteration left residual {residual:.3e}")
     defaults = p < pbar - DEFAULT_TOL
-    return ClearingResult(p=p, defaults=defaults, iterations=rounds,
+    return ClearingResult(p=p, defaults=defaults, iterations=iterations,
                           total_payment=float(p.sum()))
 
 
-def _picard_subsystem(sub: np.ndarray, rhs: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Capped affine iteration fallback for singular defaulter subsystems."""
-    p = cap.copy()
-    for _ in range(200 * max(cap.size, 1)):
-        nxt = np.minimum(sub @ p + rhs, cap)
-        if np.abs(nxt - p).max() <= _FP_TOL:
-            return nxt
-        p = nxt
-    return p
-
-
-def _payment_lp(net: FinancialNetwork, x: np.ndarray, weights: np.ndarray) -> LinearProgram:
-    """max weights.p subject to (I - pi^T) p <= x and 0 <= p <= pbar."""
-    return LinearProgram(
-        c=weights,
+def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray,
+                      weights: np.ndarray | None = None) -> tuple[np.ndarray, LpResult]:
+    """Solve the payment LP, max weights.p subject to (I - pi^T) p <= x and
+    0 <= p <= pbar (unit weights by default); return its payments clipped
+    to [0, pbar] and the solver's result."""
+    pbar = np.array(net.pbar, dtype=float)
+    res = solve_lp(LinearProgram(
+        c=np.ones(net.d) if weights is None else weights,
         a_ub=np.eye(net.d) - np.asarray(net.pi, dtype=float).T,
         b_ub=x,
         lower=np.zeros(net.d),
-        upper=np.array(net.pbar, dtype=float),
+        upper=pbar,
         sense="max",
-    )
+    ))
+    if res.status != "optimal":
+        raise SolverError(f"clearing LP returned status {res.status}")
+    return np.clip(res.x, 0.0, pbar), res
+
+
+def _dual_supergradient(res: LpResult) -> np.ndarray:
+    """Supergradient from the unit-weight payment LP's row duals.
+
+    Any optimal row dual mu satisfies aggregate(x') <= aggregate(x) +
+    mu.(x' - x) for all x' >= 0.  Degenerate optima may make mu nonunique;
+    any vertex dual works.
+    """
+    mu = np.asarray(res.duals_ub, dtype=float)
+    if mu.min() < -1e-7:
+        raise SolverError("clearing dual has a negative multiplier")
+    return np.maximum(mu, 0.0)
 
 
 def clearing_lp(net: FinancialNetwork, x: np.ndarray,
                 f_weights: np.ndarray | None = None) -> ClearingResult:
     """Clearing vector from the payment-maximization LP."""
     x = _check_nonnegative(x)
-    pbar = np.asarray(net.pbar, dtype=float)
-    if f_weights is None:
-        f_weights = np.ones(net.d)
-    f_weights = np.asarray(f_weights, dtype=float)
-    if np.any(f_weights <= 0):
-        raise ValidationError("objective weights must be strictly positive")
-
-    res = solve_lp(_payment_lp(net, x, f_weights))
-    if res.status != "optimal":
-        raise SolverError(f"clearing LP returned status {res.status}")
-    p = np.clip(res.x, 0.0, pbar)
-    defaults = p < pbar - DEFAULT_TOL
+    if f_weights is not None:
+        f_weights = np.asarray(f_weights, dtype=float)
+        if np.any(f_weights <= 0):
+            raise ValidationError("objective weights must be strictly positive")
+    p, res = _solve_payment_lp(net, x, f_weights)
+    defaults = p < np.asarray(net.pbar, dtype=float) - DEFAULT_TOL
     return ClearingResult(p=p, defaults=defaults, iterations=res.iterations,
                           total_payment=float(p.sum()))
 
 
 def aggregate_en(net: FinancialNetwork, x: np.ndarray) -> float:
     """Total payment of the maximal clearing vector; -inf off the domain."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        return -np.inf
-    return clearing_fixed_point(net, x).total_payment
+    return float(aggregate_en_many(net, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: bool = False):
     """Aggregate payments for a batch of scenarios (rows of xs).
 
-    Rows with a negative entry map to -inf.  Fully solvent scenarios are
-    resolved without iteration: everyone pays in full as soon as
-    x >= pbar - pi^T pbar componentwise.  The rest run the fictitious-default
-    algorithm in batched rounds.  Each row's default mask starts as the
-    banks short of their obligations one step from pbar (certified
-    defaulters, since the clearing vector lies below pbar).  A round sorts
-    its rows by packed mask, applies each pattern's inverse to all of that
-    pattern's rows, and then checks the whole round at once: payments in
-    [0, pbar] and no bank outside the mask short of its obligations.  Rows
-    that show newly short banks add them to their mask and go to the next
-    round, so a row takes at most d rounds.  The scalar engine
-    ``clearing_fixed_point`` runs only for rows whose pattern is singular or
-    whose payments leave [0, pbar].
-
-    Each pattern's system (defaulters, (I - pi_DD^T)^{-1}, the solvent
-    banks' inflow and the supergradient) is kept on the network in
-    ``net.derived`` up to a fixed byte budget, so later calls with the same
-    patterns skip building them.  The inverse is applied with ``np.einsum``,
-    which sums each row in a fixed order, so a row's results are the same
-    alone, in any batch and in any row order.
+    Rows with a negative entry map to -inf; the rest are cleared by
+    ``_fictitious_default``.  A row that the rounds can neither settle nor
+    continue (its pattern is singular, or its payments leave [0, pbar]) takes
+    its total from one payment-LP solve.
 
     With ``supergradients=True`` the call returns ``(totals, grads)``, where
     row k of grads is a supergradient of the aggregation function at xs[k]
-    (see ``en_supergradient``; NaN on rows off the domain).
+    (see ``en_supergradient``; NaN on rows off the domain): the pattern's
+    closed form on settled rows, and the row duals of the payment LP on
+    fallback rows and on rows whose pattern gradient is unusable.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValidationError("expected an N x d scenario matrix")
+    out, groups, fallback = _fictitious_default(net, xs)
+    grads = None
+    if supergradients:
+        grads = np.zeros(xs.shape)
+        grads[np.isneginf(out)] = np.nan
+        for members, system in groups:
+            if members.size == 0:
+                continue
+            if system.grad is not None:
+                grads[np.ix_(members, system.idx)] = system.grad
+            else:
+                for k in members:
+                    grads[k] = _dual_supergradient(_solve_payment_lp(net, xs[k])[1])
+    for k in fallback:
+        p, res = _solve_payment_lp(net, xs[k])
+        out[k] = p.sum()
+        if supergradients:
+            grads[k] = _dual_supergradient(res)
+    return (out, grads) if supergradients else out
+
+
+def _fictitious_default(net: FinancialNetwork,
+                        xs: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Totals of the rows of xs by the batched fictitious-default rounds.
+
+    Fully solvent rows are resolved without iteration: everyone pays in full
+    as soon as x >= pbar - pi^T pbar componentwise; rows with a negative
+    entry get -inf.  The rest run in batched rounds.  Each row's default
+    mask starts as the banks short of their obligations one step from pbar
+    (certified defaulters, since the clearing vector lies below pbar).  A
+    round sorts its rows by packed mask, applies each pattern's inverse to
+    all of that pattern's rows, and then checks the whole round at once:
+    payments in [0, pbar] and no bank outside the mask short of its
+    obligations.  Rows that show newly short banks add them to their mask
+    and go to the next round, so a row takes at most d rounds.
+
+    Returns the totals (undefined on fallback rows), the ``(members,
+    system)`` pair of every pattern group of every round in order, where
+    members are the rows that settled under that system (possibly none),
+    and the fallback rows, which neither settled nor went on.  Each
+    pattern's system is kept in ``net.derived`` up to a fixed byte budget,
+    so later calls with the same patterns skip building it.
+    """
     pi = np.asarray(net.pi, dtype=float)
     pbar = np.asarray(net.pbar, dtype=float)
-    deficit = pbar - pi.T @ pbar
     out = np.empty(xs.shape[0])
-    grads = np.zeros(xs.shape) if supergradients else None
-    full = float(pbar.sum())
-    solvent = np.all(xs >= deficit, axis=1)
+    solvent = np.all(xs >= pbar - pi.T @ pbar, axis=1)
     negative = np.any(xs < 0, axis=1)
-    out[solvent] = full
+    out[solvent] = float(pbar.sum())
     out[negative] = -np.inf
-    if supergradients:
-        grads[negative] = np.nan
     rows = np.flatnonzero(~solvent & ~negative)
+    groups, fallback = [], []
     if rows.size == 0:
-        return (out, grads) if supergradients else out
+        return out, groups, fallback
 
     cache = net.derived.valid_for(pi, pbar)
     masks = xs[rows] + pbar @ pi < pbar - DEFAULT_TOL
-    fallback = []
     live = np.arange(rows.size)
     while live.size:
         order, bounds = _sort_by_pattern(masks[live])
         live = live[order]
         totals, done, again, grown, systems = _fictitious_round(
             cache, pi, pbar, xs[rows[live]], masks[live], bounds)
-        fallback.extend(live[~done & ~again])
-        out[rows[live[done]]] = totals[done]
+        ids = rows[live]
+        settled = ids[done]
+        out[settled] = totals[done]
+        fallback.extend(ids[~done & ~again])
         masks[live[again]] = grown[again]
-        if supergradients:
-            for system, s, e in zip(systems, bounds[:-1], bounds[1:]):
-                members = rows[live[s:e][done[s:e]]]
-                if members.size:
-                    _set_supergradients(grads, net, xs, members, system)
+        # the rows that group j settled are settled[cuts[j]:cuts[j + 1]]
+        cuts = np.concatenate(([0], np.cumsum(done)))[bounds]
+        groups.extend((settled[a:b], system)
+                      for system, a, b in zip(systems, cuts[:-1], cuts[1:]))
         live = np.sort(live[again])
+    return out, groups, fallback
 
-    for k in fallback:
-        res = clearing_fixed_point(net, xs[rows[k]])
-        out[rows[k]] = res.total_payment
-        if supergradients:
-            system = _pattern_system(cache, pi, pbar, res.defaults)
-            _set_supergradients(grads, net, xs, rows[k:k + 1], system)
-    return (out, grads) if supergradients else out
+
+def _defaulter_payments(system: _PatternSystem, x: np.ndarray) -> np.ndarray:
+    """The defaulters' payments inv (x_D + inflow) for each row of x."""
+    # fancy indexing yields an F-ordered block, which einsum would sum in
+    # another order; the C-ordered copy keeps each row's sum independent of
+    # the rows beside it
+    rhs = np.ascontiguousarray(x[:, system.idx])
+    rhs += system.inflow
+    return np.einsum("ij,nj->ni", system.inv, rhs)
 
 
 def _fictitious_round(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: np.ndarray,
@@ -249,12 +269,7 @@ def _fictitious_round(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray, x: 
         if system.inv is None:
             solved[s:e] = False
         elif system.idx.size:
-            # fancy indexing yields an F-ordered block, which einsum would
-            # sum in another order; the C-ordered copy keeps each row's sum
-            # independent of the rows beside it
-            rhs = np.ascontiguousarray(x[s:e, system.idx])
-            rhs += system.inflow
-            trial[s:e, system.idx] = np.einsum("ij,nj->ni", system.inv, rhs)
+            trial[s:e, system.idx] = _defaulter_payments(system, x[s:e])
     inflow = trial @ pi
     inflow += x
     inflow += DEFAULT_TOL
@@ -335,20 +350,6 @@ def _pattern_system(cache: DerivedCache, pi: np.ndarray, pbar: np.ndarray,
     return system
 
 
-def _set_supergradients(grads: np.ndarray, net: FinancialNetwork, xs: np.ndarray,
-                        members: np.ndarray, system: _PatternSystem) -> None:
-    """Write the supergradient of the system's pattern into the (zeroed)
-    member rows of grads; each row takes its LP dual if the pattern's
-    gradient is unusable."""
-    if system.idx.size == 0:
-        return
-    if system.grad is None:
-        for k in members:
-            grads[k] = _lp_supergradient(net, xs[k])
-    else:
-        grads[np.ix_(members, system.idx)] = system.grad
-
-
 def en_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
     """A supergradient of the aggregation function at x >= 0.
 
@@ -363,22 +364,6 @@ def en_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
     x = _check_nonnegative(x)
     _, grads = aggregate_en_many(net, x[None, :], supergradients=True)
     return grads[0]
-
-
-def _lp_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
-    """Supergradient from the payment LP dual.
-
-    Any optimal row dual mu satisfies aggregate(x') <= aggregate(x) +
-    mu.(x' - x) for all x' >= 0.  Degenerate optima may make mu nonunique;
-    any vertex dual works.
-    """
-    res = solve_lp(_payment_lp(net, x, np.ones(net.d)))
-    if res.status != "optimal":
-        raise SolverError(f"clearing dual solve returned status {res.status}")
-    mu = np.asarray(res.duals_ub, dtype=float)
-    if mu.min() < -1e-7:
-        raise SolverError("clearing dual has a negative multiplier")
-    return np.maximum(mu, 0.0)
 
 
 def enumerate_clearing_vectors(

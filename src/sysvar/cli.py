@@ -68,15 +68,23 @@ class _JsonLineFormatter(logging.Formatter):
             return json.dumps({"event": "log", "level": record.levelname, "message": msg})
 
 
+def _numbers(text: str, kind) -> list:
+    try:
+        return [kind(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
 def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+    return _numbers(text, float)
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+    return _numbers(text, int)
 
 
-def _read_x(arg: str) -> np.ndarray:
+def _read_x(arg: str, d: int) -> np.ndarray:
+    text = arg
     if os.path.exists(arg):
         with open(arg) as fh:
             rows = [line.strip() for line in fh if line.strip()]
@@ -84,8 +92,11 @@ def _read_x(arg: str) -> np.ndarray:
             rows = rows[1:]
         if not rows:
             raise ValidationError(f"{arg} contains no cash-flow row")
-        return np.asarray(_floats(rows[0]), dtype=float)
-    return np.asarray(_floats(arg), dtype=float)
+        text = rows[0]
+    x = np.asarray(_floats(text), dtype=float)
+    if x.shape != (d,):
+        raise ValidationError(f"--x holds {x.size} values for a network of {d} banks")
+    return x
 
 
 def _resolve_alpha(args, net) -> float:
@@ -164,7 +175,7 @@ def _cmd_sample_shocks(args) -> int:
 
 def _cmd_clear(args) -> int:
     net, _ = read_network(args.network)
-    x = _read_x(args.x)
+    x = _read_x(args.x, net.d)
     if args.method == "fp":
         res = clearing_fixed_point(net, x)
     else:
@@ -182,7 +193,7 @@ def _cmd_clear(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     net, _ = read_network(args.network)
-    x = _read_x(args.x)
+    x = _read_x(args.x, net.d)
     polys = enumerate_clearing_vectors(net, x)
     # fixed schema: a bare list of systems; provenance lives in the manifest
     dump_json_list(args.out, [

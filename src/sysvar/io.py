@@ -52,7 +52,10 @@ def dump_json_list(path: str, payload: list) -> None:
 
 def load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"malformed JSON file {path}: {exc}") from exc
 
 
 # -- network ---------------------------------------------------------------
@@ -109,8 +112,11 @@ def read_edges(path: str) -> DirectedMultigraph:
         raise ValidationError(f"{path} is not an edge-list CSV (missing header)")
     edges = []
     for row in rows[1:]:
-        s, t = row.split(",")
-        edges.append((int(s), int(t)))
+        try:
+            s, t = map(int, row.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"malformed edge-list CSV {path}: row {row!r}") from exc
+        edges.append((s, t))
     n = 1 + max((max(s, t) for s, t in edges), default=0)
     return DirectedMultigraph(n=n, edges=tuple(edges))
 

@@ -29,6 +29,31 @@ def _singular(m):
     raise np.linalg.LinAlgError("forced")
 
 
+def _count_lp_calls(monkeypatch):
+    """Record every payment-LP solve the clearing module makes."""
+    calls = []
+    solve = clearing.solve_lp
+    monkeypatch.setattr(clearing, "solve_lp", lambda lp: calls.append(lp) or solve(lp))
+    return calls
+
+
+def _lp_dual(net, x):
+    """The payment LP's row duals at x: a supergradient found without the
+    kernel."""
+    return clearing._dual_supergradient(clearing._solve_payment_lp(net, x)[1])
+
+
+class _NoGradient(clearing._PatternSystem):
+    """A pattern system with its true inverse but no usable gradient."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        if self.idx.size:
+            self.grad = None
+
+
 class TestEngines:
     def test_fully_solvent_pair(self):
         net = ring2([1.0, 1.0])
@@ -36,6 +61,7 @@ class TestEngines:
         assert np.allclose(res.p, [1.0, 1.0])
         assert res.total_payment == pytest.approx(2.0)
         assert not res.defaults.any()
+        assert res.iterations == 1
 
     def test_one_sided_cash_flow(self):
         net = ring2([2.0, 2.0])
@@ -67,25 +93,6 @@ class TestEngines:
             # objective reweighting does not change the optimum
             lp2 = sv.clearing_lp(net, x, f_weights=np.ones(d) + 99 * (np.arange(d) == 0))
             assert np.abs(lp.p - lp2.p).max() <= 1e-7
-
-    def test_singular_defaulter_solve_falls_back_to_picard(self, rng, monkeypatch):
-        nets = [random_network(rng, 6) for _ in range(5)]
-        xs = [rng.exponential(0.3, size=6) for _ in range(5)]
-        refs = [sv.clearing_lp(net, x).p for net, x in zip(nets, xs)]
-        calls = []
-        picard = clearing._picard_subsystem
-
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(clearing.np.linalg, "solve", singular)
-        monkeypatch.setattr(clearing, "_picard_subsystem",
-                            lambda *args: calls.append(args) or picard(*args))
-        for net, x, ref in zip(nets, xs, refs):
-            res = sv.clearing_fixed_point(net, x)
-            assert res.defaults.any()
-            assert np.abs(res.p - ref).max() <= 1e-9
-        assert len(calls) >= len(nets)
 
     def test_matches_picard_oracle(self, rng):
         for _ in range(10):
@@ -132,8 +139,7 @@ class TestAggregation:
         xs = rng.exponential(0.5, size=(200, 6))
         batch = sv.aggregate_en_many(net, xs)
         single = np.array([sv.aggregate_en(net, x) for x in xs])
-        # stacked-rhs solves may differ from per-row solves by ulps
-        assert np.abs(batch - single).max() <= 1e-10
+        assert np.array_equal(batch, single)
 
 
 class TestSupergradient:
@@ -177,48 +183,54 @@ class TestSupergradient:
         system = clearing._PatternSystem(ring.pi, ring.pbar, np.array([True, True]))
         assert system.inv is None and system.grad is None
 
-        lp_calls = []
-        lp = clearing._lp_supergradient
-        monkeypatch.setattr(clearing, "_lp_supergradient",
-                            lambda net, x: lp_calls.append(x) or lp(net, x))
         net = random_network(rng, 5)
         xs = rng.exponential(0.5, size=(30, 5))
-        defaulting = sum(sv.clearing_fixed_point(net, x).defaults.any() for x in xs)
+        defaulting = sum(sv.clearing_lp(net, x).defaults.any() for x in xs)
         assert defaulting > 0
-        # an inverse that raises, is not finite, or has negative column sums
-        for fake in (_singular, lambda m: np.full(m.shape, np.nan), lambda m: -_inv(m)):
-            _break_pattern_inverse(monkeypatch, fake)
+        lp_calls = _count_lp_calls(monkeypatch)
+        monkeypatch.setattr(clearing, "_PatternSystem", _NoGradient)
+        # first a usable inverse without a usable gradient, so rows settle in
+        # the kernel; then an inverse that raises, is not finite, or has
+        # negative column sums, so rows fall back.  Either way each
+        # defaulting row takes the duals of exactly one payment LP.
+        for fake in (None, _singular, lambda m: np.full(m.shape, np.nan), lambda m: -_inv(m)):
+            if fake is not None:
+                _break_pattern_inverse(monkeypatch, fake)
             bare = sv.FinancialNetwork(d=5, pi=net.pi, pbar=net.pbar)
-            lp_calls.clear()
+            solves = 0
             for x in xs:
-                x2 = rng.exponential(0.5, size=5)
+                lp_calls.clear()
                 mu = sv.en_supergradient(bare, x)
+                solves += len(lp_calls)
+                if lp_calls:
+                    assert np.array_equal(mu, _lp_dual(net, x))
+                x2 = rng.exponential(0.5, size=5)
                 rhs = sv.aggregate_en(bare, x) + mu @ (x2 - x)
                 assert sv.aggregate_en(bare, x2) <= rhs + 1e-8
-            assert len(lp_calls) == defaulting
+            assert solves == defaulting
 
     def test_row_missed_by_picard_seed(self, monkeypatch):
         # banks 0 and 1 form a cycle leaking 1% per round, so one step from
         # pbar shows only bank 0 short; bank 1 and then bank 2 (fed by the
-        # leak) join the default set in later rounds, with no scalar engine
+        # leak) join the default set in later rounds, with no payment LP
         pi = np.array([[0.0, 1.0, 0.0, 0.0], [0.99, 0.0, 0.01, 0.0],
                        [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
         net = sv.FinancialNetwork(d=4, pi=pi, pbar=np.array([1.0, 1.0, 0.005, 0.001]))
         net.validate()
         x = np.array([0.0, 0.0, 0.0, 3e-4])
-        calls, patterns = [], []
-        engine = clearing.clearing_fixed_point
+        patterns = []
+        calls = _count_lp_calls(monkeypatch)
         system = clearing._pattern_system
-        monkeypatch.setattr(clearing, "clearing_fixed_point",
-                            lambda net, x: calls.append(x) or engine(net, x))
         monkeypatch.setattr(clearing, "_pattern_system", lambda cache, pi, pbar, mask:
                             patterns.append(np.flatnonzero(mask).tolist())
                             or system(cache, pi, pbar, mask))
         mu = sv.en_supergradient(net, x)
         assert len(calls) == 0
         assert patterns[:3] == [[0], [0, 1], [0, 1, 2]]
-        assert engine(net, x).defaults.tolist() == [True, True, True, False]
-        assert np.allclose(mu, clearing._lp_supergradient(net, x), atol=1e-9)
+        assert sv.clearing_lp(net, x).defaults.tolist() == [True, True, True, False]
+        # the first step from pbar, then one round per pattern
+        assert sv.clearing_fixed_point(net, x).iterations == 4
+        assert np.allclose(mu, _lp_dual(net, x), atol=1e-9)
         rng = np.random.default_rng(3)
         for x2 in x + rng.uniform(-3e-4, 3e-3, size=(50, 4)):
             x2 = np.maximum(x2, 0.0)
@@ -238,19 +250,12 @@ class TestSupergradient:
         ref_totals[3] = -np.inf
         return net, xs, expected, ref_totals
 
-    def _count_fallbacks(self, monkeypatch):
-        calls = []
-        engine = clearing.clearing_fixed_point
-        monkeypatch.setattr(clearing, "clearing_fixed_point",
-                            lambda net, x: calls.append(x) or engine(net, x))
-        return calls
-
     def test_every_row_falls_back_when_solve_raises(self, rng, monkeypatch):
         # every pattern's inverse fails to build, so every row with a
-        # defaulter goes to the scalar engine
+        # defaulter takes its total from one payment LP
         net, xs, expected, ref_totals = self._fallback_instance(rng)
         _break_pattern_inverse(monkeypatch, _singular)
-        calls = self._count_fallbacks(monkeypatch)
+        calls = _count_lp_calls(monkeypatch)
         totals = sv.aggregate_en_many(net, xs)
         assert len(calls) == expected
         assert totals[3] == -np.inf
@@ -259,15 +264,29 @@ class TestSupergradient:
 
     def test_out_of_range_rows_fall_back(self, rng, monkeypatch):
         # a negated inverse gives defaulters negative payments, which send
-        # their rows to the scalar engine; rows without defaulters still
+        # their rows to the payment LP; rows without defaulters still
         # settle in the kernel
         net, xs, expected, ref_totals = self._fallback_instance(rng)
         _break_pattern_inverse(monkeypatch, lambda m: -_inv(m))
-        calls = self._count_fallbacks(monkeypatch)
+        calls = _count_lp_calls(monkeypatch)
         totals = sv.aggregate_en_many(net, xs)
         assert len(calls) == expected
         assert np.abs(totals[4:] - ref_totals[4:]).max() <= 1e-9
         assert totals[:3].tolist() == [net.total_obligations] * 3
+
+    def test_fixed_point_returns_the_lp_answer_on_fallback(self, rng, monkeypatch):
+        # a row the kernel hands to the payment LP reports the LP's
+        # payments and defaults, from that one solve
+        net, xs, expected, _ = self._fallback_instance(rng)
+        refs = [sv.clearing_lp(net, x) for x in xs[4:]]
+        _break_pattern_inverse(monkeypatch, _singular)
+        calls = _count_lp_calls(monkeypatch)
+        for x, ref in zip(xs[4:], refs):
+            res = sv.clearing_fixed_point(net, x)
+            assert np.array_equal(res.p, ref.p)
+            assert np.array_equal(res.defaults, ref.defaults)
+            assert res.total_payment == ref.total_payment
+        assert len(calls) == expected
 
 
 class TestPatternSystems:

@@ -172,6 +172,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "malformed scenario CSV" in err and "Traceback" not in err
 
+    _GEN = ["gen-network", "--nodes", "10", "--core-size", "2", "--theta", "0.2",
+            "--eta", "0.6", "--zeta", "0.2", "--seed", "7"]
+    _CONVERGE = ["converge", "--network", "{net}", "--nu", "3", "--beta", "1.0,0.5",
+                 "--rho", "0.3", "--alpha-frac", "0.8", "--lambda", "0.25",
+                 "--epsilon", "1.0", "--n-ref", "10", "--seeds", "1"]
+
+    @pytest.mark.parametrize("text, argv", [
+        ("source,target\n0,1\n1,x\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
+        ("source,target\n0,1\n1,2,3\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
+        ('{"d": 2, "pbar": [1.0, ', ["clear", "--network", "{bad}", "--x", "1,1"]),
+        ("", ["clear", "--network", "{net}", "--x", "1,1"]),
+        ("", _GEN + ["--m", "1,2,3,abc"]),
+        ("", _CONVERGE + ["--n-list", "5,abc"]),
+    ], ids=["edge-cell", "edge-columns", "truncated-json", "x-length", "float-list",
+            "int-list"])
+    def test_malformed_input_exits_two(self, pipeline, tmp_path, capsys, text, argv):
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        code = run_cli(*[a.format(bad=bad, net=pipeline["net"]) for a in argv],
+                       "--out", str(tmp_path / "out.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "Traceback" not in err
+
     def test_infeasible_exits_three(self, pipeline, tmp_path):
         out = str(tmp_path / "ws.json")
         code = run_cli(

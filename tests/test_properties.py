@@ -1,11 +1,13 @@
 """Property tests on small random networks.
 
-For the batched clearing kernel the references are the payment LP's dual
-(``_lp_supergradient``), the aggregation function itself through the global
-supergradient inequality, and the scalar fixed-point engine.  For the
-membership oracle they are the two properties the grid search relies on:
-monotonicity and translativity in the capital vector.  The README pipeline,
-run twice in-process, must write the same artifacts byte for byte.
+For the batched clearing kernel the references are the payment LP, which
+shares no code with the kernel: its payments (``clearing_lp``) and its row
+duals, the aggregation function itself through the global supergradient
+inequality, and the kernel's own one-row calls, which must give the same
+bits as the batch.  For the membership oracle they are the two properties
+the grid search relies on: monotonicity and translativity in the capital
+vector.  The README pipeline, run twice in-process, must write the same
+artifacts byte for byte.
 """
 
 import json
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import sysvar as sv
 from sysvar.cli import main
-from sysvar.clearing import _lp_supergradient, _sort_by_pattern
+from sysvar.clearing import _dual_supergradient, _solve_payment_lp, _sort_by_pattern
 from sysvar.util import DEFAULT_TOL, max_violations, violates
 from conftest import exp_scenarios, random_network, two_group_split
 
@@ -33,12 +35,30 @@ def _instance(seed: int, d: int, n: int):
     return net, rng.exponential(0.5, size=(n, d)), rng
 
 
-def _nondegenerate(net, x, margin=1e-6) -> bool:
-    """Every bank is strictly solvent or strictly inside its payment range."""
-    p = sv.clearing_fixed_point(net, x).p
+def _nondegenerate(net, x, p, margin=1e-6) -> bool:
+    """At payments p every bank is strictly solvent or strictly inside its
+    payment range."""
     inflow = net.pi.T @ p + x
     defaulted = p < net.pbar - margin
     return bool(np.all(np.where(defaulted, p > margin, inflow > net.pbar + margin)))
+
+
+def _matches_lp(net, x, grad) -> np.ndarray:
+    """Check the one-row kernel against one payment-LP solve and return the
+    LP's defaults.
+
+    The payments (those ``clearing_lp`` reports) agree within 1e-7 with
+    equal defaults; where the LP's optimum is nondegenerate, grad equals
+    the LP's row duals within 1e-9.
+    """
+    p, res = _solve_payment_lp(net, x)
+    defaults = p < net.pbar - DEFAULT_TOL
+    fp = sv.clearing_fixed_point(net, x)
+    assert np.abs(fp.p - p).max() <= 1e-7
+    assert np.array_equal(fp.defaults, defaults)
+    if _nondegenerate(net, x, p):
+        assert np.abs(grad - _dual_supergradient(res)).max() <= 1e-9
+    return defaults
 
 
 @_SETTINGS
@@ -46,9 +66,10 @@ def _nondegenerate(net, x, margin=1e-6) -> bool:
 def test_closed_form_matches_lp_dual(seed, d):
     net, xs, _ = _instance(seed, d, 1)
     x = xs[0]
-    assume(_nondegenerate(net, x))
+    p, res = _solve_payment_lp(net, x)
+    assume(_nondegenerate(net, x, p))
     _, grads = sv.aggregate_en_many(net, xs, supergradients=True)
-    assert np.abs(grads[0] - _lp_supergradient(net, x)).max() <= 1e-9
+    assert np.abs(grads[0] - _dual_supergradient(res)).max() <= 1e-9
 
 
 @_SETTINGS
@@ -74,7 +95,7 @@ def test_batched_matches_scalar_beyond_one_key_word(seed):
     for k, x in enumerate(xs):
         assert abs(totals[k] - sv.aggregate_en(net, x)) <= 1e-10
         assert np.array_equal(grads[k], sv.en_supergradient(net, x))
-        defaults = sv.clearing_fixed_point(net, x).defaults
+        defaults = _matches_lp(net, x, grads[k])
         assert np.all(grads[k][~defaults] == 0.0)
         assert np.all(grads[k][defaults] >= 1.0)
 
@@ -108,7 +129,7 @@ def test_rounds_match_scalar_engine_on_leaky_cycles(seed, d, n):
     seeded = xs + net.pbar @ net.pi < net.pbar - DEFAULT_TOL
     needs_rounds = 0
     for k, x in enumerate(xs):
-        defaults = sv.clearing_fixed_point(net, x).defaults
+        defaults = _matches_lp(net, x, grads[k])
         needs_rounds += bool(np.any(seeded[k] != defaults))
         assert abs(totals[k] - sv.aggregate_en(net, x)) <= 1e-10
         assert np.array_equal(grads[k], sv.en_supergradient(net, x))
@@ -210,7 +231,7 @@ def test_row_results_do_not_depend_on_the_batch(seed):
     # in different rounds, and at 70 banks, where patterns take two key words
     net, xs = _leaky_cycle_instance(seed, 8, 60)
     seeded = xs + net.pbar @ net.pi < net.pbar - DEFAULT_TOL
-    final = np.array([sv.clearing_fixed_point(net, x).defaults for x in xs])
+    final = np.array([sv.clearing_lp(net, x).defaults for x in xs])
     assert np.any(seeded != final)
     _same_bits_alone_and_in_any_order(net, xs, seed)
 
