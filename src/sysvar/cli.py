@@ -152,10 +152,8 @@ def _cmd_gen_network(args) -> int:
     net, grouping = build_liabilities(graph, args.core_size, inter,
                                        repair=not args.no_repair)
     write_network(args.out, net, grouping, provenance=_provenance(args))
-    artifacts = [args.out]
     if args.graph_out:
         write_edges(args.graph_out, graph)
-        artifacts.append(args.graph_out)
     return EXIT_OK
 
 

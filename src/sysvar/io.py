@@ -116,6 +116,8 @@ def read_edges(path: str) -> DirectedMultigraph:
             s, t = map(int, row.split(","))
         except ValueError as exc:
             raise ValidationError(f"malformed edge-list CSV {path}: row {row!r}") from exc
+        if s < 0 or t < 0:
+            raise ValidationError(f"negative node id in edge-list CSV {path}: row {row!r}")
         edges.append((s, t))
     n = 1 + max((max(s, t) for s, t in edges), default=0)
     return DirectedMultigraph(n=n, edges=tuple(edges))

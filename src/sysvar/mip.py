@@ -97,7 +97,7 @@ def _node_relax(
     model: ScenarioMip,
     y_fix: np.ndarray,
     hits: int,
-    cut_cache: dict | None,
+    cut_cache: dict,
 ) -> _Relaxation:
     """Solve a node relaxation (or a leaf) by outer supporting cuts.
 
@@ -119,12 +119,7 @@ def _node_relax(
     need = hits - forced.size
 
     key = frozenset(int(n) for n in forced)
-    if cut_cache is not None:
-        if key not in cut_cache:
-            cut_cache[key] = ([], [])
-        pat_a, pat_b = cut_cache[key]
-    else:
-        pat_a, pat_b = [], []
+    pat_a, pat_b = cut_cache.setdefault(key, ([], []))
     count_a: list[np.ndarray] = []
     count_b: list[float] = []
 

@@ -10,7 +10,11 @@ componentwise order (acceptable points seed an upper cone, rejected points a
 lower cone); the other solves a least-distance scalarization per visited
 point, marking the nearest point's upper cone acceptable and the open ball
 below the distance not acceptable.  Both return the same acceptable set: the
-grid intersected with the risk set, represented by its minimal elements.
+grid intersected with the risk set, represented by its minimal elements,
+which one cumulative OR per grid axis finds.  Sets are compared by the
+closed-form distance |(gen - v)^+|_2 from a point v to a generated upper set,
+one point at a time, so the Hausdorff distance needs memory for one
+generator list only.
 """
 
 from __future__ import annotations
@@ -103,8 +107,7 @@ def _empty_set(epsilon: float, box: CapitalBox, g: int) -> ApproxSet:
     )
 
 
-def _traversal(grid: Grid, status: np.ndarray,
-               shuffle_seed: int | None) -> Iterator[tuple[int, ...]]:
+def _traversal(grid: Grid, status: np.ndarray) -> Iterator[tuple[int, ...]]:
     """Yield grid indices for the core loop to classify, reading ``status``
     as it goes.
 
@@ -116,13 +119,8 @@ def _traversal(grid: Grid, status: np.ndarray,
     ceil(log2(L+1)) visits and the cones of earlier visits shorten later
     lines.  Each visit labels at least its own point, so the search ends
     with every point labelled even if the labels are not monotone.
-    ``shuffle_seed`` instead yields every point in a random static order.
     """
     shape = grid.shape
-    if shuffle_seed is not None:
-        perm = np.random.default_rng(shuffle_seed).permutation(grid.size)
-        yield from zip(*(i.tolist() for i in np.unravel_index(perm, shape)))
-        return
     axis = int(np.argmax(shape))
     for outer in np.ndindex(*shape[:axis], *shape[axis + 1:]):
         head, tail = outer[:axis], outer[axis:]
@@ -164,37 +162,28 @@ def _mark_ball(grid: Grid, status: np.ndarray, z: np.ndarray, radius: float) -> 
 
 
 def _generators(grid: Grid, status: np.ndarray) -> np.ndarray:
-    """Minimal acceptable points: acceptable cells whose one-step-down
-    neighbors are all rejected or off-grid, filtered to an antichain."""
-    accepted = np.argwhere(status == 1)
-    shape = grid.shape
-    gens = []
-    for idx in accepted:
-        minimal = True
-        for j in range(len(shape)):
-            if idx[j] + 1 < shape[j]:
-                nb = idx.copy()
-                nb[j] += 1
-                if status[tuple(nb)] == 1:
-                    minimal = False
-                    break
-        if minimal:
-            gens.append(grid.value(tuple(idx)))
-    if not gens:
-        return np.empty((0, len(shape)))
-    arr = np.asarray(gens)
-    drop = np.zeros(len(arr), dtype=bool)
-    for i in range(len(arr)):
-        below = np.all(arr <= arr[i] + 1e-15, axis=1) & np.any(arr < arr[i] - 1e-15, axis=1)
-        if np.any(below):
-            drop[i] = True
-    arr = arr[~drop]
-    order = np.lexsort(tuple(arr[:, j] for j in reversed(range(arr.shape[1]))))
-    return arr[order]
+    """Minimal acceptable points, sorted lexicographically by value.
+
+    Levels descend, so the points below idx are the index box above it.
+    ``reach`` marks the points whose index box holds an acceptable point,
+    by one cumulative OR per axis; an acceptable point is minimal exactly
+    when ``reach`` is false one step down on every axis.  Labels need not
+    be monotone.
+    """
+    reach = status == 1
+    for j in range(status.ndim):
+        reach = np.flip(np.logical_or.accumulate(np.flip(reach, j), axis=j), j)
+    minimal = status == 1
+    for j in range(status.ndim):
+        head = (slice(None),) * j
+        minimal[head + (slice(None, -1),)] &= ~reach[head + (slice(1, None),)]
+    # descending index order is ascending value order
+    idx = np.argwhere(minimal)[::-1]
+    return np.column_stack([lv[idx[:, j]] for j, lv in enumerate(grid.levels)])
 
 
 def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
-                 shuffle_seed, visit, event, counts) -> ApproxSet:
+                 visit, event, counts) -> ApproxSet:
     """Shared grid core of both algorithms.
 
     Builds the grid from the box top down to the ideal point (or grid_lo),
@@ -214,7 +203,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     grid = Grid.build(np.asarray(grid_lo, dtype=float),
                       np.asarray(box.hi, dtype=float), epsilon)
     status = np.zeros(grid.shape, dtype=np.int8)
-    for idx in _traversal(grid, status, shuffle_seed):
+    for idx in _traversal(grid, status):
         if status[idx] == 0:
             visit(grid, status, idx)
     log_event(event, points=grid.size, **counts)
@@ -234,7 +223,6 @@ def approximate_by_clearing(
     epsilon: float,
     box: CapitalBox | None = None,
     grid_lo: np.ndarray | None = None,
-    shuffle_seed: int | None = None,
 ) -> ApproxSet:
     """Inner approximation by per-point membership with cone propagation.
 
@@ -253,7 +241,7 @@ def approximate_by_clearing(
         _mark(status, idx, res.accepted)
 
     return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
-                        shuffle_seed, visit, "grid_clearing_done", counts)
+                        visit, "grid_clearing_done", counts)
 
 
 def approximate_by_norm_min(
@@ -264,7 +252,6 @@ def approximate_by_norm_min(
     epsilon: float,
     box: CapitalBox | None = None,
     grid_lo: np.ndarray | None = None,
-    shuffle_seed: int | None = None,
     node_budget: int = 100_000,
 ) -> ApproxSet:
     """Inner approximation driven by least-distance scalarizations.
@@ -289,11 +276,11 @@ def approximate_by_norm_min(
         if res.status == "budget_exhausted":
             counts["fallbacks"] += 1
         else:
-            zbar = np.asarray(res.z, dtype=float)
-            cone = tuple(slice(0, int(np.sum(lv >= zj - 1e-12)))
-                         for lv, zj in zip(grid.levels, zbar))
-            region = status[cone]
-            region[region == 0] = 1
+            # the grid points at or above zbar: the last level >= zbar_j
+            # on each axis indexes their cone's corner (-1 when none is)
+            corner = tuple(int(np.sum(lv >= zj - 1e-12)) - 1
+                           for lv, zj in zip(grid.levels, res.z))
+            _mark(status, corner, True)
             _mark_ball(grid, status, z, res.value - _BALL_SHRINK)
         if status[idx] == 0:
             # the budget ran out, or the cone missed the point and the
@@ -301,7 +288,7 @@ def approximate_by_norm_min(
             _mark(status, idx, membership(net, grouping, scenarios, spec, z).accepted)
 
     return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
-                        shuffle_seed, visit, "grid_norm_min_done", counts)
+                        visit, "grid_norm_min_done", counts)
 
 
 def hausdorff_distance(set_a: ApproxSet, set_b: ApproxSet) -> float:
@@ -309,27 +296,27 @@ def hausdorff_distance(set_a: ApproxSet, set_b: ApproxSet) -> float:
 
     d(x, gen + orthant) = |(gen - x)^+|_2 in closed form, and the directed
     supremum over an upper set is attained at its generators, so the
-    distance reduces to max-min over the two generator lists.
+    distance reduces to max-min over the two generator lists.  Each
+    generator is measured against the other list on its own, so memory
+    grows with one list, not with their product.
     """
-    if set_a.generators.size == 0 or set_b.generators.size == 0:
+    a, b = set_a.generators, set_b.generators
+    if a.size == 0 or b.size == 0:
         raise ValidationError("hausdorff distance of an empty set is undefined")
-    return max(_directed(set_a.generators, set_b.generators),
-               _directed(set_b.generators, set_a.generators))
+    return max(_distance_to(v, to_gens)
+               for from_gens, to_gens in ((a, b), (b, a)) for v in from_gens)
 
 
-def _directed(from_gens: np.ndarray, to_gens: np.ndarray) -> float:
-    diff = np.clip(to_gens[None, :, :] - from_gens[:, None, :], 0.0, None)
-    d = np.sqrt(np.sum(diff * diff, axis=2))
-    return float(d.min(axis=1).max())
+def _distance_to(v: np.ndarray, gens: np.ndarray) -> float:
+    diff = np.clip(gens - v[None, :], 0.0, None)
+    return float(np.sqrt(np.sum(diff * diff, axis=1)).min())
 
 
 def distance_probe(v: np.ndarray, approx: ApproxSet) -> float:
     """Distance from v to the represented upper set; +inf for an empty set."""
     if approx.generators.size == 0:
         return float("inf")
-    v = np.asarray(v, dtype=float)
-    diff = np.clip(approx.generators - v[None, :], 0.0, None)
-    return float(np.sqrt(np.sum(diff * diff, axis=1)).min())
+    return _distance_to(np.asarray(v, dtype=float), approx.generators)
 
 
 def insensitive_saa(aggregates: np.ndarray, spec: RiskSpec) -> float:

@@ -22,12 +22,14 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtr
 
 from .network import Grouping
-from .util import ValidationError, as_array
+from .util import CapacityError, ValidationError, as_array
 
 # Scenario n starts at Philox counter n << 64, whose little-endian uint64
 # words are [0, n, 0, 0]: n goes in word 1.  One scenario consumes d+1
 # normals, far below the 2^64 counter steps between two scenarios.
 _SCENARIO_WORD = 1
+# bytes of the N x (d+1) normals and N x d values a sample may allocate
+_SAMPLE_BYTE_CAP = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,11 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
 
     assignment = np.asarray(grouping.assignment, dtype=int)
     d = assignment.size
+    # check before allocating, so an oversized request fails fast instead
+    # of filling memory
+    if 8 * params.n * (2 * d + 1) > _SAMPLE_BYTE_CAP:
+        raise CapacityError(f"{params.n} scenarios of {d} banks exceed "
+                            f"{_SAMPLE_BYTE_CAP} bytes of sample arrays")
     beta_bank = beta[assignment]
     sq_common = np.sqrt(params.rho)
     sq_own = np.sqrt(1.0 - params.rho)

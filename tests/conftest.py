@@ -123,16 +123,25 @@ def ring_grid_distance(net, grouping, scenarios, spec, v, box, step=1e-3) -> flo
     return best
 
 
+def brute_force_generators(grid, status) -> np.ndarray:
+    """Minimal acceptable points by pairwise componentwise dominance over
+    the acceptable points, sorted lexicographically by value."""
+    points = np.array([grid.value(tuple(idx)) for idx in np.argwhere(status == 1)],
+                      dtype=float).reshape(-1, len(grid.shape))
+    minimal = np.array([not np.any(np.all(points <= p, axis=1) & np.any(points < p, axis=1))
+                        for p in points], dtype=bool)
+    gens = points[minimal]
+    return gens[np.lexsort(gens.T[::-1])]
+
+
 def exhaustive_grid_generators(net, grouping, scenarios, spec, grid) -> np.ndarray:
     """Classify every grid point with the membership oracle, then extract
-    the minimal acceptable points."""
-    from sysvar.saa import _generators
-
+    the minimal acceptable points by brute force."""
     status = np.zeros(grid.shape, dtype=np.int8)
     for idx in itertools.product(*[range(s) for s in grid.shape]):
         ok = sv.membership(net, grouping, scenarios, spec, grid.value(idx)).accepted
         status[idx] = 1 if ok else 2
-    return _generators(grid, status)
+    return brute_force_generators(grid, status)
 
 
 def exp_scenarios(rng: np.random.Generator, n: int, d: int, scale: float) -> sv.ScenarioSet:

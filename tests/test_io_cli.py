@@ -181,12 +181,14 @@ class TestCli:
     @pytest.mark.parametrize("text, argv", [
         ("source,target\n0,1\n1,x\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
         ("source,target\n0,1\n1,2,3\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
+        # a negative id would wrap around as a numpy index
+        ("source,target\n-2,0\n0,1\n1,2\n2,0\n", ["stats", "--graph", "{bad}", "--core-size", "1"]),
         ('{"d": 2, "pbar": [1.0, ', ["clear", "--network", "{bad}", "--x", "1,1"]),
         ("", ["clear", "--network", "{net}", "--x", "1,1"]),
         ("", _GEN + ["--m", "1,2,3,abc"]),
         ("", _CONVERGE + ["--n-list", "5,abc"]),
-    ], ids=["edge-cell", "edge-columns", "truncated-json", "x-length", "float-list",
-            "int-list"])
+    ], ids=["edge-cell", "edge-columns", "edge-negative", "truncated-json", "x-length",
+            "float-list", "int-list"])
     def test_malformed_input_exits_two(self, pipeline, tmp_path, capsys, text, argv):
         bad = tmp_path / "bad"
         bad.write_text(text)
@@ -216,6 +218,16 @@ class TestCli:
                        "--x", ",".join(["1.0"] * 13),
                        "--out", str(tmp_path / "e.json"))
         assert code == 4
+
+    def test_oversized_sample_exits_four(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "big.csv"
+        code = run_cli("sample-shocks", "--network", pipeline["net"], "--nu", "3",
+                       "--beta", "1.0,0.5", "--rho", "0.3", "--n", "1000000000000",
+                       "--seed", "0", "--out", str(out))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "capacity" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_budget_exhausted_exits_four(self, pipeline, tmp_path, monkeypatch, capsys):
         import functools

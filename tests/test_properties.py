@@ -6,8 +6,10 @@ duals, the aggregation function itself through the global supergradient
 inequality, and the kernel's own one-row calls, which must give the same
 bits as the batch.  For the membership oracle they are the two properties
 the grid search relies on: monotonicity and translativity in the capital
-vector.  The README pipeline, run twice in-process, must write the same
-artifacts byte for byte.
+vector.  For the grid's generators the reference is a brute-force
+minimal-element filter, and for the Hausdorff distance the closed form over
+one K x K x g tensor.  The README pipeline, run twice in-process, must write
+the same artifacts byte for byte.
 """
 
 import json
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 import sysvar as sv
 from sysvar.cli import main
 from sysvar.clearing import _dual_supergradient, _solve_payment_lp, _sort_by_pattern
+from sysvar.saa import Grid, _generators
 from sysvar.util import DEFAULT_TOL, max_violations, violates
-from conftest import exp_scenarios, random_network, two_group_split
+from conftest import brute_force_generators, exp_scenarios, random_network, two_group_split
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -209,6 +212,49 @@ def test_membership_translative_along_group_axis(seed, d, n, axis, shift):
     moved = sv.ScenarioSet(values=scen.values + grouping.spread(w)[None, :])
     assert (sv.membership(net, grouping, moved, spec, z - w)
             == sv.membership(net, grouping, scen, spec, z))
+
+
+def _tensor_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """The closed-form Hausdorff distance over one K x K x g tensor."""
+    def directed(from_gens, to_gens):
+        diff = np.clip(to_gens[None, :, :] - from_gens[:, None, :], 0.0, None)
+        return float(np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1).max())
+    return max(directed(a, b), directed(b, a))
+
+
+def _status(rng, grid, kind: str) -> np.ndarray:
+    shape = grid.shape
+    if kind == "monotone":
+        # an upper set in value: a lower set in (descending-level) index
+        weights = rng.uniform(0.5, 2.0, len(shape))
+        height = sum(np.ix_(*[w * np.arange(n) for w, n in zip(weights, shape)]))
+        return np.where(height <= rng.uniform(0, height.max() + 1), 1, 2).astype(np.int8)
+    if kind == "non-monotone":
+        return rng.integers(0, 3, size=shape).astype(np.int8)
+    return np.full(shape, 1 if kind == "all accepted" else 2, dtype=np.int8)
+
+
+@_SETTINGS
+@given(seed=seeds, g=st.integers(1, 4),
+       kind=st.sampled_from(["monotone", "non-monotone", "all accepted", "all rejected"]))
+def test_generators_and_hausdorff_match_brute_force(seed, g, kind):
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(2):
+        counts = rng.integers(1, {1: 30, 2: 15, 3: 8, 4: 6}[g], size=g)
+        step, lo = rng.uniform(0.05, 0.5), rng.uniform(-2.0, 2.0, g)
+        grid = Grid.build(lo, lo + step * (counts - 1), step * np.sqrt(g))
+        status = _status(rng, grid, kind)
+        gens = _generators(grid, status)
+        expected = brute_force_generators(grid, status)
+        assert gens.dtype == expected.dtype and gens.shape == expected.shape
+        assert gens.tobytes() == expected.tobytes()
+        sets.append(gens)
+    if all(gens.size for gens in sets):
+        a, b = (sv.ApproxSet(epsilon=0.1, generators=gens,
+                             box=sv.CapitalBox(lo=gens.min(axis=0), hi=gens.max(axis=0)),
+                             ideal=gens.min(axis=0)) for gens in sets)
+        assert sv.hausdorff_distance(a, b) == _tensor_hausdorff(a.generators, b.generators)
 
 
 def _same_bits_alone_and_in_any_order(net, xs, seed):
