@@ -35,6 +35,8 @@ from .util import CapacityError, DEFAULT_TOL, SolverError, ValidationError
 
 # per network; patterns past it are solved without being stored
 _PATTERN_BUDGET_BYTES = 4 << 20
+# enumeration solves one LP per default pattern, 2^d in all
+_ENUM_MAX_DIM = 12
 
 
 @dataclass
@@ -366,9 +368,7 @@ def en_supergradient(net: FinancialNetwork, x: np.ndarray) -> np.ndarray:
     return grads[0]
 
 
-def enumerate_clearing_vectors(
-    net: FinancialNetwork, x: np.ndarray, max_dim: int = 12
-) -> list[ClearingPolytope]:
+def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[ClearingPolytope]:
     """All clearing vectors as a union of polytopes, one per default pattern.
 
     For each binary pattern y the constraint system couples the limited
@@ -380,8 +380,9 @@ def enumerate_clearing_vectors(
     """
     x = _check_nonnegative(x)
     d = net.d
-    if d > max_dim:
-        raise CapacityError(f"enumeration over 2^{d} patterns exceeds the limit {max_dim}")
+    if d > _ENUM_MAX_DIM:
+        raise CapacityError(
+            f"enumeration over 2^{d} patterns exceeds the limit {_ENUM_MAX_DIM}")
     pi = np.asarray(net.pi, dtype=float)
     pbar = np.asarray(net.pbar, dtype=float)
     eye = np.eye(d)

@@ -99,12 +99,16 @@ def _read_x(arg: str, d: int) -> np.ndarray:
     return x
 
 
-def _resolve_alpha(args, net) -> float:
-    if getattr(args, "alpha", None) is not None:
-        return float(args.alpha)
-    if getattr(args, "alpha_frac", None) is not None:
-        return float(args.alpha_frac) * net.total_obligations
-    raise ValidationError("provide --alpha or --alpha-frac")
+def _risk_spec(args, net) -> RiskSpec:
+    # the parser requires exactly one of --alpha and --alpha-frac
+    if args.alpha is not None:
+        return RiskSpec(alpha=args.alpha, lam=args.lam)
+    return RiskSpec(alpha=args.alpha_frac * net.total_obligations, lam=args.lam)
+
+
+def _shock_params(args, n: int) -> ShockParams:
+    return ShockParams(nu=args.nu, beta_by_group=np.asarray(_floats(args.beta)),
+                       rho=args.rho, n=n, seed=args.seed)
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -159,14 +163,7 @@ def _cmd_gen_network(args) -> int:
 
 def _cmd_sample_shocks(args) -> int:
     net, grouping = read_network(args.network)
-    params = ShockParams(
-        nu=args.nu,
-        beta_by_group=np.asarray(_floats(args.beta)),
-        rho=args.rho,
-        n=args.n,
-        seed=args.seed,
-    )
-    scen = sample_shocks(params, grouping)
+    scen = sample_shocks(_shock_params(args, args.n), grouping)
     write_scenarios(args.out, scen)
     return EXIT_OK
 
@@ -204,7 +201,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_scalarize(args) -> int:
     net, grouping = read_network(args.network)
     scen = read_scenarios(args.scenarios)
-    spec = RiskSpec(alpha=_resolve_alpha(args, net), lam=args.lam)
+    spec = _risk_spec(args, net)
     if (args.weights is None) == (args.point is None):
         raise ValidationError("provide exactly one of --weights or --point")
     if args.weights is not None:
@@ -235,7 +232,7 @@ def _cmd_scalarize(args) -> int:
 def _cmd_saa(args) -> int:
     net, grouping = read_network(args.network)
     scen = read_scenarios(args.scenarios)
-    spec = RiskSpec(alpha=_resolve_alpha(args, net), lam=args.lam)
+    spec = _risk_spec(args, net)
     fn = approximate_by_clearing if args.algo == 1 else approximate_by_norm_min
     approx = fn(net, grouping, scen, spec, args.epsilon)
     write_approx(args.out, approx, provenance=_provenance(args))
@@ -244,13 +241,8 @@ def _cmd_saa(args) -> int:
 
 def _cmd_converge(args) -> int:
     net, grouping = read_network(args.network)
-    spec = RiskSpec(alpha=_resolve_alpha(args, net), lam=args.lam)
-    params = ShockParams(
-        nu=args.nu, beta_by_group=np.asarray(_floats(args.beta)),
-        rho=args.rho, n=args.n_ref, seed=args.seed,
-    )
     rows = convergence_study(
-        net, grouping, params, spec,
+        net, grouping, _shock_params(args, args.n_ref), _risk_spec(args, net),
         n_list=_ints(args.n_list),
         seeds=[args.seed + i for i in range(args.seeds)],
         epsilon=args.epsilon,
@@ -303,6 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and ignored: the library runs single-threaded")
 
+    def add_risk(p):
+        alpha = p.add_mutually_exclusive_group(required=True)
+        alpha.add_argument("--alpha", type=float, default=None)
+        alpha.add_argument("--alpha-frac", type=float, default=None,
+                           help="alpha as a fraction of total obligations")
+        p.add_argument("--lambda", dest="lam", type=float, required=True)
+
     p = sub.add_parser("gen-network", help="generate a core-periphery clearing network")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -346,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scalarize", help="weighted-sum or nearest-point scalarization")
     p.add_argument("--network", required=True)
     p.add_argument("--scenarios", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-frac", type=float, default=None,
-                   help="alpha as a fraction of total obligations")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    add_risk(p)
     p.add_argument("--weights", default=None)
     p.add_argument("--point", default=None)
     p.add_argument("--out", required=True)
@@ -358,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saa", help="grid approximation of the sampled risk set")
     p.add_argument("--network", required=True)
     p.add_argument("--scenarios", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-frac", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    add_risk(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--algo", type=int, choices=[1, 2], default=1,
                    help="1 = clearing-oracle grid search, 2 = norm-minimizing grid search")
@@ -373,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-frac", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    add_risk(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--n-list", required=True, help="sample sizes, comma separated")
     p.add_argument("--n-ref", type=int, required=True)

@@ -27,6 +27,7 @@ import numpy as np
 from .clearing import aggregate_en_many, en_supergradient  # noqa: F401
 from .network import FinancialNetwork, Grouping
 from .optim import LinearProgram, min_norm_qp, solve_lp
+from .risk import CapitalBox, RiskSpec
 from .shocks import ScenarioSet
 from .util import (
     SolverError,
@@ -55,12 +56,8 @@ class ScenarioMip:
     center: np.ndarray | None = None
 
     def validate(self) -> None:
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
-        if not 0 < self.lam < 1:
-            raise ValidationError("lambda must lie in (0, 1)")
-        if np.any(np.asarray(self.z_lower) > np.asarray(self.z_upper) + 1e-12):
-            raise ValidationError("z box is empty (lower > upper)")
+        RiskSpec(self.alpha, self.lam).validate()
+        CapitalBox(self.z_lower, self.z_upper).validate()
         if (self.weights is None) == (self.center is None):
             raise ValidationError("exactly one of weights/center must be given")
         if self.weights is not None:
@@ -189,7 +186,6 @@ def _node_relax(
 def branch_and_bound(
     model: ScenarioMip,
     node_budget: int = 100_000,
-    gap_tol: float = _GAP_TOL,
     cut_cache: dict | None = None,
 ) -> MipSolution:
     """Globally minimize the model objective over the mixed-binary region.
@@ -198,8 +194,9 @@ def branch_and_bound(
     incumbent from rounding the relaxation (the required number of scenarios
     with the largest relaxed payments).  ``cut_cache`` optionally shares the
     per-pattern supporting cuts across repeated solves on the same data.
-    Linear objectives report the absolute gap; least-distance objectives
-    report it on the distance scale so callers can shrink exclusion radii
+    A node is pruned when its bound is within 1e-6 of the incumbent.  Linear
+    objectives report the absolute gap; least-distance objectives report it,
+    and prune, on the distance scale so callers can shrink exclusion radii
     safely.
     """
     model.validate()
@@ -272,8 +269,8 @@ def branch_and_bound(
         if not np.isfinite(inc_obj):
             return False
         if quadratic:
-            return np.sqrt(max(bound, 0.0)) >= np.sqrt(inc_obj) - gap_tol
-        return bound >= inc_obj - gap_tol
+            return np.sqrt(max(bound, 0.0)) >= np.sqrt(inc_obj) - _GAP_TOL
+        return bound >= inc_obj - _GAP_TOL
 
     def evaluate(y_fix: np.ndarray) -> _Relaxation | None:
         if int((y_fix == 0).sum()) > n_scen - hits:

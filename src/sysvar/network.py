@@ -223,30 +223,22 @@ def generate_bollobas(params: BollobasParams) -> DirectedMultigraph:
 
     while n < params.target_nodes:
         u = rng.random()
-        if u < params.theta:
-            w = pick(in_deg, params.delta_in)
-            v = n
-            in_deg.append(0.0)
-            out_deg.append(0.0)
-            n += 1
-            edges.append((v, w))
-            out_deg[v] += 1
-            in_deg[w] += 1
-        elif u < params.theta + params.eta:
+        if params.theta <= u < params.theta + params.eta:
             v = pick(out_deg, params.delta_out)
             w = pick(in_deg, params.delta_in)
-            edges.append((v, w))
-            out_deg[v] += 1
-            in_deg[w] += 1
         else:
-            v = pick(out_deg, params.delta_out)
-            w = n
+            # new node n with an edge to (theta) or from (zeta) an existing
+            # node, picked before n joins the degree lists
+            if u < params.theta:
+                v, w = n, pick(in_deg, params.delta_in)
+            else:
+                v, w = pick(out_deg, params.delta_out), n
             in_deg.append(0.0)
             out_deg.append(0.0)
             n += 1
-            edges.append((v, w))
-            out_deg[v] += 1
-            in_deg[w] += 1
+        edges.append((v, w))
+        out_deg[v] += 1
+        in_deg[w] += 1
 
     return DirectedMultigraph(n=n, edges=tuple(edges))
 

@@ -70,6 +70,17 @@ def z_bounds(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet) 
     return CapitalBox(lo=lo, hi=hi)
 
 
+def box_or_default(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet,
+                   box: CapitalBox | None) -> CapitalBox:
+    """``box`` once validated, or the default capital box of the sample."""
+    if box is None:
+        return z_bounds(net, grouping, scenarios)
+    box.validate()
+    if np.shape(box.lo) != (grouping.g,):
+        raise ValidationError("box bounds must have one entry per group")
+    return box
+
+
 @dataclass(frozen=True)
 class MembershipResult:
     accepted: bool

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import FinancialNetwork, Grouping
-from .risk import CapitalBox, RiskSpec, membership, z_bounds
+from .risk import CapitalBox, RiskSpec, box_or_default, membership
 from .scalarize import ideal_point, norm_min
 from .shocks import ScenarioSet, ShockParams, sample_shocks
 from .util import CapacityError, ValidationError, log_event, max_violations
@@ -34,6 +34,7 @@ from .util import CapacityError, ValidationError, log_event, max_violations
 _GRID_POINT_CAP = 50_000_000
 _IDEAL_MARGIN = 1e-5
 _BALL_SHRINK = 1e-6
+_CONTAINS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,11 @@ class ApproxSet:
     ideal: np.ndarray
     feasible: bool = True
 
-    def contains(self, z: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, z: np.ndarray) -> bool:
         if self.generators.size == 0:
             return False
         z = np.asarray(z, dtype=float)
-        return bool(np.any(np.all(self.generators <= z + tol, axis=1)))
+        return bool(np.any(np.all(self.generators <= z + _CONTAINS_TOL, axis=1)))
 
 
 def _empty_set(epsilon: float, box: CapitalBox, g: int) -> ApproxSet:
@@ -193,8 +194,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     ``counts`` holds the visitor's counters for the ``event`` log line.
     """
     spec.validate()
-    box = z_bounds(net, grouping, scenarios) if box is None else box
-    box.validate()
+    box = box_or_default(net, grouping, scenarios, box)
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)
     if grid_lo is None:
@@ -259,12 +259,15 @@ def approximate_by_norm_min(
     Each visited grid point z yields a nearest set point zbar at distance
     gamma: the grid above zbar is acceptable, and grid points strictly
     closer to z than gamma cannot belong to the set.  The exclusion radius
-    is shrunk by 1e-6 to stay on the safe side of solver gaps; a point left
-    unresolved falls back to direct membership, so the final classification
-    matches the clearing-based algorithm.
+    is shrunk by 1e-6 to stay on the safe side of solver gaps.  Each solve
+    first asks the membership oracle about z itself, and an accepted z is
+    its own nearest point, which labels it.  So a point the cone and the
+    ball both miss, or whose solve ran out of nodes, was rejected by that
+    oracle call and is labelled not acceptable without a second one: the
+    final classification matches the clearing-based algorithm.
     """
     # every solve searches the box the grid is built in
-    box = z_bounds(net, grouping, scenarios) if box is None else box
+    box = box_or_default(net, grouping, scenarios, box)
     counts = {"solves": 0, "fallbacks": 0}
     cut_cache: dict = {}
 
@@ -284,8 +287,9 @@ def approximate_by_norm_min(
             _mark_ball(grid, status, z, res.value - _BALL_SHRINK)
         if status[idx] == 0:
             # the budget ran out, or the cone missed the point and the
-            # distance was too small to exclude it
-            _mark(status, idx, membership(net, grouping, scenarios, spec, z).accepted)
+            # distance was too small to exclude it; either way norm_min's
+            # membership call rejected z
+            _mark(status, idx, False)
 
     return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
                         visit, "grid_norm_min_done", counts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
-from .risk import CapitalBox, RiskSpec, membership, z_bounds
+from .risk import CapitalBox, RiskSpec, box_or_default, membership
 from .shocks import ScenarioSet
 from .util import ValidationError, log_event
 
@@ -30,11 +30,22 @@ class ScalarizationResult:
     solution: MipSolution | None = None
 
 
-def _box_or_default(net, grouping, scenarios, box: CapitalBox | None) -> CapitalBox:
-    if box is None:
-        return z_bounds(net, grouping, scenarios)
-    box.validate()
-    return box
+def _solve(net, grouping, scenarios, spec, box, node_budget, cut_cache=None,
+           weights=None, center=None) -> ScalarizationResult:
+    """Branch-and-bound on the boxed model with one objective: ``weights``
+    (linear) or ``center`` (squared distance, reported as a distance)."""
+    model = ScenarioMip(
+        net=net, grouping=grouping, scenarios=scenarios,
+        alpha=spec.alpha, lam=spec.lam,
+        z_lower=np.asarray(box.lo, dtype=float),
+        z_upper=np.asarray(box.hi, dtype=float),
+        weights=weights, center=center,
+    )
+    sol = branch_and_bound(model, node_budget=node_budget, cut_cache=cut_cache)
+    if sol.status == "infeasible":
+        return ScalarizationResult("infeasible", np.nan, None, sol)
+    value = sol.objective if center is None else np.sqrt(max(sol.objective, 0.0))
+    return ScalarizationResult(sol.status, float(value), sol.z, sol)
 
 
 def weighted_sum(
@@ -53,18 +64,8 @@ def weighted_sum(
         raise ValidationError("weights must be nonnegative and not all zero")
     if spec.alpha > net.total_obligations:
         return ScalarizationResult("infeasible", np.nan, None)
-    box = _box_or_default(net, grouping, scenarios, box)
-    model = ScenarioMip(
-        net=net, grouping=grouping, scenarios=scenarios,
-        alpha=spec.alpha, lam=spec.lam,
-        z_lower=np.asarray(box.lo, dtype=float),
-        z_upper=np.asarray(box.hi, dtype=float),
-        weights=weights,
-    )
-    sol = branch_and_bound(model, node_budget=node_budget)
-    if sol.status == "infeasible":
-        return ScalarizationResult("infeasible", np.nan, None, sol)
-    return ScalarizationResult(sol.status, float(sol.objective), sol.z, sol)
+    box = box_or_default(net, grouping, scenarios, box)
+    return _solve(net, grouping, scenarios, spec, box, node_budget, weights=weights)
 
 
 def norm_min(
@@ -87,21 +88,12 @@ def norm_min(
     point = np.asarray(point, dtype=float)
     if spec.alpha > net.total_obligations:
         return ScalarizationResult("infeasible", np.nan, None)
-    box = _box_or_default(net, grouping, scenarios, box)
+    box = box_or_default(net, grouping, scenarios, box)
     inside_box = bool(np.all(point <= np.asarray(box.hi) + 1e-12))
     if inside_box and membership(net, grouping, scenarios, spec, point).accepted:
         return ScalarizationResult("optimal", 0.0, point.copy())
-    model = ScenarioMip(
-        net=net, grouping=grouping, scenarios=scenarios,
-        alpha=spec.alpha, lam=spec.lam,
-        z_lower=np.asarray(box.lo, dtype=float),
-        z_upper=np.asarray(box.hi, dtype=float),
-        center=point,
-    )
-    sol = branch_and_bound(model, node_budget=node_budget, cut_cache=cut_cache)
-    if sol.status == "infeasible":
-        return ScalarizationResult("infeasible", np.nan, None, sol)
-    return ScalarizationResult(sol.status, float(np.sqrt(max(sol.objective, 0.0))), sol.z, sol)
+    return _solve(net, grouping, scenarios, spec, box, node_budget, cut_cache,
+                  center=point)
 
 
 def bisection_unit(
@@ -111,16 +103,16 @@ def bisection_unit(
     spec: RiskSpec,
     j: int,
     box: CapitalBox | None = None,
-    tol: float = _BISECT_TOL,
 ) -> float:
     """Unit-weight scalarization along coordinate j by monotone bisection.
 
     Pins every other coordinate at the box top; the membership indicator is
     then monotone in t, and the least acceptable t equals the weighted-sum
-    value for the j-th unit weight by the upper-set property.
+    value for the j-th unit weight by the upper-set property.  The bracket
+    is halved until it is at most 1e-6 wide.
     """
     spec.validate()
-    box = _box_or_default(net, grouping, scenarios, box)
+    box = box_or_default(net, grouping, scenarios, box)
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     if not 0 <= j < grouping.g:
@@ -136,7 +128,7 @@ def bisection_unit(
     if accepted(lo[j]):
         return float(lo[j])
     left, right = float(lo[j]), float(hi[j])
-    while right - left > tol:
+    while right - left > _BISECT_TOL:
         mid = 0.5 * (left + right)
         if accepted(mid):
             right = mid
@@ -160,7 +152,7 @@ def ideal_point(
     (``bisection``); the two agree within the bisection tolerance.
     """
     spec.validate()
-    box = _box_or_default(net, grouping, scenarios, box)
+    box = box_or_default(net, grouping, scenarios, box)
 
     def component(j: int) -> float:
         if method == "milp":

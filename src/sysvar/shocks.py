@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr
 
 from .network import Grouping
 from .util import CapacityError, ValidationError, as_array
@@ -105,6 +104,10 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
     equicorrelation matrix.  z is pushed through the normal CDF and then the
     group's Lomax inverse CDF.
     """
+    # imported here, so that the commands which do not sample never pay
+    # for loading scipy.special
+    from scipy.special import ndtr
+
     params.validate()
     grouping.validate()
     beta = np.asarray(params.beta_by_group, dtype=float)

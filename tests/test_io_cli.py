@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +126,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# prints the exit code of ``sysvar`` run on argv (0 when argv is empty) and
+# the scipy modules the process has loaded
+_SCIPY_PROBE = """
+import json, sys
+import sysvar.cli
+code = sysvar.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_probe(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 @pytest.fixture
 def pipeline(tmp_path):
     paths = {
@@ -149,6 +169,35 @@ class TestCli:
             run_cli("gen-network", "--nodes", "10")
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [["--alpha", "1.0", "--alpha-frac", "0.8"], []],
+                             ids=["both", "neither"])
+    @pytest.mark.parametrize("argv", [
+        ["scalarize", "--scenarios", "{scen}", "--weights", "1,1"],
+        ["saa", "--scenarios", "{scen}", "--epsilon", "1.0"],
+        ["converge", "--nu", "3", "--beta", "1.0,0.5", "--rho", "0.3", "--epsilon", "1.0",
+         "--n-list", "5", "--n-ref", "10", "--seeds", "1"],
+    ], ids=["scalarize", "saa", "converge"])
+    def test_alpha_flags_need_exactly_one(self, pipeline, tmp_path, capsys, alpha, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*[a.format(scen=pipeline["scen"]) for a in argv],
+                    "--network", pipeline["net"], *alpha, "--lambda", "0.25",
+                    "--out", str(out))
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_probe() == [0, []]
+
+    def test_saa_loads_no_scipy(self, pipeline, tmp_path):
+        out = str(tmp_path / "set.json")
+        assert scipy_probe(
+            "saa", "--network", pipeline["net"], "--scenarios", pipeline["scen"],
+            "--alpha-frac", "0.8", "--lambda", "0.25", "--epsilon", "1.0",
+            "--algo", "1", "--out", out) == [0, []]
+        assert io.read_approx(out).feasible
 
     def test_validation_error_exits_two(self, tmp_path, capsys):
         code = run_cli(

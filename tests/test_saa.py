@@ -180,6 +180,22 @@ class TestGridAlgorithms:
         assert len(a1.generators) > 1
         assert np.array_equal(a1.generators, a2.generators)
 
+    def test_budget_fallback_matches_clearing(self, rng, caplog, monkeypatch):
+        # with no node to expand, some solves end budget_exhausted; their
+        # points are labelled from norm_min's own membership call, and
+        # algorithm 2 makes none of its own
+        caplog.set_level(logging.DEBUG, logger="sysvar")
+        calls = []
+        monkeypatch.setattr(sysvar.saa, "membership", lambda *args: calls.append(args))
+        net, grouping, scen, spec = three_group_instance(rng)
+        a2 = sv.approximate_by_norm_min(net, grouping, scen, spec, 0.3, node_budget=0)
+        assert done_event(caplog, "grid_norm_min_done")["fallbacks"] > 0
+        assert calls == []
+        monkeypatch.undo()
+        a1 = sv.approximate_by_clearing(net, grouping, scen, spec, 0.3)
+        assert len(a1.generators) > 1
+        assert np.array_equal(a1.generators, a2.generators)
+
     def test_boundary_search_call_bound(self, rng, caplog):
         caplog.set_level(logging.DEBUG, logger="sysvar")
         cases = [instance(rng, n_scen=8) + (0.15,) for _ in range(3)]

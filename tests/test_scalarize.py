@@ -42,6 +42,22 @@ class TestBounds:
         assert box.lo[0] == pytest.approx(-5.0)
         assert box.hi[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(np.zeros(3), np.ones(3)), (np.ones(2), np.zeros(2))],
+                             ids=["wrong-length", "empty"])
+    @pytest.mark.parametrize("solve", [
+        lambda *a, box: sv.weighted_sum(*a, np.ones(2), box=box),
+        lambda *a, box: sv.norm_min(*a, np.zeros(2), box=box),
+        lambda *a, box: sv.bisection_unit(*a, 0, box=box),
+        lambda *a, box: sv.ideal_point(*a, box=box),
+        lambda *a, box: sv.approximate_by_clearing(*a, 0.3, box=box),
+        lambda *a, box: sv.approximate_by_norm_min(*a, 0.3, box=box),
+    ], ids=["weighted_sum", "norm_min", "bisection_unit", "ideal_point",
+            "algorithm_1", "algorithm_2"])
+    def test_every_entry_point_rejects_a_bad_box(self, rng, lo, hi, solve):
+        net, grouping, scen, spec = instance(rng)
+        with pytest.raises(ValidationError):
+            solve(net, grouping, scen, spec, box=sv.CapitalBox(lo=lo, hi=hi))
+
 
 class TestWeightedSum:
     def test_infeasible_exactly_above_total_obligations(self, rng):
