@@ -1,8 +1,12 @@
-"""Self-contained solver kernels.
+"""Self-contained solver kernels for the box-bounded programs the library poses.
 
-``solve_lp`` is a two-phase bounded-variable primal simplex on a dense
-tableau (revised form with an explicit basis inverse).  Pricing is Dantzig's
-rule, switching to Bland's rule after a run of degenerate steps to guarantee
+Both kernels take only inequality rows and finite bounds, the form of the
+payment LP (0 <= p <= pbar), the clearing-pattern checks and the node
+problems of branch-and-bound (the capital box); a non-finite bound raises
+``ValidationError``.  ``solve_lp`` is a two-phase bounded-variable primal
+simplex on a dense tableau (revised form with an explicit basis inverse)
+whose status is "optimal" or "infeasible".  Pricing is Dantzig's rule,
+switching to Bland's rule after a run of degenerate steps to guarantee
 termination.  ``min_norm_qp`` projects a point onto a polyhedron of any
 dimension through Lawson and Hanson's reduction of the least-distance
 program to a nonnegative least-squares problem, solved by their active-set
@@ -31,22 +35,14 @@ _EMPTY_TOL = 1e-9
 
 @dataclass
 class LinearProgram:
-    """min/max c.x subject to a_ub.x <= b_ub, a_eq.x = b_eq, lower <= x <= upper."""
+    """min/max c.x subject to a_ub.x <= b_ub and finite lower <= x <= upper."""
 
     c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
     sense: str = "min"
-
-    def dims(self) -> tuple[int, int, int]:
-        n = np.asarray(self.c).size
-        m_ub = 0 if self.a_ub is None else np.asarray(self.a_ub).shape[0]
-        m_eq = 0 if self.a_eq is None else np.asarray(self.a_eq).shape[0]
-        return n, m_ub, m_eq
 
 
 @dataclass
@@ -57,73 +53,48 @@ class LpResult:
     x: np.ndarray | None
     objective: float
     duals_ub: np.ndarray | None
-    duals_eq: np.ndarray | None
     reduced_costs: np.ndarray | None
     iterations: int
 
 
+def _finite_bounds(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValidationError("variable bounds must be finite")
+    return lower, upper
+
+
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve a bounded-variable LP; status is optimal/infeasible/unbounded."""
-    n, m_ub, m_eq = lp.dims()
+    """Solve a box-bounded inequality LP; status is optimal or infeasible."""
     if lp.sense not in ("min", "max"):
         raise ValidationError("sense must be 'min' or 'max'")
-    c = np.asarray(lp.c, dtype=float).copy()
-    if lp.sense == "max":
-        c = -c
-
-    lower = np.full(n, -np.inf) if lp.lower is None else np.asarray(lp.lower, dtype=float).copy()
-    upper = np.full(n, np.inf) if lp.upper is None else np.asarray(lp.upper, dtype=float).copy()
+    sign = 1.0 if lp.sense == "min" else -1.0
+    c = sign * np.asarray(lp.c, dtype=float)
+    n = c.size
+    lower, upper = _finite_bounds(lp.lower, lp.upper)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValidationError("bound vectors must match the variable count")
     if np.any(lower > upper + _FEAS_TOL):
-        return LpResult("infeasible", None, np.nan, None, None, None, 0)
+        return LpResult("infeasible", None, np.nan, None, None, 0)
 
-    rows = []
-    rhs = []
-    if m_ub:
-        a_ub = np.asarray(lp.a_ub, dtype=float)
-        if a_ub.shape != (m_ub, n):
-            raise ValidationError("a_ub shape inconsistent with c")
-        rows.append(a_ub)
-        rhs.append(np.asarray(lp.b_ub, dtype=float))
-    if m_eq:
-        a_eq = np.asarray(lp.a_eq, dtype=float)
-        if a_eq.shape != (m_eq, n):
-            raise ValidationError("a_eq shape inconsistent with c")
-        rows.append(a_eq)
-        rhs.append(np.asarray(lp.b_eq, dtype=float))
-    m = m_ub + m_eq
-
-    if m == 0:
+    if lp.a_ub is None or len(lp.a_ub) == 0:
         # pure box problem
-        x = np.where(c > 0, lower, np.where(c < 0, upper, np.where(np.isfinite(lower), lower, 0.0)))
-        if not np.all(np.isfinite(x)):
-            return LpResult("unbounded", None, -np.inf if lp.sense == "min" else np.inf,
-                            None, None, None, 0)
-        obj = float(c @ x)
-        sign = 1.0 if lp.sense == "min" else -1.0
-        return LpResult("optimal", x, sign * obj, np.zeros(0), np.zeros(0), sign * c, 0)
+        x = np.where(c < 0, upper, lower)
+        return LpResult("optimal", x, sign * float(c @ x), np.zeros(0), sign * c, 0)
+    a = np.asarray(lp.a_ub, dtype=float)
+    if a.shape != (len(a), n):
+        raise ValidationError("a_ub shape inconsistent with c")
 
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-
-    state = _Simplex(a, b, c, lower, upper, m_ub)
-    status = state.run()
-
-    sign = 1.0 if lp.sense == "min" else -1.0
-    if status == "infeasible":
-        return LpResult("infeasible", None, np.nan, None, None, None, state.iterations)
-    if status == "unbounded":
-        return LpResult("unbounded", None, -sign * np.inf, None, None, None, state.iterations)
-
+    state = _Simplex(a, np.asarray(lp.b_ub, dtype=float), c, lower, upper)
+    if not state.run():
+        return LpResult("infeasible", None, np.nan, None, None, state.iterations)
     x, y, red = state.solution()
-    obj = float(c @ x)
     return LpResult(
         status="optimal",
         x=x,
-        objective=sign * obj,
-        duals_ub=sign * y[:m_ub],
-        duals_eq=sign * y[m_ub:],
+        objective=sign * float(c @ x),
+        duals_ub=sign * y,
         reduced_costs=sign * red[:n],
         iterations=state.iterations,
     )
@@ -131,75 +102,56 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
 _AT_LOWER = 1
 _AT_UPPER = 2
-_FREE = 3
 _BASIC = 0
 
 
 class _Simplex:
-    """Bounded-variable primal simplex over A x = b with slacks and artificials."""
+    """Bounded-variable primal simplex over A x + s = b with slacks and artificials."""
 
-    def __init__(self, a, b, c, lower, upper, m_ub):
+    def __init__(self, a, b, c, lower, upper):
         m, n = a.shape
         self.m = m
         self.n_struct = n
-        # columns: structurals | slacks (ub rows) | artificials (all rows)
-        slack = np.zeros((m, m_ub))
-        slack[:m_ub, :] = np.eye(m_ub)
-        self.ncols = n + m_ub + m
-        self.a = np.hstack([a, slack, np.zeros((m, m))])
+        # columns: structurals | slacks | artificials, all nonbasic at their
+        # lower bound (zero for slacks and artificials)
+        self.art0 = n + m
+        self.ncols = n + 2 * m
+        self.a = np.hstack([a, np.eye(m), np.zeros((m, m))])
         self.b = b.astype(float)
-        self.cost2 = np.concatenate([c, np.zeros(m_ub + m)])
-        self.lower = np.concatenate([lower, np.zeros(m_ub), np.zeros(m)])
-        self.upper = np.concatenate([upper, np.full(m_ub, np.inf), np.full(m, np.inf)])
-        self.art0 = n + m_ub
+        self.cost2 = np.concatenate([c, np.zeros(2 * m)])
+        self.lower = np.concatenate([lower, np.zeros(2 * m)])
+        self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
+        self.xval = self.lower.copy()
         self.iterations = 0
 
-        # nonbasic start: finite bound nearest zero, else free at 0
-        self.status = np.empty(self.ncols, dtype=np.int8)
-        self.xval = np.zeros(self.ncols)
-        for j in range(n + m_ub):
-            lo, up = self.lower[j], self.upper[j]
-            if np.isfinite(lo):
-                self.status[j], self.xval[j] = _AT_LOWER, lo
-            elif np.isfinite(up):
-                self.status[j], self.xval[j] = _AT_UPPER, up
-            else:
-                self.status[j], self.xval[j] = _FREE, 0.0
-
-        resid = self.b - self.a[:, : n + m_ub] @ self.xval[: n + m_ub]
-        signs = np.where(resid >= 0, 1.0, -1.0)
-        for i in range(m):
-            self.a[i, self.art0 + i] = signs[i]
-        # crash basis: satisfied inequality rows start on their slack, only
-        # violated (or equality) rows need an artificial
-        self.basis = np.empty(m, dtype=int)
-        diag = np.ones(m)
-        self.upper[self.art0:] = 0.0
-        for i in range(m):
-            if i < m_ub and resid[i] >= 0.0:
-                self.basis[i] = n + i
-            else:
-                self.basis[i] = self.art0 + i
-                self.upper[self.art0 + i] = np.inf
-                diag[i] = signs[i]
+        # crash basis: a satisfied row starts on its slack, a violated row on
+        # an artificial signed to its residual
+        resid = self.b - self.a[:, : self.art0] @ self.xval[: self.art0]
+        satisfied = resid >= 0
+        signs = np.where(satisfied, 1.0, -1.0)
+        self.a[:, self.art0:] = np.diag(signs)
+        self.upper = np.concatenate([upper, np.full(m, np.inf),
+                                     np.where(satisfied, 0.0, np.inf)])
+        self.basis = np.where(satisfied, n, self.art0) + np.arange(m)
         self.status[self.basis] = _BASIC
-        self.binv = np.diag(diag)
-        self.xb = np.where(self.basis >= self.art0, np.abs(resid), resid)
-        self.cost1 = np.concatenate([np.zeros(n + m_ub), np.ones(m)])
+        self.binv = np.diag(signs)
+        self.xb = np.where(satisfied, resid, np.abs(resid))
+        self.cost1 = np.concatenate([np.zeros(self.art0), np.ones(m)])
 
     # -- core iteration ---------------------------------------------------
 
-    def run(self) -> str:
-        if self._phase(self.cost1) == "unbounded":
-            raise SolverError("phase-1 subproblem reported unbounded")
+    def run(self) -> bool:
+        """Both phases; False when phase 1 leaves the rows violated."""
+        self._phase(self.cost1)
         if float(self.cost1[self.basis] @ self.xb) > 1e-7 * max(1.0, np.abs(self.b).max()):
-            return "infeasible"
+            return False
         # freeze artificials at zero for phase 2
         self.upper[self.art0:] = 0.0
         self.xval[self.art0:] = 0.0
-        return self._phase(self.cost2)
+        self._phase(self.cost2)
+        return True
 
-    def _phase(self, cost) -> str:
+    def _phase(self, cost) -> None:
         degenerate_run = 0
         bland = False
         since_refactor = 0
@@ -210,12 +162,11 @@ class _Simplex:
             red = cost - self.a.T @ y
             j = self._entering(red, bland)
             if j < 0:
-                return "optimal"
+                return
             self.iterations += 1
             since_refactor += 1
 
-            direction = 1.0 if (self.status[j] == _AT_LOWER or
-                                (self.status[j] == _FREE and red[j] < 0)) else -1.0
+            direction = 1.0 if self.status[j] == _AT_LOWER else -1.0
             w = self.binv @ self.a[:, j]
             rate = -w if direction > 0 else w
 
@@ -227,10 +178,9 @@ class _Simplex:
             t_hit[dec] = (self.xb[dec] - basis_lo[dec]) / (-rate[dec])
             t_hit[inc] = (basis_up[inc] - self.xb[inc]) / rate[inc]
             np.maximum(t_hit, 0.0, out=t_hit)
-            t_best = t_hit.min() if self.m else np.inf
+            t_best = t_hit.min()
 
-            span = self.upper[j] - self.lower[j]
-            t_flip = span if np.isfinite(span) else np.inf
+            t_flip = self.upper[j] - self.lower[j]
 
             if t_flip < t_best:
                 # bound flip, no basis change
@@ -242,7 +192,7 @@ class _Simplex:
                 continue
 
             if not np.isfinite(t_best):
-                return "unbounded"
+                raise SolverError("simplex step meets no bound inside a finite box")
 
             candidates = np.flatnonzero(t_hit <= t_best + 1e-12)
             leave = int(candidates[np.argmin(self.basis[candidates])])
@@ -278,11 +228,9 @@ class _Simplex:
 
     def _entering(self, red, bland: bool) -> int:
         st = self.status
-        fixed = self.upper - self.lower <= 0
-        down = (st == _AT_LOWER) & (red < -_COST_TOL) & ~fixed
-        up = (st == _AT_UPPER) & (red > _COST_TOL) & ~fixed
-        free = (st == _FREE) & (np.abs(red) > _COST_TOL)
-        eligible = np.flatnonzero(down | up | free)
+        down = (st == _AT_LOWER) & (red < -_COST_TOL)
+        up = (st == _AT_UPPER) & (red > _COST_TOL)
+        eligible = np.flatnonzero((down | up) & (self.upper - self.lower > 0))
         if eligible.size == 0:
             return -1
         if bland:
@@ -314,8 +262,6 @@ class _Simplex:
         if np.abs(resid).max() > 1e-7 * scale:
             raise SolverError("primal residual exceeds tolerance after solve")
         return x[: self.n_struct], y, red
-
-
 
 
 @dataclass
@@ -367,7 +313,7 @@ def min_norm_qp(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> QpResult:
-    """Project v onto {a_ub z <= b_ub, lower <= z <= upper}.
+    """Project v onto {a_ub z <= b_ub, lower <= z <= upper}, bounds finite.
 
     With u = z - v and s = b - A v, the least-distance program
     min ||u|| s.t. A u <= s reduces to the NNLS min ||E w - f||, w >= 0, for
@@ -380,30 +326,17 @@ def min_norm_qp(
     """
     v = np.asarray(v, dtype=float)
     g = v.size
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-
-    rows = []
-    rhs = []
+    lower, upper = _finite_bounds(lower, upper)
+    # box rows after the cut rows, per axis z_j <= upper_j then -z_j <= -lower_j;
+    # the row order is NNLS's column order, which fixes its pivots
+    axis = np.arange(g)
+    big_a = np.zeros((2 * g, g))
+    big_a[2 * axis, axis] = 1.0
+    big_a[2 * axis + 1, axis] = -1.0
+    big_b = np.column_stack([upper, -lower]).ravel()
     if a_ub is not None and len(a_ub):
-        rows.append(np.asarray(a_ub, dtype=float))
-        rhs.append(np.asarray(b_ub, dtype=float))
-    for j in range(g):
-        if np.isfinite(upper[j]):
-            e = np.zeros(g)
-            e[j] = 1.0
-            rows.append(e[None, :])
-            rhs.append(np.array([upper[j]]))
-        if np.isfinite(lower[j]):
-            e = np.zeros(g)
-            e[j] = -1.0
-            rows.append(e[None, :])
-            rhs.append(np.array([-lower[j]]))
-    if rows:
-        big_a = np.vstack(rows)
-        big_b = np.concatenate(rhs)
-    else:
-        return QpResult(z=v.copy(), distance=0.0)
+        big_a = np.vstack([np.asarray(a_ub, dtype=float), big_a])
+        big_b = np.concatenate([np.asarray(b_ub, dtype=float), big_b])
 
     if np.all(big_a @ v <= big_b + 1e-9):
         return QpResult(z=v.copy(), distance=0.0)

@@ -42,6 +42,8 @@ class CapitalBox:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("box bounds must be vectors of equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValidationError("box bounds must be finite")
         if np.any(lo > hi + 1e-12):
             raise ValidationError("box is empty (lo > hi)")
 

@@ -356,23 +356,25 @@ def convergence_study(
     set, and the full stream of length n_ref feeds the reference (itself an
     approximation, used as a proxy for the unobservable limit).  Reported per
     cell: Hausdorff distance to the reference and the distance probes; a
-    final median row aggregates the seeds.
+    final median row aggregates the seeds.  Without ``probe_points`` the two
+    probes come from the seed's reference set: its ideal corner and its
+    middle generator (NaN when the reference has no generator).
     """
     if n_ref < max(n_list):
         raise ValidationError("n_ref must be at least max(n_list)")
-    if probe_points is None:
-        hi = np.array([
-            np.asarray(net.pbar)[np.asarray(grouping.assignment) == j].max()
-            for j in range(grouping.g)
-        ])
-        probe_points = [0.25 * hi, 0.5 * hi]
-    probe_points = [np.asarray(p, dtype=float) for p in probe_points]
+    n_probes = 2 if probe_points is None else len(probe_points)
 
     rows = []
     for seed in seeds:
         params = replace(shock_params, n=n_ref, seed=seed)
         scen_full = sample_shocks(params, grouping)
         ref = approximate_by_clearing(net, grouping, scen_full, spec, epsilon)
+        probes = probe_points
+        if probes is None:
+            gens = ref.generators
+            probes = ([ref.ideal, gens[len(gens) // 2]] if len(gens)
+                      else [np.full(grouping.g, np.nan)] * 2)
+        probes = [np.asarray(p, dtype=float) for p in probes]
         for n in n_list:
             approx = approximate_by_clearing(
                 net, grouping, scen_full.head(n), spec, epsilon
@@ -385,14 +387,14 @@ def convergence_study(
                     "N": n,
                     "hausdorff_to_ref": hausdorff_distance(approx, ref),
                 }
-            for i, p in enumerate(probe_points, start=1):
+            for i, p in enumerate(probes, start=1):
                 row[f"probe_{i}"] = distance_probe(p, approx)
             rows.append(row)
     for n in n_list:
         cells = [r for r in rows if r["N"] == n and isinstance(r["seed"], int)]
         med = {"seed": "median", "N": n,
                "hausdorff_to_ref": float(np.median([c["hausdorff_to_ref"] for c in cells]))}
-        for i in range(1, len(probe_points) + 1):
+        for i in range(1, n_probes + 1):
             med[f"probe_{i}"] = float(np.median([c[f"probe_{i}"] for c in cells]))
         rows.append(med)
     return rows

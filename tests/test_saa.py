@@ -474,3 +474,27 @@ class TestConvergenceStudy:
         assert {r["N"] for r in data} == {5, 10}
         assert all(np.isfinite(r["hausdorff_to_ref"]) for r in data)
         assert all("probe_1" in r and "probe_2" in r for r in rows)
+
+    def test_default_probes_are_reference_corners(self, rng):
+        # per seed: the distance from each sampled set to the reference's
+        # ideal corner and to its middle generator
+        net, grouping, _, spec = instance(rng, n_scen=8)
+        params = sv.ShockParams(nu=3.0, beta_by_group=np.array([0.4, 0.2]),
+                                rho=0.3, n=20, seed=0)
+        rows = sv.convergence_study(
+            net, grouping, params, spec, n_list=[5, 20], seeds=[0, 1],
+            epsilon=0.2, n_ref=20)
+        for seed in (0, 1):
+            full = sv.sample_shocks(sv.ShockParams(
+                nu=3.0, beta_by_group=np.array([0.4, 0.2]), rho=0.3, n=20, seed=seed),
+                grouping)
+            ref = sv.approximate_by_clearing(net, grouping, full, spec, 0.2)
+            middle = ref.generators[len(ref.generators) // 2]
+            for n in (5, 20):
+                approx = sv.approximate_by_clearing(net, grouping, full.head(n), spec, 0.2)
+                row = next(r for r in rows if r["seed"] == seed and r["N"] == n)
+                assert row["probe_1"] == sv.distance_probe(ref.ideal, approx)
+                assert row["probe_2"] == sv.distance_probe(middle, approx)
+            # the reference holds its generators but not its ideal corner
+            row = next(r for r in rows if r["seed"] == seed and r["N"] == 20)
+            assert row["probe_1"] > 0.0 and row["probe_2"] == 0.0

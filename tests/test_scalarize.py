@@ -42,8 +42,12 @@ class TestBounds:
         assert box.lo[0] == pytest.approx(-5.0)
         assert box.hi[0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("lo, hi", [(np.zeros(3), np.ones(3)), (np.ones(2), np.zeros(2))],
-                             ids=["wrong-length", "empty"])
+    @pytest.mark.parametrize("lo, hi", [
+        (np.zeros(3), np.ones(3)),
+        (np.ones(2), np.zeros(2)),
+        (np.array([-np.inf, 0.0]), np.ones(2)),
+        (np.zeros(2), np.array([1.0, np.nan])),
+    ], ids=["wrong-length", "empty", "infinite", "nan"])
     @pytest.mark.parametrize("solve", [
         lambda *a, box: sv.weighted_sum(*a, np.ones(2), box=box),
         lambda *a, box: sv.norm_min(*a, np.zeros(2), box=box),
