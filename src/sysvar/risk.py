@@ -14,6 +14,9 @@ from .util import ValidationError, max_violations, violates
 # slack on the nonnegativity selection constraint, consistent with the
 # violation tolerance on the aggregate threshold
 _SELECT_TOL = 1e-9
+# a scenario-label record stores points only while its arrays stay within
+# this many bytes; later points are not stored, which costs time, not bits
+_LABEL_BUDGET_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,61 @@ class MembershipResult:
     violation_fraction: float
 
 
+class _ScenarioLabels:
+    """Per-scenario pass labels at the capital vectors one run evaluated.
+
+    Each scenario's aggregate is nondecreasing in z (Eisenberg & Noe 2001),
+    and so is its orthant check, so a scenario that passed at a recorded
+    z' <= z passes at z, and one that failed at a recorded z'' >= z fails at
+    z.  Points (one column each, so the comparisons run along the record)
+    and their pass bitmaps (packed, little-endian) live in arrays
+    preallocated to ``_LABEL_BUDGET_BYTES``; a point past that capacity is
+    not stored.  ``rows_cleared`` and ``rows_decided`` count the rows the
+    record's users sent to the clearing kernel and the rows it decided.
+    """
+
+    def __init__(self, n: int, g: int):
+        width = (n + 7) // 8
+        capacity = _LABEL_BUDGET_BYTES // (width + 8 * g)
+        self.n = n
+        self.points = np.empty((g, capacity))
+        self.passes = np.empty((capacity, width), dtype=np.uint8)
+        self.size = 0
+        self.rows_cleared = 0
+        self.rows_decided = 0
+
+    def known(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scenarios the record leaves open at z, and scenarios it fails.
+
+        A scenario is open unless exactly one rule decides it: known to
+        pass (it passed at a point below z) or known to fail (it failed at
+        a point above z).  Both rules hold only off monotonicity, and such
+        a scenario is open too.
+        """
+        points, passes = self.points[:, :self.size], self.passes[:self.size]
+        below = np.logical_and.reduce(points <= z[:, None], axis=0)
+        above = np.logical_and.reduce(points >= z[:, None], axis=0)
+        passed = np.bitwise_or.reduce(np.compress(below, passes, axis=0), axis=0)
+        held = np.bitwise_and.reduce(np.compress(above, passes, axis=0), axis=0)
+        # known to fail is ~held, so a scenario is open where passed == ~held
+        bits = np.unpackbits(np.stack([passed ^ held, ~(passed | held)]), axis=1,
+                             count=self.n, bitorder="little").view(bool)
+        return bits[0], bits[1]
+
+    def add(self, z: np.ndarray, passed: np.ndarray) -> None:
+        if self.size < len(self.passes):
+            self.points[:, self.size] = z
+            self.passes[self.size] = np.packbits(passed, bitorder="little")
+            self.size += 1
+
+
 def membership(
     net: FinancialNetwork,
     grouping: Grouping,
     scenarios: ScenarioSet,
     spec: RiskSpec,
     z: np.ndarray,
+    labels: _ScenarioLabels | None = None,
 ) -> MembershipResult:
     """Does capital vector z belong to the sampled risk set?
 
@@ -102,6 +154,14 @@ def membership(
     the fraction of scenarios whose aggregate payment falls below
     alpha - 1e-9 does not exceed lambda.  The violation fraction counts
     orthant failures as violations and is reported either way.
+
+    ``labels`` is a run's private scenario-label record.  With it, a
+    scenario that passed at a recorded point below z counts as passing and
+    one that failed at a recorded point above z counts as failing, so only
+    the rest go to the clearing kernel, and z's labels are recorded.  The
+    rule rests on per-scenario monotonicity in floating point, which the
+    grid search assumes and the ideal-point bisection confirms with
+    record-free calls at the ends of its final bracket.
     """
     spec.validate()
     z = np.asarray(z, dtype=float)
@@ -112,8 +172,22 @@ def membership(
     selection_ok = bool(shifted.min() >= -_SELECT_TOL)
 
     n = xs.shape[0]
-    values = aggregate_en_many(net, np.maximum(shifted, 0.0))
-    bad_rows = np.any(shifted < -_SELECT_TOL, axis=1)
-    count = int(np.count_nonzero(bad_rows | violates(values, spec.alpha)))
+    # no entry below -tol means no row outside the orthant
+    bad_rows = (np.zeros(n, dtype=bool) if selection_ok
+                else np.any(shifted < -_SELECT_TOL, axis=1))
+    clipped = np.maximum(shifted, 0.0, out=shifted)
+    if labels is None:
+        fails = bad_rows | violates(aggregate_en_many(net, clipped), spec.alpha)
+    else:
+        open_, failing = labels.known(z)
+        fails = bad_rows | failing
+        rows = np.flatnonzero(open_ & ~bad_rows)
+        if rows.size:
+            values = aggregate_en_many(net, np.take(clipped, rows, axis=0))
+            fails[rows] = violates(values, spec.alpha)
+        labels.rows_cleared += rows.size
+        labels.rows_decided += n - int(np.count_nonzero(bad_rows)) - rows.size
+        labels.add(z, ~fails)
+    count = int(np.count_nonzero(fails))
     accepted = selection_ok and count <= max_violations(n, spec.lam)
     return MembershipResult(accepted=accepted, violation_fraction=count / n)

@@ -11,10 +11,20 @@ lower cone); the other solves a least-distance scalarization per visited
 point, marking the nearest point's upper cone acceptable and the open ball
 below the distance not acceptable.  Both return the same acceptable set: the
 grid intersected with the risk set, represented by its minimal elements,
-which one cumulative OR per grid axis finds.  Sets are compared by the
-closed-form distance |(gen - v)^+|_2 from a point v to a generated upper set,
-one point at a time, so the Hausdorff distance needs memory for one
-generator list only.
+which one cumulative OR per grid axis finds.
+
+The membership-based search and the ideal-point bisection that floors the
+grid share one per-run record of per-scenario labels.  Each scenario's
+aggregate is nondecreasing in the capital vector (Eisenberg & Noe 2001), so
+a scenario that passed at an evaluated point below z passes at z, one that
+failed at an evaluated point above z fails at z, and each oracle call clears
+only the scenarios no earlier point decides.  Each bisection confirms its
+final bracket with record-free oracle calls (the upper end accepted, the
+lower end rejected) and reruns without the record if a check fails.
+
+Sets are compared by the closed-form distance |(gen - v)^+|_2 from a point v
+to a generated upper set, one point at a time, so the Hausdorff distance
+needs memory for one generator list only.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import FinancialNetwork, Grouping
-from .risk import CapitalBox, RiskSpec, box_or_default, membership
+from .risk import CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership
 from .scalarize import ideal_point, norm_min
 from .shocks import ScenarioSet, ShockParams, sample_shocks
 from .util import CapacityError, ValidationError, log_event, max_violations
@@ -189,23 +199,29 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
 
     Builds the grid from the box top down to the ideal point (or grid_lo),
     hands every point the traversal yields that is still unlabelled to
-    ``visit(grid, status, idx)``, which must label at least that point
-    (status 1 acceptable, 2 not), and returns the minimal acceptable points.
-    ``counts`` holds the visitor's counters for the ``event`` log line.
+    ``visit(grid, status, idx, labels)``, which must label at least that
+    point (status 1 acceptable, 2 not), and returns the minimal acceptable
+    points.  ``labels`` is the run's scenario-label record, shared with the
+    ideal-point bisection.  ``counts`` holds the visitor's counters for the
+    ``event`` log line.
     """
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)
+    labels = _ScenarioLabels(scenarios.n, grouping.g)
     if grid_lo is None:
-        ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection")
+        ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection",
+                            labels=labels)
         grid_lo = ideal - _IDEAL_MARGIN
+        # the ideal point logged its own rows; the grid's start from zero
+        labels.rows_cleared = labels.rows_decided = 0
     grid = Grid.build(np.asarray(grid_lo, dtype=float),
                       np.asarray(box.hi, dtype=float), epsilon)
     status = np.zeros(grid.shape, dtype=np.int8)
     for idx in _traversal(grid, status):
         if status[idx] == 0:
-            visit(grid, status, idx)
+            visit(grid, status, idx, labels)
     log_event(event, points=grid.size, **counts)
     return ApproxSet(
         epsilon=epsilon,
@@ -233,12 +249,14 @@ def approximate_by_clearing(
     evaluations.  The returned upper set is within epsilon Hausdorff
     distance of the sampled risk set.
     """
-    counts = {"evaluations": 0}
+    counts = {"evaluations": 0, "rows_cleared": 0, "rows_decided": 0}
 
-    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
+    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...],
+              labels: _ScenarioLabels) -> None:
         counts["evaluations"] += 1
-        res = membership(net, grouping, scenarios, spec, grid.value(idx))
+        res = membership(net, grouping, scenarios, spec, grid.value(idx), labels=labels)
         _mark(status, idx, res.accepted)
+        counts.update(rows_cleared=labels.rows_cleared, rows_decided=labels.rows_decided)
 
     return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
                         visit, "grid_clearing_done", counts)
@@ -271,7 +289,9 @@ def approximate_by_norm_min(
     counts = {"solves": 0, "fallbacks": 0}
     cut_cache: dict = {}
 
-    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
+    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...],
+              labels: _ScenarioLabels) -> None:
+        # every solve's membership call stays record-free
         z = grid.value(idx)
         res = norm_min(net, grouping, scenarios, spec, z, box=box,
                        node_budget=node_budget, cut_cache=cut_cache)

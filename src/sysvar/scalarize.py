@@ -15,7 +15,7 @@ import numpy as np
 
 from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
-from .risk import CapitalBox, RiskSpec, box_or_default, membership
+from .risk import CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership
 from .shocks import ScenarioSet
 from .util import ValidationError, log_event
 
@@ -103,6 +103,7 @@ def bisection_unit(
     spec: RiskSpec,
     j: int,
     box: CapitalBox | None = None,
+    labels: _ScenarioLabels | None = None,
 ) -> float:
     """Unit-weight scalarization along coordinate j by monotone bisection.
 
@@ -110,6 +111,15 @@ def bisection_unit(
     then monotone in t, and the least acceptable t equals the weighted-sum
     value for the j-th unit weight by the upper-set property.  The bracket
     is halved until it is at most 1e-6 wide.
+
+    The oracle calls share a scenario-label record (``labels``, a run's
+    private record; a fresh one when None), so each clears only the
+    scenarios no earlier call decides.  Record-free calls then confirm the
+    final bracket: ``right`` must be accepted and ``left`` (when the floor
+    was rejected) rejected.  If the record-free oracle is monotone along the
+    axis, that holds exactly when every step took the plain bisection's
+    branch, so the value is the plain bisection's.  Otherwise the bisection
+    reruns without the record.
     """
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
@@ -117,24 +127,39 @@ def bisection_unit(
     hi = np.asarray(box.hi, dtype=float)
     if not 0 <= j < grouping.g:
         raise ValidationError("group index out of range")
+    if labels is None:
+        labels = _ScenarioLabels(scenarios.n, grouping.g)
 
-    def accepted(t: float) -> bool:
+    def accepted(t: float, record: _ScenarioLabels | None) -> bool:
         z = hi.copy()
         z[j] = t
-        return membership(net, grouping, scenarios, spec, z).accepted
+        if record is None:
+            labels.rows_cleared += scenarios.n
+        return membership(net, grouping, scenarios, spec, z, labels=record).accepted
 
-    if not accepted(hi[j]):
+    def bracket(record: _ScenarioLabels | None) -> tuple[float, float | None] | None:
+        """(least accepted t, greatest rejected t or None); None when the
+        box top is rejected."""
+        if not accepted(hi[j], record):
+            return None
+        if accepted(lo[j], record):
+            return float(lo[j]), None
+        left, right = float(lo[j]), float(hi[j])
+        while right - left > _BISECT_TOL:
+            mid = 0.5 * (left + right)
+            if accepted(mid, record):
+                right = mid
+            else:
+                left = mid
+        return right, left
+
+    found = bracket(labels)
+    if found is None or not accepted(found[0], None) or (
+            found[1] is not None and accepted(found[1], None)):
+        found = bracket(None)
+    if found is None:
         raise ValidationError("risk set is empty even at the box top")
-    if accepted(lo[j]):
-        return float(lo[j])
-    left, right = float(lo[j]), float(hi[j])
-    while right - left > _BISECT_TOL:
-        mid = 0.5 * (left + right)
-        if accepted(mid):
-            right = mid
-        else:
-            left = mid
-    return right
+    return found[0]
 
 
 def ideal_point(
@@ -144,15 +169,21 @@ def ideal_point(
     spec: RiskSpec,
     box: CapitalBox | None = None,
     method: str = "milp",
+    labels: _ScenarioLabels | None = None,
 ) -> np.ndarray:
     """Componentwise minimum of the boxed risk set.
 
     Component j solves the unit-weight scalarization, exactly via the
     mixed-binary program (``milp``) or via the monotone bisection oracle
-    (``bisection``); the two agree within the bisection tolerance.
+    (``bisection``); the two agree within the bisection tolerance.  The
+    bisections of all components share one scenario-label record
+    (``labels``, or a fresh one).
     """
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
+    if method == "bisection" and labels is None:
+        labels = _ScenarioLabels(scenarios.n, grouping.g)
+    start = 0 if labels is None else labels.rows_cleared
 
     def component(j: int) -> float:
         if method == "milp":
@@ -163,9 +194,11 @@ def ideal_point(
                 raise ValidationError("risk set is empty: alpha exceeds total obligations")
             return float(res.value)
         if method == "bisection":
-            return bisection_unit(net, grouping, scenarios, spec, j, box=box)
+            return bisection_unit(net, grouping, scenarios, spec, j, box=box, labels=labels)
         raise ValidationError(f"unknown ideal-point method {method!r}")
 
     ideal = np.asarray([component(j) for j in range(grouping.g)], dtype=float)
-    log_event("ideal_point", method=method, ideal=ideal)
+    # rows the membership oracle cleared; None for the mixed-binary route
+    rows = None if labels is None else labels.rows_cleared - start
+    log_event("ideal_point", method=method, ideal=ideal, rows_cleared=rows)
     return ideal

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sysvar as sv
+import sysvar.risk
 from sysvar import io
 from sysvar.cli import main
 from sysvar.util import atomic_write_chunks, fmt17
@@ -348,6 +350,50 @@ class TestCli:
         a = json.loads(outs[0]); b = json.loads(outs[1])
         a.pop("provenance"); b.pop("provenance")
         assert a == b
+
+    def saa_with_events(self, pipeline, out, capsys):
+        """Run ``saa --algo 1`` at DEBUG; its artifact bytes and log events."""
+        capsys.readouterr()
+        assert run_cli(
+            "--log-level", "DEBUG", "saa", "--network", pipeline["net"],
+            "--scenarios", pipeline["scen"], "--alpha-frac", "0.8", "--lambda", "0.25",
+            "--epsilon", "0.5", "--algo", "1", "--out", out) == 0
+        # leave the logger as a run at the default level does
+        logging.getLogger("sysvar").setLevel(logging.WARNING)
+        # one JSON object per line
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        return open(out, "rb").read(), {e["event"]: e for e in events}
+
+    def test_debug_log_leaves_saa_artifacts_unchanged(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "set.json")
+        debug, events = self.saa_with_events(pipeline, out, capsys)
+        assert run_cli(
+            "saa", "--network", pipeline["net"], "--scenarios", pipeline["scen"],
+            "--alpha-frac", "0.8", "--lambda", "0.25", "--epsilon", "0.5",
+            "--algo", "1", "--out", out) == 0
+        assert open(out, "rb").read() == debug
+        assert events["ideal_point"]["rows_cleared"] > 0
+        done = events["grid_clearing_done"]
+        assert done["rows_cleared"] > 0 and done["rows_decided"] > 0
+
+    @pytest.mark.parametrize("points", [0, 3])
+    def test_label_budget_leaves_saa_artifacts_unchanged(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch, points):
+        # a scenario-label record that stores no point, or only its first
+        # three, clears more rows and writes the same bytes
+        out = str(tmp_path / "set.json")
+        runs = [self.saa_with_events(pipeline, out, capsys)]
+        # at N = 10 and g = 2 a point takes 2 bitmap bytes and 2 floats
+        monkeypatch.setattr(sysvar.risk, "_LABEL_BUDGET_BYTES", points * 18)
+        runs.append(self.saa_with_events(pipeline, out, capsys))
+        (full, full_events), (capped, capped_events) = runs
+        assert capped == full
+
+        def cleared(events):
+            return (events["ideal_point"]["rows_cleared"]
+                    + events["grid_clearing_done"]["rows_cleared"])
+
+        assert cleared(capped_events) > cleared(full_events)
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         blobs = []

@@ -6,7 +6,8 @@ duals, the aggregation function itself through the global supergradient
 inequality, and the kernel's own one-row calls, which must give the same
 bits as the batch.  For the membership oracle they are the two properties
 the grid search relies on: monotonicity and translativity in the capital
-vector.  For the grid's generators the reference is a brute-force
+vector; with per-scenario labels carried between calls, the reference is the
+same oracle without them.  For the grid's generators the reference is a brute-force
 minimal-element filter, and for the Hausdorff distance the closed form over
 one K x K x g tensor.  The README pipeline, run twice in-process, must write
 the same artifacts byte for byte.
@@ -18,14 +19,19 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sysvar as sv
+import sysvar.risk
+import sysvar.saa
+import sysvar.scalarize
 from sysvar.cli import main
-from sysvar.clearing import _dual_supergradient, _solve_payment_lp, _sort_by_pattern
-from sysvar.saa import Grid, _generators
-from sysvar.util import DEFAULT_TOL, max_violations, violates
+from sysvar.clearing import (_dual_supergradient, _solve_payment_lp, _sort_by_pattern,
+                             aggregate_en_many)
+from sysvar.saa import Grid, _generators, _traversal
+from sysvar.util import DEFAULT_TOL, VIOL_TOL, max_violations, violates
 from conftest import brute_force_generators, exp_scenarios, random_network, two_group_split
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -212,6 +218,62 @@ def test_membership_translative_along_group_axis(seed, d, n, axis, shift):
     moved = sv.ScenarioSet(values=scen.values + grouping.spread(w)[None, :])
     assert (sv.membership(net, grouping, moved, spec, z - w)
             == sv.membership(net, grouping, scen, spec, z))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, d=st.integers(3, 6), n=st.integers(4, 40), from_ideal=st.booleans())
+def test_scenario_labels_match_full_membership(seed, d, n, from_ideal):
+    # every oracle call of the record-backed grid search, the ideal-point
+    # bisections included, returns what a record-free call returns, and so
+    # does every grid label.  alpha - VIOL_TOL lies within 1e-9 of one
+    # scenario's aggregate at a point the search always evaluates, and
+    # shifted copies of that scenario sit on the threshold at points below
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, d, pbar_range=(0.5, 1.6))
+    grouping = two_group_split(rng, d)
+    base = exp_scenarios(rng, n, d, 0.3).values
+    box = sv.z_bounds(net, grouping, sv.ScenarioSet(values=base))
+    epsilon = float(rng.uniform(0.1, 0.3))
+    if from_ideal:
+        # the bisection along axis 0 starts at the box top, then its floor
+        z0 = np.array([box.lo[0], box.hi[1]])
+    else:
+        grid = Grid.build(box.lo, box.hi, epsilon)
+        z0 = grid.value(next(_traversal(grid, np.zeros(grid.shape, dtype=np.int8))))
+    totals = aggregate_en_many(net, np.maximum(base + grouping.spread(z0), 0.0))
+    inner = np.flatnonzero(totals < net.total_obligations - 1e-6)
+    assume(inner.size > 0)
+    k = inner[rng.integers(inner.size)]
+    threshold = totals[k] + rng.uniform(-1e-9, 1e-9)
+    shifts = rng.uniform(0.0, 1.0, size=(3, 2)) * (z0 - box.lo)
+    scen = sv.ScenarioSet(values=np.vstack([base, base[k] + shifts[:, grouping.assignment]]))
+    spec = sv.RiskSpec(alpha=threshold + VIOL_TOL, lam=float(rng.uniform(0.1, 0.4)))
+
+    full = sysvar.risk.membership
+    near, statuses = [], []
+
+    def oracle(net, grouping, scenarios, spec, z, labels=None):
+        res = full(net, grouping, scenarios, spec, z, labels=labels)
+        assert res == full(net, grouping, scenarios, spec, z)
+        xs = np.maximum(scenarios.values + grouping.spread(z), 0.0)
+        near.append(np.abs(aggregate_en_many(net, xs) - threshold).min() <= 1e-9)
+        return res
+
+    def generators(grid, status):
+        statuses.append((grid, status.copy()))
+        return _generators(grid, status)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysvar.saa, "membership", oracle)
+        mp.setattr(sysvar.scalarize, "membership", oracle)
+        mp.setattr(sysvar.saa, "_generators", generators)
+        sv.approximate_by_clearing(net, grouping, scen, spec, epsilon, box=box,
+                                   grid_lo=None if from_ideal else box.lo)
+    assert any(near)
+    grid, status = statuses[0]
+    for idx in np.ndindex(*grid.shape):
+        accepted = full(net, grouping, scen, spec, grid.value(idx)).accepted
+        assert status[idx] == (1 if accepted else 2)
 
 
 def _tensor_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import pytest
 import sysvar as sv
 import sysvar.mip
 import sysvar.saa
+from sysvar.risk import _ScenarioLabels
 from sysvar.saa import Grid, _mark_ball
 from sysvar.util import ValidationError
 from conftest import (
@@ -88,6 +89,19 @@ class TestMembership:
             clipped = np.minimum(z, box.hi)
             assert (sv.membership(net, grouping, scen, spec, z).accepted
                     == sv.membership(net, grouping, scen, spec, clipped).accepted)
+
+    def test_record_clears_scenarios_it_labels_both_ways(self, rng):
+        # off monotonicity a scenario can pass below z and fail above it;
+        # the record then decides nothing and membership clears it
+        net, grouping, scen, spec = instance(rng, alpha_frac=0.99)
+        box = sv.z_bounds(net, grouping, scen)
+        labels = _ScenarioLabels(scen.n, grouping.g)
+        labels.add(box.lo, np.ones(scen.n, dtype=bool))
+        labels.add(box.hi, np.zeros(scen.n, dtype=bool))
+        full = sv.membership(net, grouping, scen, spec, box.lo)
+        assert full.violation_fraction > 0
+        assert sv.membership(net, grouping, scen, spec, box.lo, labels=labels) == full
+        assert labels.rows_decided == 0 and labels.rows_cleared == scen.n
 
 
 class TestGrid:
@@ -186,7 +200,8 @@ class TestGridAlgorithms:
         # algorithm 2 makes none of its own
         caplog.set_level(logging.DEBUG, logger="sysvar")
         calls = []
-        monkeypatch.setattr(sysvar.saa, "membership", lambda *args: calls.append(args))
+        monkeypatch.setattr(sysvar.saa, "membership",
+                            lambda *args, labels=None: calls.append(args))
         net, grouping, scen, spec = three_group_instance(rng)
         a2 = sv.approximate_by_norm_min(net, grouping, scen, spec, 0.3, node_budget=0)
         assert done_event(caplog, "grid_norm_min_done")["fallbacks"] > 0
@@ -219,7 +234,7 @@ class TestGridAlgorithms:
         flips = np.random.default_rng(7)
         answers = {}
 
-        def oracle(net, grouping, scenarios, spec, z):
+        def oracle(net, grouping, scenarios, spec, z, labels=None):
             answers[tuple(z)] = bool(flips.random() < 0.5)
             return sv.MembershipResult(accepted=answers[tuple(z)], violation_fraction=0.0)
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import sysvar as sv
+import sysvar.risk
+import sysvar.scalarize
+from sysvar.risk import _ScenarioLabels
 from sysvar.util import ValidationError, max_violations
 from conftest import (
     exp_scenarios,
@@ -19,6 +22,44 @@ def instance(rng, d=4, n_scen=6, lam=0.3, alpha_frac=0.85, scale=0.3):
     scen = exp_scenarios(rng, n_scen, d, scale)
     spec = sv.RiskSpec(alpha=alpha_frac * net.total_obligations, lam=lam)
     return net, grouping, scen, spec
+
+
+def bisection_instance():
+    # both unit-weight values lie strictly inside the box
+    return instance(np.random.default_rng(0), d=6, n_scen=30, lam=0.1,
+                    alpha_frac=0.97, scale=0.2)
+
+
+def plain_bisection(net, grouping, scen, spec, j, box):
+    """Bisection along axis j with record-free membership calls only."""
+    def accepted(t):
+        z = np.array(box.hi, dtype=float)
+        z[j] = t
+        return sv.membership(net, grouping, scen, spec, z).accepted
+
+    if accepted(box.lo[j]):
+        return float(box.lo[j])
+    left, right = float(box.lo[j]), float(box.hi[j])
+    while right - left > 1e-6:
+        mid = 0.5 * (left + right)
+        if accepted(mid):
+            right = mid
+        else:
+            left = mid
+    return right
+
+
+def count_record_free_calls(monkeypatch):
+    """Count bisection_unit's membership calls made without a record."""
+    calls = []
+    real = sysvar.scalarize.membership
+
+    def spy(*args, labels=None):
+        calls.append(labels is None)
+        return real(*args, labels=labels)
+
+    monkeypatch.setattr(sysvar.scalarize, "membership", spy)
+    return calls
 
 
 class TestBounds:
@@ -235,3 +276,62 @@ class TestBisection:
             milp = sv.weighted_sum(net, grouping, scen, spec, w)
             bis = sv.bisection_unit(net, grouping, scen, spec, j)
             assert abs(milp.value - bis) <= 1e-5
+
+    def test_record_backed_bracket_is_confirmed_by_two_calls(self, monkeypatch):
+        net, grouping, scen, spec = bisection_instance()
+        box = sv.z_bounds(net, grouping, scen)
+        plain = [plain_bisection(net, grouping, scen, spec, j, box) for j in range(2)]
+        assert all(lo < v for lo, v in zip(box.lo, plain))
+        calls = count_record_free_calls(monkeypatch)
+        labels = _ScenarioLabels(scen.n, grouping.g)
+        for j in range(2):
+            calls.clear()
+            assert sv.bisection_unit(net, grouping, scen, spec, j, box=box,
+                                     labels=labels) == plain[j]
+            # right accepted and left rejected without the record; no rerun
+            assert sum(calls) == 2
+        assert 0 < labels.rows_decided
+
+    @pytest.mark.parametrize("where", ["top", "bottom", "below_top"])
+    def test_wrong_record_falls_back_to_plain_bisection(self, monkeypatch, where):
+        # a record that labels every scenario wrongly at one point: failing
+        # at the top (the top is rejected), passing at the bottom (the floor
+        # is accepted), or failing just below the top (the left end of the
+        # bracket is acceptable)
+        net, grouping, scen, spec = bisection_instance()
+        box = sv.z_bounds(net, grouping, scen)
+        plain = plain_bisection(net, grouping, scen, spec, 0, box)
+        z = {"top": box.hi, "bottom": box.lo,
+             "below_top": box.hi - np.array([1e-3, 0.0])}[where]
+        assert box.lo[0] < plain < box.hi[0] - 1e-3
+        labels = _ScenarioLabels(scen.n, grouping.g)
+        labels.add(np.array(z, dtype=float), np.full(scen.n, where == "bottom"))
+        calls = count_record_free_calls(monkeypatch)
+        assert sv.bisection_unit(net, grouping, scen, spec, 0, box=box,
+                                 labels=labels) == plain
+        # the rerun makes every call of a plain bisection without the record
+        assert sum(calls) > 20
+
+    def test_non_monotone_scenarios_fall_back_to_plain_bisection(self, monkeypatch):
+        # two scenarios on the 2-ring, told apart by bank 1's cash; along
+        # t = z_0, scenario A passes iff t >= 0.15 and scenario B iff
+        # t < 0.1 or t >= 0.5.  Record-free membership (both must pass) is
+        # monotone with threshold 0.5, but B's pass at t = 0 makes the
+        # record pass B everywhere, so the record-backed search would stop
+        # near 0.15
+        net = ring2([1.0, 1.0])
+        grouping = sv.Grouping(g=2, assignment=np.array([0, 1]))
+        scen = sv.ScenarioSet(values=np.array([[0.0, 0.0], [0.0, 1.0]]))
+        spec = sv.RiskSpec(alpha=1.0, lam=0.1)
+        box = sv.CapitalBox(lo=np.zeros(2), hi=np.ones(2))
+
+        def aggregates(net, xs):
+            t, is_b = xs[:, 0], xs[:, 1] > 1.5
+            passes = np.where(is_b, (t < 0.1) | (t >= 0.5), t >= 0.15)
+            return np.where(passes, 2.0, 0.0)
+
+        monkeypatch.setattr(sysvar.risk, "aggregate_en_many", aggregates)
+        assert plain_bisection(net, grouping, scen, spec, 0, box) == 0.5
+        calls = count_record_free_calls(monkeypatch)
+        assert sv.bisection_unit(net, grouping, scen, spec, 0, box=box) == 0.5
+        assert sum(calls) > 20
