@@ -160,8 +160,7 @@ def membership(
     one that failed at a recorded point above z counts as failing, so only
     the rest go to the clearing kernel, and z's labels are recorded.  The
     rule rests on per-scenario monotonicity in floating point, which the
-    grid search assumes and the ideal-point bisection confirms with
-    record-free calls at the ends of its final bracket.
+    grid search assumes.
     """
     spec.validate()
     z = np.asarray(z, dtype=float)

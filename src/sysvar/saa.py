@@ -4,7 +4,10 @@ Two interchangeable algorithms classify a downward-anchored grid against the
 sampled risk set.  Both visit points in one order, a monotone boundary
 search: the risk set is an upper set, so along each line parallel to the
 longest grid axis the labels switch once, and each line is bisected until it
-is fully labelled (Feinstein, Rudloff & Weber 2017).  One algorithm queries
+is fully labelled (Feinstein, Rudloff & Weber 2017).  Lines are taken from
+the lowest levels of the other axes up, so the cones of the lines already
+searched leave each line open only beyond the previous line's boundary.
+One algorithm queries
 the membership oracle at each visited point and propagates labels along the
 componentwise order (acceptable points seed an upper cone, rejected points a
 lower cone); the other solves a least-distance scalarization per visited
@@ -13,14 +16,14 @@ below the distance not acceptable.  Both return the same acceptable set: the
 grid intersected with the risk set, represented by its minimal elements,
 which one cumulative OR per grid axis finds.
 
-The membership-based search and the ideal-point bisection that floors the
-grid share one per-run record of per-scenario labels.  Each scenario's
-aggregate is nondecreasing in the capital vector (Eisenberg & Noe 2001), so
-a scenario that passed at an evaluated point below z passes at z, one that
-failed at an evaluated point above z fails at z, and each oracle call clears
-only the scenarios no earlier point decides.  Each bisection confirms its
-final bracket with record-free oracle calls (the upper end accepted, the
-lower end rejected) and reruns without the record if a check fails.
+The membership-based search keeps one per-run record of per-scenario
+labels; the ideal point that floors the grid needs none, since its
+bisections take their decisions from exact ray thresholds (see
+``scalarize``).  Each
+scenario's aggregate is nondecreasing in the capital vector (Eisenberg & Noe
+2001), so a scenario that passed at an evaluated point below z passes at z,
+one that failed at an evaluated point above z fails at z, and each oracle
+call clears only the scenarios no earlier point decides.
 
 Sets are compared by the closed-form distance |(gen - v)^+|_2 from a point v
 to a generated upper set, one point at a time, so the Hausdorff distance
@@ -124,16 +127,22 @@ def _traversal(grid: Grid, status: np.ndarray) -> Iterator[tuple[int, ...]]:
 
     Along every line parallel to the longest axis the labels switch once,
     from acceptable to not acceptable, because the risk set is an upper set.
-    Lines are taken in ``np.ndindex`` order of the other axes, and each is
-    bisected: the middle of its still-unlabelled points is yielded until the
-    line is fully labelled, so a line of length L costs at most
-    ceil(log2(L+1)) visits and the cones of earlier visits shorten later
-    lines.  Each visit labels at least its own point, so the search ends
-    with every point labelled even if the labels are not monotone.
+    Lines are taken in reverse ``np.ndindex`` order of the other axes, the
+    lowest levels first, and each is bisected: the middle of its
+    still-unlabelled points is yielded until the line is fully labelled, so
+    a line of length L costs at most ceil(log2(L+1)) visits.  The next line
+    lies one level higher, so the upper cones of the previous line's
+    acceptable points label it acceptable at and above that line's boundary
+    level, and only the levels below stay open.  Each visit labels at least its own point, so the
+    search ends with every point labelled even if the labels are not
+    monotone.
     """
     shape = grid.shape
     axis = int(np.argmax(shape))
-    for outer in np.ndindex(*shape[:axis], *shape[axis + 1:]):
+    others = shape[:axis] + shape[axis + 1:]
+    for outer in np.ndindex(*others):
+        # reverse np.ndindex order: the lowest levels of the other axes first
+        outer = tuple(n - 1 - i for n, i in zip(others, outer))
         head, tail = outer[:axis], outer[axis:]
         line = status[head + (slice(None),) + tail]
         while (open_ := np.flatnonzero(line == 0)).size:
@@ -201,21 +210,21 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     hands every point the traversal yields that is still unlabelled to
     ``visit(grid, status, idx, labels)``, which must label at least that
     point (status 1 acceptable, 2 not), and returns the minimal acceptable
-    points.  ``labels`` is the run's scenario-label record, shared with the
-    ideal-point bisection.  ``counts`` holds the visitor's counters for the
-    ``event`` log line.
+    points.  ``labels`` is the run's scenario-label record, which only the
+    visits use.  ``counts`` holds the visitor's counters for the ``event``
+    log line.
     """
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)
+    # the ideal point does not use the record; made after it instead, the
+    # record's preallocated arrays cost grid_clearing about 0.5 MB of peak
+    # RSS (glibc's dynamic mmap threshold places them differently)
     labels = _ScenarioLabels(scenarios.n, grouping.g)
     if grid_lo is None:
-        ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection",
-                            labels=labels)
+        ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection")
         grid_lo = ideal - _IDEAL_MARGIN
-        # the ideal point logged its own rows; the grid's start from zero
-        labels.rows_cleared = labels.rows_decided = 0
     grid = Grid.build(np.asarray(grid_lo, dtype=float),
                       np.asarray(box.hi, dtype=float), epsilon)
     status = np.zeros(grid.shape, dtype=np.int8)

@@ -4,20 +4,31 @@ Both delegate to the branch-and-bound solver over the capital box; the box
 restriction loses nothing because the risk set equals its boxed part plus
 the nonnegative orthant.  A monotone bisection along one coordinate (with
 all other coordinates pinned at the box top) provides an independent route
-to unit-weight values.
+to unit-weight values, and the ideal point that floors the grid searches.
+
+The bisection needs no oracle call per step.  Along its ray each scenario's
+aggregate is concave, nondecreasing and piecewise affine (Eisenberg & Noe
+2001), so batched Newton steps with the clearing kernel's supergradients
+find the least t at which each scenario passes, and membership accepts once
+t reaches the (k+1)-th largest of these thresholds.  The bisection's
+midpoints are decided against that order statistic, and two membership calls
+confirm the final bracket; if either disagrees, the bisection reruns on the
+oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import clearing
 from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
-from .risk import CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership
+from .risk import _SELECT_TOL, CapitalBox, RiskSpec, box_or_default, membership
 from .shocks import ScenarioSet
-from .util import ValidationError, log_event
+from .util import VIOL_TOL, ValidationError, log_event, max_violations, violates
 
 _BISECT_TOL = 1e-6
 
@@ -103,7 +114,6 @@ def bisection_unit(
     spec: RiskSpec,
     j: int,
     box: CapitalBox | None = None,
-    labels: _ScenarioLabels | None = None,
 ) -> float:
     """Unit-weight scalarization along coordinate j by monotone bisection.
 
@@ -112,54 +122,130 @@ def bisection_unit(
     value for the j-th unit weight by the upper-set property.  The bracket
     is halved until it is at most 1e-6 wide.
 
-    The oracle calls share a scenario-label record (``labels``, a run's
-    private record; a fresh one when None), so each clears only the
-    scenarios no earlier call decides.  Record-free calls then confirm the
-    final bracket: ``right`` must be accepted and ``left`` (when the floor
-    was rejected) rejected.  If the record-free oracle is monotone along the
-    axis, that holds exactly when every step took the plain bisection's
-    branch, so the value is the plain bisection's.  Otherwise the bisection
-    reruns without the record.
+    The bisection's decisions come from each scenario's exact threshold on
+    the ray (see ``_ray_thresholds``): z is accepted iff t reaches the
+    (k+1)-th largest threshold, k the admissible violation count.  Two
+    membership calls then confirm the final bracket: ``right`` must be
+    accepted and ``left`` (when the floor was rejected) rejected.  If the
+    oracle is monotone along the axis, that holds exactly when every step
+    took the plain bisection's branch, so the value is the plain
+    bisection's.  Otherwise the bisection reruns on the oracle itself.
     """
+    return _bisection_unit(net, grouping, scenarios, spec, j, box, Counter())
+
+
+def _bisection_unit(net, grouping, scenarios, spec, j, box, work: Counter) -> float:
+    """``bisection_unit``, adding its oracle work to ``work``: rows sent to
+    the clearing kernel, kernel calls, and reruns on the oracle."""
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     if not 0 <= j < grouping.g:
         raise ValidationError("group index out of range")
-    if labels is None:
-        labels = _ScenarioLabels(scenarios.n, grouping.g)
 
-    def accepted(t: float, record: _ScenarioLabels | None) -> bool:
+    def accepted(t: float) -> bool:
         z = hi.copy()
         z[j] = t
-        if record is None:
-            labels.rows_cleared += scenarios.n
-        return membership(net, grouping, scenarios, spec, z, labels=record).accepted
+        work.update(rows_cleared=scenarios.n, kernel_calls=1)
+        return membership(net, grouping, scenarios, spec, z).accepted
 
-    def bracket(record: _ScenarioLabels | None) -> tuple[float, float | None] | None:
-        """(least accepted t, greatest rejected t or None); None when the
-        box top is rejected."""
-        if not accepted(hi[j], record):
+    def bracket(accepts) -> tuple[float, float | None] | None:
+        """(least accepted t, greatest rejected t or None) by the decisions
+        of ``accepts``; None when the box top is rejected."""
+        if not accepts(hi[j]):
             return None
-        if accepted(lo[j], record):
+        if accepts(lo[j]):
             return float(lo[j]), None
         left, right = float(lo[j]), float(hi[j])
         while right - left > _BISECT_TOL:
             mid = 0.5 * (left + right)
-            if accepted(mid, record):
+            if accepts(mid):
                 right = mid
             else:
                 left = mid
         return right, left
 
-    found = bracket(labels)
-    if found is None or not accepted(found[0], None) or (
-            found[1] is not None and accepted(found[1], None)):
-        found = bracket(None)
+    cut = _acceptance_cut(net, grouping, scenarios, spec, j, lo[j], hi, work)
+    found = bracket(lambda t: t >= cut)
+    if found is None or not accepted(found[0]) or (
+            found[1] is not None and accepted(found[1])):
+        work["reruns"] += 1
+        found = bracket(accepted)
     if found is None:
         raise ValidationError("risk set is empty even at the box top")
     return found[0]
+
+
+def _acceptance_cut(net, grouping, scenarios, spec, j, lo_j, hi, work: Counter) -> float:
+    """Least t at which membership accepts z = hi, z_j = t, predicted from
+    the scenarios' ray thresholds; +inf when it rejects the whole ray.
+
+    Membership accepts when no shifted entry falls below -_SELECT_TOL and at
+    most k scenarios fail, that is once t reaches the (k+1)-th largest
+    threshold; every t passes when k >= N.
+    """
+    xs = np.asarray(scenarios.values, dtype=float)
+    cols = np.asarray(grouping.assignment) == j
+    # fl(x + t) is monotone in x, so the column minima decide the orthant
+    least = xs.min(axis=0)
+    if np.any((least + grouping.spread(hi))[~cols] < -_SELECT_TOL):
+        return np.inf
+    inside = -_SELECT_TOL - least[cols].min()
+    k = max_violations(scenarios.n, spec.lam)
+    if k >= scenarios.n:
+        return inside
+    thresholds = _ray_thresholds(net, grouping, xs, spec.alpha, j, lo_j, hi, work)
+    rank = scenarios.n - 1 - k
+    return max(inside, float(np.partition(thresholds, rank)[rank]))
+
+
+def _ray_thresholds(net, grouping, xs, alpha, j, lo_j, hi, work: Counter) -> np.ndarray:
+    """Each scenario's least passing t on the ray z = hi, z_j = t, for t in
+    [lo_j, hi_j]; +inf where the scenario fails throughout.
+
+    Along the ray a scenario's aggregate is concave, nondecreasing and
+    piecewise affine in t (Eisenberg & Noe 2001), and the kernel's
+    supergradient summed over group j's banks bounds its slope from above.
+    So Newton steps from lo_j never pass the threshold and reach it in one
+    step per affine piece.  Each step clears the still-open rows in one
+    batch, with the same arithmetic as ``membership``, so a row's pass or
+    fail at an iterate is membership's.  A row leaves when it passes (its
+    threshold is that iterate), when its slope is zero or NaN or the next
+    iterate leaves the box (it fails throughout), or when rounding stalls
+    the step (the threshold is the next float).  A row's pieces follow its
+    shrinking default set, at most d + 1 of them, so rows still open after
+    2d + 8 steps are off that model; they keep their last iterate, a lower
+    bound, and the bisection's confirmation calls judge the result.
+    """
+    n, d = xs.shape
+    cols = np.asarray(grouping.assignment) == j
+    fixed = grouping.spread(hi)[~cols]
+    t = np.full(n, float(lo_j))
+    thresholds = np.full(n, np.inf)
+    open_ = np.arange(n)
+    for _ in range(2 * d + 8):
+        if not open_.size:
+            break
+        rows = np.take(xs, open_, axis=0)
+        rows[:, ~cols] += fixed
+        rows[:, cols] += t[open_, None]
+        np.maximum(rows, 0.0, out=rows)
+        values, grads = clearing.aggregate_en_many(net, rows, supergradients=True)
+        work.update(rows_cleared=open_.size, kernel_calls=1)
+        here = t[open_]
+        passed = ~violates(values, alpha)
+        thresholds[open_[passed]] = here[passed]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (alpha - VIOL_TOL - values) / grads[:, cols].sum(axis=1)
+        ahead = here + step
+        stalled = ~passed & (ahead == here)
+        thresholds[open_[stalled]] = np.nextafter(here[stalled], np.inf)
+        go = ~passed & (ahead > here) & (ahead <= hi[j])
+        t[open_[go]] = ahead[go]
+        open_ = open_[go]
+    thresholds[open_] = t[open_]
+    return thresholds
 
 
 def ideal_point(
@@ -169,21 +255,18 @@ def ideal_point(
     spec: RiskSpec,
     box: CapitalBox | None = None,
     method: str = "milp",
-    labels: _ScenarioLabels | None = None,
 ) -> np.ndarray:
     """Componentwise minimum of the boxed risk set.
 
     Component j solves the unit-weight scalarization, exactly via the
     mixed-binary program (``milp``) or via the monotone bisection oracle
     (``bisection``); the two agree within the bisection tolerance.  The
-    bisections of all components share one scenario-label record
-    (``labels``, or a fresh one).
+    ``bisection`` route logs its oracle work: rows sent to the clearing
+    kernel, kernel calls, and the axes that reran on the oracle.
     """
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
-    if method == "bisection" and labels is None:
-        labels = _ScenarioLabels(scenarios.n, grouping.g)
-    start = 0 if labels is None else labels.rows_cleared
+    work: Counter = Counter()
 
     def component(j: int) -> float:
         if method == "milp":
@@ -194,11 +277,12 @@ def ideal_point(
                 raise ValidationError("risk set is empty: alpha exceeds total obligations")
             return float(res.value)
         if method == "bisection":
-            return bisection_unit(net, grouping, scenarios, spec, j, box=box, labels=labels)
+            return _bisection_unit(net, grouping, scenarios, spec, j, box, work)
         raise ValidationError(f"unknown ideal-point method {method!r}")
 
     ideal = np.asarray([component(j) for j in range(grouping.g)], dtype=float)
-    # rows the membership oracle cleared; None for the mixed-binary route
-    rows = None if labels is None else labels.rows_cleared - start
-    log_event("ideal_point", method=method, ideal=ideal, rows_cleared=rows)
+    # the oracle's work; None for the mixed-binary route
+    counts = {key: work[key] if method == "bisection" else None
+              for key in ("rows_cleared", "kernel_calls", "reruns")}
+    log_event("ideal_point", method=method, ideal=ideal, **counts)
     return ideal

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's solution paths: the 2-bank
 ring has a closed-form clearing vector, batch clearing uses a plain capped
-Picard iteration, the weighted-sum oracle enumerates scenario subsets, and
-distances come from dense grid scans.
+Picard iteration, the weighted-sum oracle enumerates scenario subsets, unit
+weights have a plain bisection on the membership oracle, and distances come
+from dense grid scans.
 """
 
 from __future__ import annotations
@@ -142,6 +143,26 @@ def exhaustive_grid_generators(net, grouping, scenarios, spec, grid) -> np.ndarr
         ok = sv.membership(net, grouping, scenarios, spec, grid.value(idx)).accepted
         status[idx] = 1 if ok else 2
     return brute_force_generators(grid, status)
+
+
+def plain_bisection(net, grouping, scenarios, spec, j, box) -> float:
+    """Least acceptable z_j with the other coordinates at the box top, by
+    bisection to a 1e-6 bracket on the membership oracle alone."""
+    def accepted(t):
+        z = np.array(box.hi, dtype=float)
+        z[j] = t
+        return sv.membership(net, grouping, scenarios, spec, z).accepted
+
+    if accepted(box.lo[j]):
+        return float(box.lo[j])
+    left, right = float(box.lo[j]), float(box.hi[j])
+    while right - left > 1e-6:
+        mid = 0.5 * (left + right)
+        if accepted(mid):
+            right = mid
+        else:
+            left = mid
+    return right
 
 
 def exp_scenarios(rng: np.random.Generator, n: int, d: int, scale: float) -> sv.ScenarioSet:

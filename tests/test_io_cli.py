@@ -376,6 +376,29 @@ class TestCli:
         done = events["grid_clearing_done"]
         assert done["rows_cleared"] > 0 and done["rows_decided"] > 0
 
+    def test_ideal_point_reports_its_oracle_work(self, tmp_path, capsys):
+        # the README instance: 20 banks, 50 scenarios; the ray thresholds
+        # predict both axes' bisections, so neither reruns on the oracle
+        net, scen, out = (str(tmp_path / name) for name in ("net.json", "scen.csv", "set.json"))
+        assert run_cli(
+            "gen-network", "--nodes", "20", "--core-size", "4", "--theta", "0.2",
+            "--eta", "0.6", "--zeta", "0.2", "--delta-in", "0.5", "--delta-out", "0.5",
+            "--m", "400,200,300,150", "--seed", "7", "--out", net) == 0
+        assert run_cli(
+            "sample-shocks", "--network", net, "--nu", "3", "--beta", "100,50",
+            "--rho", "0.3", "--n", "50", "--seed", "11", "--out", scen) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "--log-level", "DEBUG", "saa", "--network", net, "--scenarios", scen,
+            "--alpha-frac", "0.8", "--lambda", "0.2", "--epsilon", "150", "--algo", "1",
+            "--out", out) == 0
+        logging.getLogger("sysvar").setLevel(logging.WARNING)
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        ideal = next(e for e in events if e["event"] == "ideal_point")
+        assert ideal["reruns"] == 0
+        # fewer rows than two plain bisections of 22 calls of 50 rows
+        assert ideal["kernel_calls"] > 0 and 0 < ideal["rows_cleared"] < 2 * 22 * 50
+
     @pytest.mark.parametrize("points", [0, 3])
     def test_label_budget_leaves_saa_artifacts_unchanged(self, pipeline, tmp_path, capsys,
                                                          monkeypatch, points):

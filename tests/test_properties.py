@@ -7,7 +7,10 @@ inequality, and the kernel's own one-row calls, which must give the same
 bits as the batch.  For the membership oracle they are the two properties
 the grid search relies on: monotonicity and translativity in the capital
 vector; with per-scenario labels carried between calls, the reference is the
-same oracle without them.  For the grid's generators the reference is a brute-force
+same oracle without them.  For the unit-weight bisection, whose steps follow
+the scenarios' ray thresholds, it is a plain bisection on the oracle, and
+for the boundary search's line order the oracle's classification of every
+grid point.  For the grid's generators the reference is a brute-force
 minimal-element filter, and for the Hausdorff distance the closed form over
 one K x K x g tensor.  The README pipeline, run twice in-process, must write
 the same artifacts byte for byte.
@@ -32,7 +35,8 @@ from sysvar.clearing import (_dual_supergradient, _solve_payment_lp, _sort_by_pa
                              aggregate_en_many)
 from sysvar.saa import Grid, _generators, _traversal
 from sysvar.util import DEFAULT_TOL, VIOL_TOL, max_violations, violates
-from conftest import brute_force_generators, exp_scenarios, random_network, two_group_split
+from conftest import (brute_force_generators, exhaustive_grid_generators, exp_scenarios,
+                      plain_bisection, random_network, two_group_split)
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -223,11 +227,10 @@ def test_membership_translative_along_group_axis(seed, d, n, axis, shift):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=seeds, d=st.integers(3, 6), n=st.integers(4, 40), from_ideal=st.booleans())
 def test_scenario_labels_match_full_membership(seed, d, n, from_ideal):
-    # every oracle call of the record-backed grid search, the ideal-point
-    # bisections included, returns what a record-free call returns, and so
-    # does every grid label.  alpha - VIOL_TOL lies within 1e-9 of one
-    # scenario's aggregate at a point the search always evaluates, and
-    # shifted copies of that scenario sit on the threshold at points below
+    # every oracle call of the record-backed grid search, the ideal point's
+    # confirmation calls included, returns what a record-free call returns,
+    # and so does every grid label.  alpha - VIOL_TOL lies within 1e-9 of
+    # one scenario's aggregate at a point the search always evaluates
     rng = np.random.default_rng(seed)
     net = random_network(rng, d, pbar_range=(0.5, 1.6))
     grouping = two_group_split(rng, d)
@@ -235,19 +238,50 @@ def test_scenario_labels_match_full_membership(seed, d, n, from_ideal):
     box = sv.z_bounds(net, grouping, sv.ScenarioSet(values=base))
     epsilon = float(rng.uniform(0.1, 0.3))
     if from_ideal:
-        # the bisection along axis 0 starts at the box top, then its floor
-        z0 = np.array([box.lo[0], box.hi[1]])
+        # the axis-0 bisection confirms its final bracket at z0 = (right,
+        # hi_1).  A copy of a scenario that passes there but not at the
+        # floor, given the least extra group-0 cash that makes it pass at
+        # z0, starts to pass inside that bracket, so the bisection is
+        # unchanged and the copy sits on the threshold at z0.  With lambda
+        # = (k + 1/2) / (n + 1), n and n + 1 scenarios both admit k
+        # violations
+        k = int(rng.integers(0, n // 2 + 1))
+        spec = sv.RiskSpec(alpha=float(rng.uniform(0.9, 0.99)) * net.total_obligations,
+                           lam=(k + 0.5) / (n + 1))
+        right = plain_bisection(net, grouping, sv.ScenarioSet(values=base), spec, 0, box)
+        assume(box.lo[0] < right)
+        z0 = np.array([right, box.hi[1]])
+
+        def passes(x, z):
+            total = aggregate_en_many(net, np.maximum(x + grouping.spread(z), 0.0)[None])
+            return not violates(total[0], spec.alpha)
+
+        floor = np.array([box.lo[0], box.hi[1]])
+        movers = [m for m in range(n) if passes(base[m], z0) and not passes(base[m], floor)]
+        m = movers[rng.integers(len(movers))]
+        fail, ok = box.lo[0] - right, 0.0
+        for _ in range(64):
+            mid = 0.5 * (fail + ok)
+            if passes(base[m] + grouping.spread(np.array([mid, 0.0])), z0):
+                ok = mid
+            else:
+                fail = mid
+        planted = base[m] + grouping.spread(np.array([ok, 0.0]))
+        scen = sv.ScenarioSet(values=np.vstack([base, planted]))
+        threshold = spec.alpha - VIOL_TOL
     else:
+        # the first point the traversal yields; shifted copies of the
+        # scenario sit on the threshold at points below it
         grid = Grid.build(box.lo, box.hi, epsilon)
         z0 = grid.value(next(_traversal(grid, np.zeros(grid.shape, dtype=np.int8))))
-    totals = aggregate_en_many(net, np.maximum(base + grouping.spread(z0), 0.0))
-    inner = np.flatnonzero(totals < net.total_obligations - 1e-6)
-    assume(inner.size > 0)
-    k = inner[rng.integers(inner.size)]
-    threshold = totals[k] + rng.uniform(-1e-9, 1e-9)
-    shifts = rng.uniform(0.0, 1.0, size=(3, 2)) * (z0 - box.lo)
-    scen = sv.ScenarioSet(values=np.vstack([base, base[k] + shifts[:, grouping.assignment]]))
-    spec = sv.RiskSpec(alpha=threshold + VIOL_TOL, lam=float(rng.uniform(0.1, 0.4)))
+        totals = aggregate_en_many(net, np.maximum(base + grouping.spread(z0), 0.0))
+        inner = np.flatnonzero(totals < net.total_obligations - 1e-6)
+        assume(inner.size > 0)
+        k = inner[rng.integers(inner.size)]
+        threshold = totals[k] + rng.uniform(-1e-9, 1e-9)
+        shifts = rng.uniform(0.0, 1.0, size=(3, 2)) * (z0 - box.lo)
+        scen = sv.ScenarioSet(values=np.vstack([base, base[k] + shifts[:, grouping.assignment]]))
+        spec = sv.RiskSpec(alpha=threshold + VIOL_TOL, lam=float(rng.uniform(0.1, 0.4)))
 
     full = sysvar.risk.membership
     near, statuses = [], []
@@ -274,6 +308,95 @@ def test_scenario_labels_match_full_membership(seed, d, n, from_ideal):
     for idx in np.ndindex(*grid.shape):
         accepted = full(net, grouping, scen, spec, grid.value(idx)).accepted
         assert status[idx] == (1 if accepted else 2)
+
+
+def _kink(net, grouping, x, j, box, rng):
+    """A point z = hi, z_j = t where x's aggregate has a kink on the ray: a
+    bank that defaults at the floor turns solvent there (to about 1e-16)."""
+    def at(t):
+        z = np.array(box.hi, dtype=float)
+        z[j] = t
+        return z
+
+    def defaults(t):
+        return sv.clearing_fixed_point(net, np.maximum(x + grouping.spread(at(t)), 0.0)).defaults
+
+    start = defaults(box.lo[j])
+    assume(start.any() and not defaults(box.hi[j]).any())
+    bank = rng.choice(np.flatnonzero(start))
+    left, right = float(box.lo[j]), float(box.hi[j])
+    for _ in range(64):
+        mid = 0.5 * (left + right)
+        if defaults(mid)[bank]:
+            left = mid
+        else:
+            right = mid
+    return at(right)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, d=st.integers(3, 8), n=st.integers(4, 40), leaky=st.booleans(),
+       at_kink=st.booleans())
+def test_threshold_bisection_is_plain_bisection(seed, d, n, leaky, at_kink):
+    # the bisection replayed against the ray thresholds' order statistic
+    # returns the plain bisection's bits, with its two confirmation calls
+    # and no rerun
+    rng = np.random.default_rng(seed)
+    if leaky:
+        net, xs = _leaky_cycle_instance(seed, d, n)
+    else:
+        net = random_network(rng, d, pbar_range=(0.5, 1.6))
+        xs = rng.exponential(0.3, size=(n, d))
+    grouping = two_group_split(rng, d)
+    scen = sv.ScenarioSet(values=xs)
+    box = sv.z_bounds(net, grouping, scen)
+    j = int(rng.integers(2))
+    if at_kink:
+        # one scenario's threshold sits at a kink of its aggregate, and
+        # lambda admits exactly the other scenarios failing there, so that
+        # threshold is the unit-weight value
+        m = int(rng.integers(n))
+        z = _kink(net, grouping, xs[m], j, box, rng)
+        totals = aggregate_en_many(net, np.maximum(xs + grouping.spread(z), 0.0))
+        alpha = totals[m] + VIOL_TOL
+        others = np.count_nonzero(violates(np.delete(totals, m), alpha))
+        assume(others + 1 < n)
+        spec = sv.RiskSpec(alpha=alpha, lam=(others + 0.5) / n)
+    else:
+        spec = sv.RiskSpec(alpha=float(rng.uniform(0.75, 0.97)) * net.total_obligations,
+                           lam=float(rng.uniform(0.1, 0.4)))
+    plain = plain_bisection(net, grouping, scen, spec, j, box)
+    assume(box.lo[j] < plain)
+    calls = []
+    real = sysvar.scalarize.membership
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysvar.scalarize, "membership", spy)
+        assert sv.bisection_unit(net, grouping, scen, spec, j) == plain
+    assert len(calls) == 2
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, d=st.integers(3, 6), n=st.integers(2, 20), g=st.integers(2, 3))
+def test_line_order_keeps_exhaustive_generators(seed, d, n, g):
+    # the boundary search, lowest lines first, classifies the grid as the
+    # membership oracle classifies every point
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, d, pbar_range=(0.5, 1.6))
+    grouping = sv.Grouping(g=g, assignment=rng.permutation(np.arange(d) % g))
+    scen = exp_scenarios(rng, n, d, 0.3)
+    spec = sv.RiskSpec(alpha=float(rng.uniform(0.75, 0.97)) * net.total_obligations,
+                       lam=float(rng.uniform(0.1, 0.4)))
+    box = sv.z_bounds(net, grouping, scen)
+    epsilon = float(np.max(box.hi - box.lo)) / (12 if g == 2 else 5)
+    approx = sv.approximate_by_clearing(net, grouping, scen, spec, epsilon)
+    grid = Grid.build(approx.ideal, box.hi, epsilon)
+    assert np.array_equal(approx.generators,
+                          exhaustive_grid_generators(net, grouping, scen, spec, grid))
 
 
 def _tensor_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -228,6 +228,16 @@ class TestGridAlgorithms:
         assert shape == (30, 14)
         assert done["evaluations"] <= 70
 
+    def test_lowest_lines_first_on_criterion9_grid(self, caplog):
+        # lines are taken from the lowest levels of the other axis up, so
+        # each line's open run is the part beyond the previous line's
+        # boundary; highest levels first took 60 evaluations
+        caplog.set_level(logging.DEBUG, logger="sysvar")
+        net, grouping, scen, spec = criterion9_instance()
+        approx = sv.approximate_by_clearing(net, grouping, scen, spec, 0.4)
+        assert Grid.build(approx.ideal, approx.box.hi, 0.4).shape == (30, 14)
+        assert done_event(caplog, "grid_clearing_done")["evaluations"] == 24
+
     def test_search_labels_every_point_for_non_monotone_oracle(self, rng, monkeypatch):
         net, grouping, scen, spec = instance(rng, n_scen=6)
         box = sv.z_bounds(net, grouping, scen)

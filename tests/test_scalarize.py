@@ -1,13 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import sysvar as sv
+import sysvar.clearing
 import sysvar.risk
 import sysvar.scalarize
-from sysvar.risk import _ScenarioLabels
-from sysvar.util import ValidationError, max_violations
+from sysvar.util import VIOL_TOL, ValidationError, max_violations
 from conftest import (
     exp_scenarios,
+    plain_bisection,
     random_network,
     ring2,
     ring_grid_distance,
@@ -30,36 +33,23 @@ def bisection_instance():
                     alpha_frac=0.97, scale=0.2)
 
 
-def plain_bisection(net, grouping, scen, spec, j, box):
-    """Bisection along axis j with record-free membership calls only."""
-    def accepted(t):
-        z = np.array(box.hi, dtype=float)
-        z[j] = t
-        return sv.membership(net, grouping, scen, spec, z).accepted
-
-    if accepted(box.lo[j]):
-        return float(box.lo[j])
-    left, right = float(box.lo[j]), float(box.hi[j])
-    while right - left > 1e-6:
-        mid = 0.5 * (left + right)
-        if accepted(mid):
-            right = mid
-        else:
-            left = mid
-    return right
-
-
-def count_record_free_calls(monkeypatch):
-    """Count bisection_unit's membership calls made without a record."""
+def count_oracle_calls(monkeypatch):
+    """Record bisection_unit's membership calls."""
     calls = []
     real = sysvar.scalarize.membership
 
-    def spy(*args, labels=None):
-        calls.append(labels is None)
-        return real(*args, labels=labels)
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
 
     monkeypatch.setattr(sysvar.scalarize, "membership", spy)
     return calls
+
+
+def force_thresholds(monkeypatch, value):
+    """Make the ray-threshold search report ``value`` for every scenario."""
+    monkeypatch.setattr(sysvar.scalarize, "_ray_thresholds",
+                        lambda net, grouping, xs, *rest: np.full(len(xs), value))
 
 
 class TestBounds:
@@ -277,61 +267,147 @@ class TestBisection:
             bis = sv.bisection_unit(net, grouping, scen, spec, j)
             assert abs(milp.value - bis) <= 1e-5
 
-    def test_record_backed_bracket_is_confirmed_by_two_calls(self, monkeypatch):
+    def test_threshold_bracket_is_confirmed_by_two_calls(self, monkeypatch):
         net, grouping, scen, spec = bisection_instance()
         box = sv.z_bounds(net, grouping, scen)
         plain = [plain_bisection(net, grouping, scen, spec, j, box) for j in range(2)]
         assert all(lo < v for lo, v in zip(box.lo, plain))
-        calls = count_record_free_calls(monkeypatch)
-        labels = _ScenarioLabels(scen.n, grouping.g)
+        calls = count_oracle_calls(monkeypatch)
         for j in range(2):
             calls.clear()
-            assert sv.bisection_unit(net, grouping, scen, spec, j, box=box,
-                                     labels=labels) == plain[j]
-            # right accepted and left rejected without the record; no rerun
-            assert sum(calls) == 2
-        assert 0 < labels.rows_decided
+            work = Counter()
+            assert sysvar.scalarize._bisection_unit(net, grouping, scen, spec, j, box,
+                                                    work) == plain[j]
+            # right accepted and left rejected, with no rerun; the Newton
+            # steps clear fewer rows than the plain bisection's 22 calls
+            assert len(calls) == 2 and work["reruns"] == 0
+            assert work["rows_cleared"] < 22 * scen.n
 
     @pytest.mark.parametrize("where", ["top", "bottom", "below_top"])
     def test_wrong_record_falls_back_to_plain_bisection(self, monkeypatch, where):
-        # a record that labels every scenario wrongly at one point: failing
-        # at the top (the top is rejected), passing at the bottom (the floor
-        # is accepted), or failing just below the top (the left end of the
+        # a wrong record of ray thresholds: past the top (the top is
+        # predicted rejected), at the floor (the floor is predicted
+        # accepted), or just below the top (the left end of the predicted
         # bracket is acceptable)
         net, grouping, scen, spec = bisection_instance()
         box = sv.z_bounds(net, grouping, scen)
         plain = plain_bisection(net, grouping, scen, spec, 0, box)
-        z = {"top": box.hi, "bottom": box.lo,
-             "below_top": box.hi - np.array([1e-3, 0.0])}[where]
         assert box.lo[0] < plain < box.hi[0] - 1e-3
-        labels = _ScenarioLabels(scen.n, grouping.g)
-        labels.add(np.array(z, dtype=float), np.full(scen.n, where == "bottom"))
-        calls = count_record_free_calls(monkeypatch)
-        assert sv.bisection_unit(net, grouping, scen, spec, 0, box=box,
-                                 labels=labels) == plain
-        # the rerun makes every call of a plain bisection without the record
-        assert sum(calls) > 20
+        force_thresholds(monkeypatch, {"top": np.inf, "bottom": box.lo[0],
+                                       "below_top": box.hi[0] - 1e-3}[where])
+        calls = count_oracle_calls(monkeypatch)
+        work = Counter()
+        assert sysvar.scalarize._bisection_unit(net, grouping, scen, spec, 0, box,
+                                                work) == plain
+        # the rerun makes every call of a plain bisection
+        assert len(calls) > 20 and work["reruns"] == 1
+
+    def test_rejected_top_raises(self, rng):
+        # the top is rejected by the count (a box whose top is its floor)
+        # and by the orthant (the other group's top below the sample)
+        net, grouping, scen, spec = instance(rng, alpha_frac=0.99, lam=0.1)
+        box = sv.z_bounds(net, grouping, scen)
+        assert not sv.membership(net, grouping, scen, spec, box.lo).accepted
+        below = box.lo - np.array([0.0, 1.0])
+        for bad in (sv.CapitalBox(lo=box.lo, hi=box.lo),
+                    sv.CapitalBox(lo=below, hi=np.array([box.hi[0], below[1]]))):
+            with pytest.raises(ValidationError, match="empty even at the box top"):
+                sv.bisection_unit(net, grouping, scen, spec, 0, box=bad)
 
     def test_non_monotone_scenarios_fall_back_to_plain_bisection(self, monkeypatch):
         # two scenarios on the 2-ring, told apart by bank 1's cash; along
         # t = z_0, scenario A passes iff t >= 0.15 and scenario B iff
-        # t < 0.1 or t >= 0.5.  Record-free membership (both must pass) is
-        # monotone with threshold 0.5, but B's pass at t = 0 makes the
-        # record pass B everywhere, so the record-backed search would stop
-        # near 0.15
+        # t < 0.1 or t >= 0.5.  Membership (both must pass) is monotone with
+        # threshold 0.5, but B's pass at t = 0 gives it the ray threshold 0,
+        # and A's unit slope takes its Newton step from 0 to the top, so the
+        # predicted bracket would end near the top
         net = ring2([1.0, 1.0])
         grouping = sv.Grouping(g=2, assignment=np.array([0, 1]))
         scen = sv.ScenarioSet(values=np.array([[0.0, 0.0], [0.0, 1.0]]))
         spec = sv.RiskSpec(alpha=1.0, lam=0.1)
         box = sv.CapitalBox(lo=np.zeros(2), hi=np.ones(2))
 
-        def aggregates(net, xs):
+        def aggregates(net, xs, supergradients=False):
             t, is_b = xs[:, 0], xs[:, 1] > 1.5
             passes = np.where(is_b, (t < 0.1) | (t >= 0.5), t >= 0.15)
-            return np.where(passes, 2.0, 0.0)
+            values = np.where(passes, 2.0, 0.0)
+            return (values, np.ones(xs.shape)) if supergradients else values
 
         monkeypatch.setattr(sysvar.risk, "aggregate_en_many", aggregates)
+        monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", aggregates)
         assert plain_bisection(net, grouping, scen, spec, 0, box) == 0.5
-        calls = count_record_free_calls(monkeypatch)
+        calls = count_oracle_calls(monkeypatch)
         assert sv.bisection_unit(net, grouping, scen, spec, 0, box=box) == 0.5
-        assert sum(calls) > 20
+        assert len(calls) > 20
+
+
+class TestRayThresholds:
+    @staticmethod
+    def thresholds(net, grouping, scen, spec, j, box, work=None):
+        return sysvar.scalarize._ray_thresholds(
+            net, grouping, scen.values, spec.alpha, j, box.lo[j], box.hi,
+            Counter() if work is None else work)
+
+    def test_each_threshold_is_where_its_scenario_starts_to_pass(self, rng):
+        # low boxes, so some scenarios still fail at the top
+        kinds = set()
+        for _ in range(4):
+            net, grouping, scen, spec = instance(rng, d=6, n_scen=20, alpha_frac=0.99)
+            full = sv.z_bounds(net, grouping, scen)
+            box = sv.CapitalBox(lo=full.lo, hi=full.lo + 0.25 * (full.hi - full.lo))
+            for j in range(2):
+                ts = self.thresholds(net, grouping, scen, spec, j, box)
+                kinds.update("top" if np.isinf(t) else "floor" if t == box.lo[j]
+                             else "inside" for t in ts)
+
+                def passes(n, t):
+                    z = box.hi.copy()
+                    z[j] = t
+                    x = np.maximum(scen.values[n] + grouping.spread(z), 0.0)
+                    return sv.aggregate_en(net, x) >= spec.alpha - VIOL_TOL
+
+                for n, t in enumerate(ts):
+                    if np.isinf(t):
+                        assert not passes(n, box.hi[j])
+                    else:
+                        assert box.lo[j] <= t <= box.hi[j] and passes(n, t)
+                        assert t == box.lo[j] or not passes(n, t - 1e-7)
+        assert kinds == {"floor", "inside", "top"}
+
+    def test_zero_nan_and_tiny_slopes_leave_after_one_step(self, monkeypatch):
+        # every row fails at the floor: slope 0 and NaN never reach alpha,
+        # slope 1e-300 steps past the top, and slope 1e30 stalls in rounding
+        net, grouping, scen, spec = bisection_instance()
+        box = sv.z_bounds(net, grouping, scen)
+        slopes = np.array([0.0, np.nan, 1e-300, 1e30])
+        calls = []
+
+        def kernel(net, xs, supergradients=False):
+            calls.append(len(xs))
+            grads = np.zeros(xs.shape)
+            grads[:, grouping.assignment == 0] = slopes[:len(xs), None]
+            return np.zeros(len(xs)), grads
+
+        monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
+        few = sv.ScenarioSet(values=scen.values[:4])
+        ts = self.thresholds(net, grouping, few, spec, 0, box)
+        assert calls == [4]
+        assert np.array_equal(ts, [np.inf, np.inf, np.inf, np.nextafter(box.lo[0], np.inf)])
+
+    def test_newton_steps_are_capped(self, monkeypatch):
+        # steps of 1e-6 that never pass stop after 2d + 8, at their last iterate
+        net, grouping, scen, spec = bisection_instance()
+        box = sv.z_bounds(net, grouping, scen)
+        calls = []
+
+        def kernel(net, xs, supergradients=False):
+            calls.append(len(xs))
+            return np.zeros(len(xs)), np.full(xs.shape, spec.alpha * 1e6)
+
+        monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
+        work = Counter()
+        ts = self.thresholds(net, grouping, scen, spec, 0, box, work)
+        steps = 2 * net.d + 8
+        assert len(calls) == work["kernel_calls"] == steps
+        assert work["rows_cleared"] == steps * scen.n
+        assert np.all((box.lo[0] < ts) & (ts < box.lo[0] + 1e-4))
