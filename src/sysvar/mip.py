@@ -12,7 +12,11 @@ problem per round (a least-distance projection for quadratic objectives, a
 capital-space LP for linear ones).  Outer approximations only grow, so every
 intermediate solution already gives a valid lower bound, and on convergence
 the bound is the exact relaxation value; a fully fixed node (a leaf) is the
-same computation without the counting constraint.
+same computation without the counting constraint.  A node whose forced
+pattern has no cuts yet starts at the uncut point, the inner optimum with
+no cuts (the box projection of the center, or the box optimum of the
+weights); it is the same for every node of a solve, so each solve finds and
+clears it once.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ def _node_relax(
     y_fix: np.ndarray,
     hits: int,
     cut_cache: dict,
+    uncut: list,
 ) -> _Relaxation:
     """Solve a node relaxation (or a leaf) by outer supporting cuts.
 
@@ -105,6 +110,11 @@ def _node_relax(
     problem until the iterate satisfies everything, which happens after
     finitely many rounds because the aggregation function is piecewise
     linear in the capital vector.
+
+    A round without cuts solves the same inner problem at every node of a
+    solve, so ``uncut`` keeps the solve's first such round, ``(z, totals,
+    grads)``, and later ones reuse it without an inner solve or a clearing
+    call.
     """
     quadratic = model.center is not None
     grouping = model.grouping
@@ -147,9 +157,15 @@ def _node_relax(
     z = None
     converged = False
     for _ in range(_NODE_MAX_ROUNDS):
-        z = inner(pat_a + count_a, pat_b + count_b)
-        totals, grads = aggregate_en_many(
-            model.net, np.maximum(scen + grouping.spread(z), 0.0), supergradients=True)
+        rows, rhs = pat_a + count_a, pat_b + count_b
+        if rows or not uncut:
+            z = inner(rows, rhs)
+            totals, grads = aggregate_en_many(
+                model.net, np.maximum(scen + grouping.spread(z), 0.0), supergradients=True)
+            if not rows:
+                uncut.append((z, totals, grads))
+        else:
+            z, totals, grads = uncut[0]
         ok = True
         for n in forced:
             if violates(totals[n], model.alpha):
@@ -222,6 +238,8 @@ def branch_and_bound(
 
     if cut_cache is None:
         cut_cache = {}
+    # the first cut-free round of the solve, shared by every node
+    uncut: list = []
 
     inc_obj = np.inf
     inc_z: np.ndarray | None = None
@@ -235,7 +253,7 @@ def branch_and_bound(
             return leaf_memo[members]
         fix = np.zeros(n_scen, dtype=np.int8)
         fix[list(members)] = 1
-        relax = _node_relax(model, fix, hits, cut_cache)
+        relax = _node_relax(model, fix, hits, cut_cache, uncut)
         if not relax.converged:
             raise SolverError("leaf cut model failed to converge")
         out = (relax.z, relax.value)
@@ -275,7 +293,7 @@ def branch_and_bound(
     def evaluate(y_fix: np.ndarray) -> _Relaxation | None:
         if int((y_fix == 0).sum()) > n_scen - hits:
             return None
-        return _node_relax(model, y_fix, hits, cut_cache)
+        return _node_relax(model, y_fix, hits, cut_cache, uncut)
 
     root_fix = np.full(n_scen, -1, dtype=np.int8)
     root = evaluate(root_fix)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import ValidationError, as_array
+from .util import DEFAULT_TOL, ValidationError, as_array
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,17 @@ class DirectedMultigraph:
 
 
 class DerivedCache:
-    """Data derived from one (pi, pbar) pair, dropped once either changes.
+    """Data derived from one (pi, pbar) pair, rebuilt once either changes.
 
     The clearing kernel keeps its per-pattern linear systems in ``entries``
-    and their size in ``nbytes``.  The cache holds private copies of the
-    arrays it was built from and compares them on every ``valid_for``, so an
-    in-place edit of ``pi`` or ``pbar`` empties it.
+    and their size in ``nbytes``.  Next to them sit the per-network
+    constants of its solvent, one-step and range tests: ``solvent_floor``
+    (pbar - pi^T pbar), ``one_step`` (pbar pi), ``short_at``
+    (pbar - DEFAULT_TOL), ``pay_cap`` (pbar + 1e-9) and ``total`` (the sum
+    of pbar).  The cache holds private copies of the arrays it was built
+    from and compares their bytes on every ``valid_for``, so an in-place
+    edit of ``pi`` or ``pbar`` empties the entries and recomputes the
+    constants.
     """
 
     def __init__(self) -> None:
@@ -82,12 +87,17 @@ class DerivedCache:
         self.nbytes = 0
 
     def valid_for(self, pi: np.ndarray, pbar: np.ndarray) -> DerivedCache:
-        """This cache, emptied first unless it was built from (pi, pbar)."""
-        if not (self.pi is not None and np.array_equal(self.pi, pi)
-                and np.array_equal(self.pbar, pbar)):
+        """This cache, rebuilt first unless it was built from (pi, pbar)."""
+        if not (self.pi is not None and self.pi.tobytes() == pi.tobytes()
+                and self.pbar.tobytes() == pbar.tobytes()):
             self.pi, self.pbar = pi.copy(), pbar.copy()
             self.entries = {}
             self.nbytes = 0
+            self.solvent_floor = pbar - pi.T @ pbar
+            self.one_step = pbar @ pi
+            self.short_at = pbar - DEFAULT_TOL
+            self.pay_cap = pbar + 1e-9
+            self.total = float(pbar.sum())
         return self
 
 

@@ -208,20 +208,15 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
 
     Builds the grid from the box top down to the ideal point (or grid_lo),
     hands every point the traversal yields that is still unlabelled to
-    ``visit(grid, status, idx, labels)``, which must label at least that
-    point (status 1 acceptable, 2 not), and returns the minimal acceptable
-    points.  ``labels`` is the run's scenario-label record, which only the
-    visits use.  ``counts`` holds the visitor's counters for the ``event``
-    log line.
+    ``visit(grid, status, idx)``, which must label at least that point
+    (status 1 acceptable, 2 not), and returns the minimal acceptable
+    points.  ``counts`` holds the visitor's counters for the ``event`` log
+    line.
     """
     spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)
-    # the ideal point does not use the record; made after it instead, the
-    # record's preallocated arrays cost grid_clearing about 0.5 MB of peak
-    # RSS (glibc's dynamic mmap threshold places them differently)
-    labels = _ScenarioLabels(scenarios.n, grouping.g)
     if grid_lo is None:
         ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection")
         grid_lo = ideal - _IDEAL_MARGIN
@@ -230,7 +225,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     status = np.zeros(grid.shape, dtype=np.int8)
     for idx in _traversal(grid, status):
         if status[idx] == 0:
-            visit(grid, status, idx, labels)
+            visit(grid, status, idx)
     log_event(event, points=grid.size, **counts)
     return ApproxSet(
         epsilon=epsilon,
@@ -259,9 +254,13 @@ def approximate_by_clearing(
     distance of the sampled risk set.
     """
     counts = {"evaluations": 0, "rows_cleared": 0, "rows_decided": 0}
+    # the run's scenario-label record, which only the visits use.  It is
+    # made before the grid search computes the ideal point: made after it,
+    # the record's preallocated arrays cost about 0.5 MB of peak RSS
+    # (glibc's dynamic mmap threshold places them differently)
+    labels = _ScenarioLabels(scenarios.n, grouping.g)
 
-    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...],
-              labels: _ScenarioLabels) -> None:
+    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
         counts["evaluations"] += 1
         res = membership(net, grouping, scenarios, spec, grid.value(idx), labels=labels)
         _mark(status, idx, res.accepted)
@@ -298,8 +297,7 @@ def approximate_by_norm_min(
     counts = {"solves": 0, "fallbacks": 0}
     cut_cache: dict = {}
 
-    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...],
-              labels: _ScenarioLabels) -> None:
+    def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
         # every solve's membership call stays record-free
         z = grid.value(idx)
         res = norm_min(net, grouping, scenarios, spec, z, box=box,

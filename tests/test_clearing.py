@@ -316,6 +316,28 @@ class TestPatternSystems:
         assert np.array_equal(grads, grads0)
         assert np.array_equal(net.derived.pbar, net.pbar)
 
+    @pytest.mark.parametrize("edit", ["pi", "pbar"])
+    def test_in_place_edit_of_one_array_rebuilds_the_constants(self, rng, edit):
+        # rows just above the old solvent floor, where the one-step masks
+        # and the range bound decide, so stale constants would show
+        net = random_network(rng, 6)
+        floor = net.pbar - net.pi.T @ net.pbar
+        xs = rng.exponential(0.4, size=(200, 6))
+        xs[:60] = np.maximum(floor, 0.0) * rng.uniform(0.98, 1.05, size=(60, 6))
+        sv.aggregate_en_many(net, xs, supergradients=True)
+        if edit == "pi":
+            net.pi[0, 1:] = rng.dirichlet(np.ones(5))
+            net.pi[3, [0, 1, 2, 4, 5]] = rng.dirichlet(np.ones(5))
+        else:
+            net.pbar[:] = net.pbar * rng.uniform(0.8, 1.2, size=6)
+        fresh = sv.FinancialNetwork(d=6, pi=net.pi.copy(), pbar=net.pbar.copy())
+        totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
+        totals0, grads0 = sv.aggregate_en_many(fresh, xs, supergradients=True)
+        assert np.array_equal(totals, totals0)
+        assert np.array_equal(grads, grads0, equal_nan=True)
+        for name in ("solvent_floor", "one_step", "short_at", "pay_cap", "total"):
+            assert np.array_equal(getattr(net.derived, name), getattr(fresh.derived, name))
+
     def test_cache_is_not_part_of_the_network_value(self, rng, tmp_path):
         net = random_network(rng, 5)
         other = sv.FinancialNetwork(d=5, pi=net.pi, pbar=net.pbar)

@@ -411,3 +411,110 @@ class TestRayThresholds:
         assert len(calls) == work["kernel_calls"] == steps
         assert work["rows_cleared"] == steps * scen.n
         assert np.all((box.lo[0] < ts) & (ts < box.lo[0] + 1e-4))
+
+
+def readme_instance():
+    """The README network (gen-network --seed 7) with its 10-scenario sample
+    (sample-shocks --n 10 --seed 11) and the README risk parameters."""
+    graph = sv.generate_bollobas(sv.BollobasParams(
+        theta=0.2, eta=0.6, zeta=0.2, delta_in=0.5, delta_out=0.5,
+        target_nodes=20, seed=7))
+    net, grouping = sv.build_liabilities(graph, 4, sv.IntergroupLiabilityMatrix(
+        values=np.array([[400.0, 200.0], [300.0, 150.0]])))
+    scen = sv.sample_shocks(sv.ShockParams(
+        nu=3.0, beta_by_group=np.array([100.0, 50.0]), rho=0.3, n=10, seed=11), grouping)
+    spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=0.2)
+    return net, grouping, scen, spec
+
+
+# the README instance's solutions: z and objective bits, nodes, gap and the
+# incumbent trace, and the kernel calls one solve made when every node
+# cleared its own uncut first round
+README_SOLUTIONS = {
+    "weights": dict(
+        z=["-0x1.b63b8e544e220p-3", "0x1.9d10cd4e4a104p+7"],
+        objective="0x1.9ca33e6ab4fcbp+7", nodes=2, gap=0.0,
+        trace=[(0, "0x1.9fc15886c886cp+7"), (2, "0x1.9ca33e6ab4fcbp+7")],
+        kernel_calls=36),
+    "point": dict(
+        z=["0x1.1cc13a08ddd12p+6", "0x1.63f1888b15456p+7"],
+        objective="0x1.1f0b8b9d952e1p+15", nodes=2, gap=0.0,
+        trace=[(0, "0x1.23656b4d6e909p+15"), (2, "0x1.1f0b8b9d952e1p+15")],
+        kernel_calls=37),
+}
+
+
+def scalarize(mode, net, grouping, scen, spec):
+    if mode == "weights":
+        return sv.weighted_sum(net, grouping, scen, spec, np.ones(2))
+    return sv.norm_min(net, grouping, scen, spec, np.zeros(2))
+
+
+class TestUncutPoint:
+    @pytest.mark.parametrize("mode", ["weights", "point"])
+    def test_each_solve_clears_the_uncut_point_once(self, monkeypatch, mode):
+        net, grouping, scen, spec = readme_instance()
+        solves, starts = [], []
+        bnb = sysvar.scalarize.branch_and_bound
+        relax = sysvar.mip._node_relax
+        kernel = sysvar.mip.aggregate_en_many
+
+        def spy_bnb(*args, **kwargs):
+            solves.append([])
+            return bnb(*args, **kwargs)
+
+        def spy_relax(model, y_fix, hits, cut_cache, *rest):
+            # the node's kind, and whether its forced pattern has no cuts yet
+            forced = frozenset(np.flatnonzero(y_fix == 1).tolist())
+            kind = ("root" if np.all(y_fix == -1) else "leaf" if np.all(y_fix != -1)
+                    else "value-0 child" if np.any(y_fix == 0) else "value-1 child")
+            starts.append((kind, not cut_cache.get(forced, ([], []))[0]))
+            return relax(model, y_fix, hits, cut_cache, *rest)
+
+        def spy_kernel(net, xs, supergradients=False):
+            solves[-1].append(xs.tobytes())
+            return kernel(net, xs, supergradients)
+
+        monkeypatch.setattr(sysvar.scalarize, "branch_and_bound", spy_bnb)
+        monkeypatch.setattr(sysvar.mip, "_node_relax", spy_relax)
+        monkeypatch.setattr(sysvar.mip, "aggregate_en_many", spy_kernel)
+        res = scalarize(mode, net, grouping, scen, spec)
+        assert len(solves) == 1
+        inputs = solves[0]
+        # the root starts uncut, so its first clearing is the uncut point;
+        # a value-0 child and a fresh leaf start uncut too and reuse it
+        assert starts[0] == ("root", True)
+        uncut = {kind for kind, fresh in starts[1:] if fresh}
+        assert {"value-0 child", "leaf"} <= uncut
+        assert inputs.count(inputs[0]) == 1
+        # every other round is cleared as before: only the reused ones are gone
+        pins = README_SOLUTIONS[mode]
+        reused = sum(fresh for _, fresh in starts) - 1
+        assert len(inputs) + reused == pins["kernel_calls"]
+
+        sol = res.solution
+        assert [float(v).hex() for v in sol.z] == pins["z"]
+        assert sol.objective.hex() == pins["objective"]
+        assert sol.nodes == pins["nodes"] and sol.gap == pins["gap"]
+        assert [(k, v.hex()) for k, v in sol.incumbent_trace] == pins["trace"]
+
+    def test_readme_solutions_match_the_subset_oracle(self):
+        # the criterion-4 oracle enumerates the scenario subsets of the
+        # required size, one LP each
+        net, grouping, scen, spec = readme_instance()
+        box = sv.z_bounds(net, grouping, scen)
+        z = {mode: np.array([float.fromhex(v) for v in pins["z"]])
+             for mode, pins in README_SOLUTIONS.items()}
+        ws = float.fromhex(README_SOLUTIONS["weights"]["objective"])
+        assert ws == pytest.approx(subset_oracle_weighted(net, grouping, scen, spec,
+                                                          np.ones(2), box), abs=1e-6)
+        assert ws == pytest.approx(z["weights"].sum(), abs=1e-9)
+        # least distance from the origin: its optimum is in the set, and no
+        # point of the set is closer, since every z in the set has
+        # |z| >= u.z >= min over the set of u.z for the unit vector u
+        # towards that optimum
+        distance = np.sqrt(float.fromhex(README_SOLUTIONS["point"]["objective"]))
+        assert np.linalg.norm(z["point"]) == pytest.approx(distance, rel=1e-12)
+        assert sv.membership(net, grouping, scen, spec, z["point"]).accepted
+        u = z["point"] / np.linalg.norm(z["point"])
+        assert subset_oracle_weighted(net, grouping, scen, spec, u, box) >= distance - 1e-6
