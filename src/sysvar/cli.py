@@ -13,6 +13,7 @@ configuration but never timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -392,9 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing keeps no state in the parser, and a
+    # process that calls main many times pays for the build once
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonLineFormatter())

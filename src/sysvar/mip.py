@@ -16,7 +16,9 @@ same computation without the counting constraint.  A node whose forced
 pattern has no cuts yet starts at the uncut point, the inner optimum with
 no cuts (the box projection of the center, or the box optimum of the
 weights); it is the same for every node of a solve, so each solve finds and
-clears it once.
+clears it once.  Likewise each solve checks the capital box and builds its
+projector rows once (``optim.Box``), and keeps every pattern's cuts as
+arrays that grow by the rows of each round.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 # The name stays bound because bench/tracing.py wraps sysvar.mip.en_supergradient.
 from .clearing import aggregate_en_many, en_supergradient  # noqa: F401
 from .network import FinancialNetwork, Grouping
-from .optim import LinearProgram, min_norm_qp, solve_lp
+from .optim import Box, LinearProgram, min_norm_qp, solve_lp
 from .risk import CapitalBox, RiskSpec
 from .shocks import ScenarioSet
 from .util import (
@@ -92,6 +94,29 @@ class _Relaxation:
     totals: np.ndarray
     converged: bool
     feasible_point: bool   # the relaxation optimum already satisfies the count
+    rounds: int            # cut rounds, a reused uncut round included
+
+
+@dataclass(frozen=True)
+class _SolveData:
+    """What every node relaxation of one solve shares, built once per solve."""
+
+    box: Box              # the capital box, checked, with the projector's rows
+    scen: np.ndarray      # scenario cash flows
+    bmat: np.ndarray      # the grouping matrix in floats
+    target: np.ndarray    # the center (least distance) or the weights (linear)
+    no_cuts: tuple        # an empty cut set: 0 x g rows and 0 right-hand sides
+
+    @classmethod
+    def of(cls, model: ScenarioMip) -> _SolveData:
+        target = model.center if model.center is not None else model.weights
+        return cls(
+            box=Box(model.z_lower, model.z_upper),
+            scen=np.asarray(model.scenarios.values, dtype=float),
+            bmat=model.grouping.matrix.astype(float),
+            target=np.asarray(target, dtype=float),
+            no_cuts=(np.empty((0, model.grouping.g)), np.empty(0)),
+        )
 
 
 def _node_relax(
@@ -100,16 +125,19 @@ def _node_relax(
     hits: int,
     cut_cache: dict,
     uncut: list,
+    data: _SolveData,
 ) -> _Relaxation:
     """Solve a node relaxation (or a leaf) by outer supporting cuts.
 
     Cuts for the forced pattern are facets of that pattern's region and are
-    shared through ``cut_cache`` across nodes and repeated solves; counting
-    cuts depend on the node's free set and stay local.  The loop adds one
-    supergradient cut per violated constraint and re-solves the small inner
-    problem until the iterate satisfies everything, which happens after
-    finitely many rounds because the aggregation function is piecewise
-    linear in the capital vector.
+    shared through ``cut_cache`` across nodes and repeated solves, as a pair
+    of arrays (rows, right-hand sides); counting cuts depend on the node's
+    free set and stay local.  The inner problem takes the pattern cuts
+    first, then the counting cuts.  The loop adds one supergradient cut per
+    violated constraint and re-solves the small inner problem until the
+    iterate satisfies everything, which happens after finitely many rounds
+    because the aggregation function is piecewise linear in the capital
+    vector.
 
     A round without cuts solves the same inner problem at every node of a
     solve, so ``uncut`` keeps the solve's first such round, ``(z, totals,
@@ -117,85 +145,73 @@ def _node_relax(
     call.
     """
     quadratic = model.center is not None
-    grouping = model.grouping
-    scen = np.asarray(model.scenarios.values, dtype=float)
-    n_scen = scen.shape[0]
-    bmat = grouping.matrix.astype(float)
+    box = data.box
     forced = np.flatnonzero(y_fix == 1)
     free = np.flatnonzero(y_fix == -1)
     need = hits - forced.size
-
-    key = frozenset(int(n) for n in forced)
-    pat_a, pat_b = cut_cache.setdefault(key, ([], []))
-    count_a: list[np.ndarray] = []
-    count_b: list[float] = []
-
-    if quadratic:
-        v = np.asarray(model.center, dtype=float)
-    else:
-        w = np.asarray(model.weights, dtype=float)
+    key = frozenset(forced.tolist())
+    count_a, count_b = data.no_cuts
 
     def inner(rows, rhs) -> np.ndarray:
         if quadratic:
-            a = np.asarray(rows) if rows else None
-            b = np.asarray(rhs) if rhs else None
-            res = min_norm_qp(v, a, b, model.z_lower, model.z_upper)
-            return np.clip(res.z, model.z_lower, model.z_upper)
-        lp = LinearProgram(
-            c=w,
-            a_ub=np.asarray(rows) if rows else None,
-            b_ub=np.asarray(rhs) if rhs else None,
-            lower=np.asarray(model.z_lower, dtype=float),
-            upper=np.asarray(model.z_upper, dtype=float),
-        )
-        res = solve_lp(lp)
+            res = min_norm_qp(data.target, rows, rhs, box)
+            return np.clip(res.z, box.lower, box.upper)
+        res = solve_lp(LinearProgram(c=data.target, a_ub=rows, b_ub=rhs,
+                                     lower=box.lower, upper=box.upper))
         if res.status != "optimal":
             # valid cuts always keep the box top feasible
             raise SolverError(f"cut relaxation returned status {res.status}")
-        return np.clip(res.x, model.z_lower, model.z_upper)
+        return np.clip(res.x, box.lower, box.upper)
 
     z = None
     converged = False
-    for _ in range(_NODE_MAX_ROUNDS):
-        rows, rhs = pat_a + count_a, pat_b + count_b
-        if rows or not uncut:
+    for rounds in range(1, _NODE_MAX_ROUNDS + 1):
+        pat_a, pat_b = cut_cache.get(key, data.no_cuts)
+        rows, rhs = pat_a, pat_b
+        if count_b.size:
+            rows, rhs = np.concatenate([pat_a, count_a]), np.concatenate([pat_b, count_b])
+        if rhs.size or not uncut:
             z = inner(rows, rhs)
             totals, grads = aggregate_en_many(
-                model.net, np.maximum(scen + grouping.spread(z), 0.0), supergradients=True)
-            if not rows:
+                model.net, np.maximum(data.scen + model.grouping.spread(z), 0.0),
+                supergradients=True)
+            if not rhs.size:
                 uncut.append((z, totals, grads))
         else:
             z, totals, grads = uncut[0]
         ok = True
-        for n in forced:
-            if violates(totals[n], model.alpha):
-                slope = bmat @ grads[n]
-                pat_a.append(-slope)
-                pat_b.append(float(totals[n] - slope @ z - model.alpha))
-                ok = False
+        short = forced[violates(totals[forced], model.alpha)]
+        if short.size:
+            slopes = [data.bmat @ grads[n] for n in short]
+            cut_cache[key] = (
+                np.concatenate([pat_a, -np.array(slopes)]),
+                np.concatenate([pat_b, [totals[n] - slope @ z - model.alpha
+                                        for n, slope in zip(short, slopes)]]),
+            )
+            ok = False
         if need > 0 and free.size:
             caps = np.minimum(totals[free] / model.alpha, 1.0)
             phi = float(caps.sum())
             if phi < need - 1e-9:
-                slope = np.zeros(grouping.g)
+                slope = np.zeros(model.grouping.g)
                 for n in free[caps < 1.0]:
-                    slope += (bmat @ grads[n]) / model.alpha
-                count_a.append(-slope)
-                count_b.append(float(phi - slope @ z - need))
+                    slope += (data.bmat @ grads[n]) / model.alpha
+                count_a = np.concatenate([count_a, -slope[None, :]])
+                count_b = np.concatenate([count_b, [phi - slope @ z - need]])
                 ok = False
         if ok:
             converged = True
             break
 
-    y_frac = np.zeros(n_scen)
+    y_frac = np.zeros(data.scen.shape[0])
     y_frac[forced] = 1.0
     if free.size:
         y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / model.alpha, 1.0)
     passing = forced.size + int(np.count_nonzero(~violates(totals[free], model.alpha)))
-    value = float(np.sum((v - z) ** 2)) if quadratic else float(w @ z)
+    value = float(np.sum((data.target - z) ** 2)) if quadratic else float(data.target @ z)
     return _Relaxation(
         value=value, z=z, y_frac=y_frac, totals=totals,
-        converged=converged, feasible_point=passing >= hits,
+        converged=converged, feasible_point=passing >= hits, rounds=rounds,
     )
 
 
@@ -238,8 +254,10 @@ def branch_and_bound(
 
     if cut_cache is None:
         cut_cache = {}
-    # the first cut-free round of the solve, shared by every node
+    # the first cut-free round of the solve, shared by every node, and the
+    # data every node reads, both built once per solve
     uncut: list = []
+    data = _SolveData.of(model)
 
     inc_obj = np.inf
     inc_z: np.ndarray | None = None
@@ -253,7 +271,7 @@ def branch_and_bound(
             return leaf_memo[members]
         fix = np.zeros(n_scen, dtype=np.int8)
         fix[list(members)] = 1
-        relax = _node_relax(model, fix, hits, cut_cache, uncut)
+        relax = _node_relax(model, fix, hits, cut_cache, uncut, data)
         if not relax.converged:
             raise SolverError("leaf cut model failed to converge")
         out = (relax.z, relax.value)
@@ -293,7 +311,7 @@ def branch_and_bound(
     def evaluate(y_fix: np.ndarray) -> _Relaxation | None:
         if int((y_fix == 0).sum()) > n_scen - hits:
             return None
-        return _node_relax(model, y_fix, hits, cut_cache, uncut)
+        return _node_relax(model, y_fix, hits, cut_cache, uncut, data)
 
     root_fix = np.full(n_scen, -1, dtype=np.int8)
     root = evaluate(root_fix)

@@ -10,7 +10,9 @@ switching to Bland's rule after a run of degenerate steps to guarantee
 termination.  ``min_norm_qp`` projects a point onto a polyhedron of any
 dimension through Lawson and Hanson's reduction of the least-distance
 program to a nonnegative least-squares problem, solved by their active-set
-method in numpy.
+method in numpy.  Its bounds come as a ``Box``, which checks them and
+builds their rows once, so a caller that projects many times onto cuts
+inside one box (a branch-and-bound solve) pays for that once.
 """
 
 from __future__ import annotations
@@ -306,14 +308,42 @@ def _nnls(e: np.ndarray) -> np.ndarray:
     raise SolverError("least-distance NNLS reached its iteration cap")
 
 
+class Box:
+    """Finite bounds lower <= z <= upper, checked once, with the projector's box rows.
+
+    ``rows`` and ``rhs`` hold the 2g box inequalities per axis, z_j <=
+    upper_j then -z_j <= -lower_j.  ``min_norm_qp`` places them after the
+    cut rows; that row order is NNLS's column order, which fixes its pivots.
+    A solve that projects many times builds one box and passes it to every
+    call.  The arrays are read-only, since calls share them.
+    """
+
+    __slots__ = ("lower", "upper", "rows", "rhs")
+
+    def __init__(self, lower, upper):
+        lower, upper = _finite_bounds(lower, upper)
+        if lower.ndim != 1 or lower.shape != upper.shape:
+            raise ValidationError("box bounds must be two vectors of one length")
+        g = lower.size
+        axis = np.arange(g)
+        rows = np.zeros((2 * g, g))
+        rows[2 * axis, axis] = 1.0
+        rows[2 * axis + 1, axis] = -1.0
+        # copies, so that freezing them leaves the caller's arrays writable
+        self.lower, self.upper = lower.copy(), upper.copy()
+        self.rows = rows
+        self.rhs = np.column_stack([upper, -lower]).ravel()
+        for arr in (self.lower, self.upper, self.rows, self.rhs):
+            arr.flags.writeable = False
+
+
 def min_norm_qp(
     v: np.ndarray,
     a_ub: np.ndarray | None,
     b_ub: np.ndarray | None,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    box: Box,
 ) -> QpResult:
-    """Project v onto {a_ub z <= b_ub, lower <= z <= upper}, bounds finite.
+    """Project v onto {a_ub z <= b_ub, box.lower <= z <= box.upper}.
 
     With u = z - v and s = b - A v, the least-distance program
     min ||u|| s.t. A u <= s reduces to the NNLS min ||E w - f||, w >= 0, for
@@ -326,32 +356,29 @@ def min_norm_qp(
     """
     v = np.asarray(v, dtype=float)
     g = v.size
-    lower, upper = _finite_bounds(lower, upper)
-    # box rows after the cut rows, per axis z_j <= upper_j then -z_j <= -lower_j;
-    # the row order is NNLS's column order, which fixes its pivots
-    axis = np.arange(g)
-    big_a = np.zeros((2 * g, g))
-    big_a[2 * axis, axis] = 1.0
-    big_a[2 * axis + 1, axis] = -1.0
-    big_b = np.column_stack([upper, -lower]).ravel()
+    if box.lower.shape != v.shape:
+        raise ValidationError("the point and the box differ in dimension")
+    big_a, big_b = box.rows, box.rhs
     if a_ub is not None and len(a_ub):
-        big_a = np.vstack([np.asarray(a_ub, dtype=float), big_a])
+        big_a = np.concatenate([np.asarray(a_ub, dtype=float), big_a])
         big_b = np.concatenate([np.asarray(b_ub, dtype=float), big_b])
 
-    if np.all(big_a @ v <= big_b + 1e-9):
+    av = big_a @ v
+    if (av <= big_b + 1e-9).all():
         return QpResult(z=v.copy(), distance=0.0)
 
     # u is measured in units of the largest slack so that the residual test
     # below does not depend on the scale of the capital
-    slack = big_b - big_a @ v
+    slack = big_b - av
     scale = float(np.abs(slack).max())
-    big_e = np.vstack([-big_a.T, -slack[None, :] / scale])
-    norms = np.linalg.norm(big_e, axis=0)
+    big_e = np.concatenate([-big_a.T, -slack[None, :] / scale])
+    # the column norms as np.linalg.norm(big_e, axis=0) computes them
+    norms = np.sqrt(np.add.reduce(big_e * big_e, axis=0))
     big_e /= np.where(norms > 0.0, norms, 1.0)
     w = _nnls(big_e)
     r = big_e @ w
     r[g] -= 1.0
-    if np.linalg.norm(r) <= _EMPTY_TOL:
+    if np.sqrt(r.dot(r)) <= _EMPTY_TOL:
         raise ValidationError("min_norm_qp called on an empty region")
 
     active = np.flatnonzero(w > 0.0)
@@ -364,4 +391,5 @@ def min_norm_qp(
     except np.linalg.LinAlgError:
         solved = False
     z = v - a_s.T @ lam if solved else v - scale * r[:g] / r[g]
-    return QpResult(z=z, distance=float(np.linalg.norm(v - z)))
+    u = v - z
+    return QpResult(z=z, distance=float(np.sqrt(u.dot(u))))

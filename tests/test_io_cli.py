@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sysvar as sv
+import sysvar.cli
 import sysvar.risk
 from sysvar import io
 from sysvar.cli import main
@@ -451,3 +452,61 @@ class TestCli:
         payload = json.load(open(out))
         assert 0.0 <= payload["cpi"] <= 1.0
 
+
+class TestOneProcess:
+    # the README instance at N = 10, as the benchmark runs it: every
+    # subcommand in one process through sysvar.cli.main
+    STEPS = [
+        ("net.json", ["gen-network", "--nodes", "20", "--core-size", "4", "--theta", "0.2",
+                      "--eta", "0.6", "--zeta", "0.2", "--delta-in", "0.5",
+                      "--delta-out", "0.5", "--m", "400,200,300,150", "--seed", "7",
+                      "--out", "net.json"]),
+        ("scen.csv", ["sample-shocks", "--network", "net.json", "--nu", "3",
+                      "--beta", "100,50", "--rho", "0.3", "--n", "10", "--seed", "11",
+                      "--out", "scen.csv"]),
+        ("ws.json", ["scalarize", "--network", "net.json", "--scenarios", "scen.csv",
+                     "--alpha-frac", "0.8", "--lambda", "0.2", "--weights", "1,1",
+                     "--out", "ws.json"]),
+        ("nm.json", ["scalarize", "--network", "net.json", "--scenarios", "scen.csv",
+                     "--alpha-frac", "0.8", "--lambda", "0.2", "--point", "0,0",
+                     "--out", "nm.json"]),
+        ("a2.json", ["saa", "--network", "net.json", "--scenarios", "scen.csv",
+                     "--alpha-frac", "0.8", "--lambda", "0.2", "--epsilon", "200",
+                     "--algo", "2", "--out", "a2.json"]),
+    ]
+
+    def test_one_parser_writes_the_bytes_of_fresh_processes(self, tmp_path, monkeypatch):
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        builds = []
+        build = sysvar.cli.build_parser
+
+        def spy():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(sysvar.cli, "build_parser", spy)
+        sysvar.cli._parser.cache_clear()
+        monkeypatch.chdir(one)
+        for _, argv in self.STEPS:
+            assert run_cli(*argv) == 0
+        assert len(builds) == 1
+        env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+        for _, argv in self.STEPS:
+            subprocess.run([sys.executable, "-m", "sysvar.cli", *argv], cwd=fresh,
+                           env=env, check=True)
+        for name, _ in self.STEPS:
+            assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_debug_level_does_not_outlive_its_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for _, argv in self.STEPS[:2]:
+            assert run_cli(*argv) == 0
+        saa = self.STEPS[-1][1]
+        capsys.readouterr()
+        assert run_cli("--log-level", "DEBUG", *saa) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert events and all(isinstance(event, dict) for event in events)
+        assert run_cli(*saa) == 0
+        assert capsys.readouterr().err == ""

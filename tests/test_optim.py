@@ -3,7 +3,7 @@ import pytest
 
 import sysvar as sv
 import sysvar.optim
-from sysvar.optim import LinearProgram, min_norm_qp, solve_lp
+from sysvar.optim import Box, LinearProgram, min_norm_qp, solve_lp
 from sysvar.util import SolverError, ValidationError, required_hits
 from conftest import (
     exp_scenarios,
@@ -69,7 +69,7 @@ class TestSolveLp:
             solve_lp(LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                                    lower=lower, upper=np.ones(2)))
         with pytest.raises(ValidationError):
-            min_norm_qp(np.zeros(2), None, None, lower, np.ones(2))
+            Box(lower, np.ones(2))
 
     def test_step_without_blocking_bound_raises(self, monkeypatch):
         # x1 enters on a pivot of -10; the slack that later enters moves x1
@@ -163,7 +163,7 @@ class TestSolveLp:
 class TestMinNormQp:
     def test_interior_point_is_fixed(self):
         res = min_norm_qp(np.array([0.2, 0.3]), None, None,
-                          np.zeros(2), np.ones(2))
+                          Box(np.zeros(2), np.ones(2)))
         assert res.distance == 0.0
         assert np.allclose(res.z, [0.2, 0.3])
 
@@ -171,7 +171,7 @@ class TestMinNormQp:
         res = min_norm_qp(np.array([0.0, 0.0]),
                           np.array([[-1.0, 0.0], [0.0, -1.0]]),
                           np.array([-1.0, -1.0]),
-                          np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+                          Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
         assert np.allclose(res.z, [1.0, 1.0])
         assert res.distance == pytest.approx(np.sqrt(2.0))
 
@@ -186,10 +186,60 @@ class TestMinNormQp:
                 k = rng.integers(0, len(a), size=2)
                 a, b = np.vstack([a, a[k]]), np.concatenate([b, b[k]])
             v = rng.uniform(-3.0, 3.0, size=g) * rng.choice([1.0, 100.0])
-            res = min_norm_qp(v, a, b, np.full(g, -1.0), np.full(g, 1.5))
+            res = min_norm_qp(v, a, b, Box(np.full(g, -1.0), np.full(g, 1.5)))
             assert_kkt(v, a, b, np.full(g, -1.0), np.full(g, 1.5), res)
             projected += res.distance > 0
         assert projected > 300
+
+    def test_reused_box_gives_the_bits_of_a_fresh_one(self, rng):
+        # one box per dimension serves every call, as in a branch-and-bound
+        # solve; duplicated cut rows, points inside the region and calls
+        # without cuts are mixed in.  Both also match the reference
+        # formulation bit for bit, which pins the NNLS column order
+        def fresh(g):
+            return Box(np.full(g, -1.0), np.full(g, 1.5))
+
+        boxes = {g: fresh(g) for g in range(1, 9)}
+        inside = projected = 0
+        for _ in range(400):
+            g = int(rng.integers(1, 9))
+            a = rng.normal(size=(int(rng.integers(1, 3 * g + 2)), g))
+            a *= rng.choice([1e-3, 1.0, 10.0], size=(len(a), 1))
+            c = rng.uniform(0.2, 0.8, size=g)
+            b = a @ c + rng.uniform(0.0, 0.3, size=len(a))
+            if rng.random() < 0.4:
+                k = rng.integers(0, len(a), size=2)
+                a, b = np.vstack([a, a[k]]), np.concatenate([b, b[k]])
+            if rng.random() < 0.1:
+                a = b = None
+            v = c if rng.random() < 0.2 else rng.uniform(-3.0, 3.0, size=g)
+            shared = min_norm_qp(v, a, b, boxes[g])
+            alone = min_norm_qp(v, a, b, fresh(g))
+            ref = reference_projection(v, a, b, np.full(g, -1.0), np.full(g, 1.5))
+            for res in (alone, ref):
+                assert shared.z.tobytes() == res.z.tobytes()
+                assert shared.distance.hex() == res.distance.hex()
+            inside += shared.distance == 0.0
+            projected += shared.distance > 0.0
+        assert inside > 50 and projected > 250
+        for g, box in boxes.items():
+            assert box.rows.tobytes() == fresh(g).rows.tobytes()
+            assert box.rhs.tobytes() == fresh(g).rhs.tobytes()
+            with pytest.raises(ValueError):
+                box.rows[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_box_rejects_non_finite_bounds(self, bad):
+        with pytest.raises(ValidationError):
+            Box(np.array([0.0, bad]), np.ones(2))
+        with pytest.raises(ValidationError):
+            Box(np.zeros(2), np.array([bad, 1.0]))
+
+    def test_box_and_point_dimensions_must_agree(self):
+        with pytest.raises(ValidationError):
+            Box(np.zeros(2), np.ones(3))
+        with pytest.raises(ValidationError):
+            min_norm_qp(np.zeros(3), None, None, Box(np.zeros(2), np.ones(2)))
 
     def test_singular_gram_takes_residual_path(self, monkeypatch):
         # duplicated rows give NNLS identical columns, so splitting a freed
@@ -218,7 +268,7 @@ class TestMinNormQp:
         b = np.array([-2.0, 3.0, -2.0])
         v = np.array([0.0, 0.0])
         lo, hi = np.full(2, -5.0), np.full(2, 5.0)
-        res = min_norm_qp(v, a, b, lo, hi)
+        res = min_norm_qp(v, a, b, Box(lo, hi))
         assert len(grams) == 1 and np.linalg.matrix_rank(grams[0]) == 1
         assert_kkt(v, a, b, lo, hi, res)
         assert np.allclose(res.z, [0.4, 0.8], atol=1e-12)
@@ -227,7 +277,7 @@ class TestMinNormQp:
         monkeypatch.setattr(sysvar.optim, "_NNLS_ROUNDS_PER_ROW", 0)
         with pytest.raises(SolverError):
             min_norm_qp(np.zeros(2), np.array([[-1.0, -1.0]]), np.array([-1.0]),
-                        np.zeros(2), np.ones(2))
+                        Box(np.zeros(2), np.ones(2)))
 
     def test_matches_dense_grid_scan(self, rng):
         for _ in range(5):
@@ -235,7 +285,7 @@ class TestMinNormQp:
             b = a @ rng.uniform(0.2, 0.8, size=2) + rng.uniform(0.05, 0.3, size=10)
             lo, hi = np.array([-1.0, -1.0]), np.array([1.5, 1.5])
             v = rng.uniform(-1.0, 1.5, size=2)
-            res = min_norm_qp(v, a, b, lo, hi)
+            res = min_norm_qp(v, a, b, Box(lo, hi))
             step = 1e-3
             xs = np.arange(lo[0], hi[0] + step, step)
             ys = np.arange(lo[1], hi[1] + step, step)
@@ -253,7 +303,42 @@ class TestMinNormQp:
             min_norm_qp(np.zeros(2),
                         np.array([[1.0, 0.0], [-1.0, 0.0]]),
                         np.array([-1.0, -1.0]),
-                        np.full(2, -5.0), np.full(2, 5.0))
+                        Box(np.full(2, -5.0), np.full(2, 5.0)))
+
+
+def reference_projection(v, a, b, lower, upper):
+    """The projector written out per call: box rows built and stacked after
+    the cut rows, per axis z_j <= upper_j then -z_j <= -lower_j, and every
+    norm taken with np.linalg.norm."""
+    g = v.size
+    big_a = np.zeros((2 * g, g))
+    big_a[2 * np.arange(g), np.arange(g)] = 1.0
+    big_a[2 * np.arange(g) + 1, np.arange(g)] = -1.0
+    big_b = np.column_stack([upper, -lower]).ravel()
+    if a is not None:
+        big_a, big_b = np.vstack([a, big_a]), np.concatenate([b, big_b])
+    if np.all(big_a @ v <= big_b + 1e-9):
+        return sysvar.optim.QpResult(z=v.copy(), distance=0.0)
+    slack = big_b - big_a @ v
+    scale = float(np.abs(slack).max())
+    big_e = np.vstack([-big_a.T, -slack[None, :] / scale])
+    norms = np.linalg.norm(big_e, axis=0)
+    big_e /= np.where(norms > 0.0, norms, 1.0)
+    w = sysvar.optim._nnls(big_e)
+    r = big_e @ w
+    r[g] -= 1.0
+    assert np.linalg.norm(r) > sysvar.optim._EMPTY_TOL
+    active = np.flatnonzero(w > 0.0)
+    a_s = big_a[active]
+    gram = a_s @ a_s.T
+    r_s = a_s @ v - big_b[active]
+    try:
+        lam = np.linalg.solve(gram, r_s)
+        solved = np.abs(gram @ lam - r_s).max() <= 1e-8 * max(1.0, np.abs(r_s).max())
+    except np.linalg.LinAlgError:
+        solved = False
+    z = v - a_s.T @ lam if solved else v - scale * r[:g] / r[g]
+    return sysvar.optim.QpResult(z=z, distance=float(np.linalg.norm(v - z)))
 
 
 def assert_kkt(v, a, b, lower, upper, res):

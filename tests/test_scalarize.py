@@ -468,7 +468,7 @@ class TestUncutPoint:
             forced = frozenset(np.flatnonzero(y_fix == 1).tolist())
             kind = ("root" if np.all(y_fix == -1) else "leaf" if np.all(y_fix != -1)
                     else "value-0 child" if np.any(y_fix == 0) else "value-1 child")
-            starts.append((kind, not cut_cache.get(forced, ([], []))[0]))
+            starts.append((kind, not len(cut_cache.get(forced, ((), ()))[0])))
             return relax(model, y_fix, hits, cut_cache, *rest)
 
         def spy_kernel(net, xs, supergradients=False):
@@ -518,3 +518,52 @@ class TestUncutPoint:
         assert sv.membership(net, grouping, scen, spec, z["point"]).accepted
         u = z["point"] / np.linalg.norm(z["point"])
         assert subset_oracle_weighted(net, grouping, scen, spec, u, box) >= distance - 1e-6
+
+
+# the branch-and-bound work of the README instance's three solves: solves,
+# nodes, node relaxations, cut rounds (a reused uncut round included),
+# inner LP and QP solves, and kernel calls of branch-and-bound and of the
+# membership oracle
+README_WORK = {
+    "weights": dict(solves=1, nodes=2, relaxations=7, rounds=36, lp=30, qp=0,
+                    kernel=30, membership_kernel=0),
+    "point": dict(solves=1, nodes=2, relaxations=7, rounds=37, lp=0, qp=31,
+                  kernel=31, membership_kernel=1),
+    "algo2": dict(solves=26, nodes=46, relaxations=147, rounds=266, lp=0, qp=212,
+                  kernel=212, membership_kernel=29),
+}
+
+
+class TestBranchAndBoundWork:
+    @pytest.mark.parametrize("mode", list(README_WORK))
+    def test_readme_work_is_pinned(self, monkeypatch, mode):
+        # scalarize --weights 1,1, scalarize --point 0,0 and saa --algo 2
+        # --epsilon 200 on the README instance
+        net, grouping, scen, spec = readme_instance()
+        work = Counter()
+
+        def count(module, name, key, extra=None):
+            raw = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                out = raw(*args, **kwargs)
+                work[key] += 1
+                if extra is not None:
+                    work[extra[0]] += extra[1](out)
+                return out
+
+            monkeypatch.setattr(module, name, spy)
+
+        count(sysvar.scalarize, "branch_and_bound", "solves", ("nodes", lambda s: s.nodes))
+        count(sysvar.mip, "_node_relax", "relaxations", ("rounds", lambda r: r.rounds))
+        count(sysvar.mip, "solve_lp", "lp")
+        count(sysvar.mip, "min_norm_qp", "qp")
+        count(sysvar.mip, "aggregate_en_many", "kernel")
+        count(sysvar.risk, "aggregate_en_many", "membership_kernel")
+        if mode == "algo2":
+            assert sv.approximate_by_norm_min(net, grouping, scen, spec, 200.0).feasible
+        else:
+            assert scalarize(mode, net, grouping, scen, spec).status == "optimal"
+        pins = README_WORK[mode]
+        assert {key: work[key] for key in pins} == pins
+
