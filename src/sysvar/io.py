@@ -5,6 +5,17 @@ exactly.  Every writer goes through one atomic path that streams text chunks
 to a temp file and then renames it (`util.atomic_write_chunks`); the scenario
 CSV is formatted and streamed in blocks of rows, so its whole text is never
 held in memory.
+
+The scenario CSV's cells are formatted in bulk by numpy (`_format_block`),
+byte for byte as ``"%.17g" % v``.  For 1e-4 <= v < 1e17, ``%.17g`` is fixed
+notation with decimal exponent E in [-4, 16], so its 17 digits are the
+integer M = v * 10**(16 - E) rounded half to even.  10**(16 - E) is an exact
+double, and Dekker's two-product (Veltkamp splits) gives v * 10**(16 - E) as
+an exact sum hi + lo, from which that rounding is taken exactly.  Every
+other cell (zero, subnormals, values below 1e-4 or from 1e17 up, negatives
+and non-finite values) is formatted by ``%.17g`` itself.  No double in the
+band rounds up to the next power of ten at 17 digits, so the band's cells
+never leave it.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ from .saa import ApproxSet
 from .shocks import ScenarioSet
 from .util import ValidationError, atomic_write_chunks, atomic_write_text, fmt17
 
-# rows per chunk of the streamed scenario write; each chunk's .tolist()
-# holds rows * d Python floats at once, so a small block keeps memory flat
+# rows per chunk of the streamed scenario write; at d = 20 every temporary of
+# a block stays below glibc's 128 KiB mmap threshold, so memory stays flat
 _WRITE_BLOCK_ROWS = 256
 
 
@@ -125,18 +136,153 @@ def read_edges(path: str) -> DirectedMultigraph:
 
 # -- scenarios ----------------------------------------------------------------
 
+# 10**p for p in [0, 20], all exact doubles, and their Veltkamp halves
+_POW10 = np.array([float(10 ** p) for p in range(21)])
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# A formatted cell is 24 bytes, three little-endian words, and its bytes
+# that end up zero are dropped.  The 17 digits sit in bytes 5..21 ("A"), a
+# copy of the cell shifted one byte up holds them in bytes 6..22 ("B") so
+# that the fraction can follow a '.', and byte 23 is the separator.  Per
+# layout key (E, digits kept once trailing zeros go) three masks keep
+# bytes of A, keep bytes of B and add constant bytes: below 1, "0." and
+# -E - 1 zeros ending at byte 4; from 1 up, the '.' when a fraction is
+# left.  The last key keeps the separator alone, for a cell that %.17g
+# formats.
+_CELL = 24
+_WORD = np.dtype("<u8")
+_KEYS = [(e, kept) for e in range(-4, 17) for kept in range(18)]  # (E + 4) * 18 + kept
+_FALLBACK_KEY = len(_KEYS)
+
+
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    from_a, from_b, const = np.zeros((3, _FALLBACK_KEY + 1, _CELL), dtype=np.uint8)
+    from_a[:, _CELL - 1] = 0xFF
+    for i, (e, kept) in enumerate(_KEYS):
+        if e < 0:
+            prefix = b"0." + b"0" * (-e - 1)
+            const[i, 5 - len(prefix):5] = np.frombuffer(prefix, dtype=np.uint8)
+            from_a[i, 5:5 + kept] = 0xFF
+        else:
+            from_a[i, 5:6 + e] = 0xFF
+            if kept > e + 1:
+                const[i, 6 + e] = ord(".")
+                from_b[i, 7 + e:6 + kept] = 0xFF
+    width = np.count_nonzero(from_a | from_b | const, axis=1)
+    return from_a.view(_WORD), from_b.view(_WORD), const.view(_WORD), width
+
+
+_FROM_A, _FROM_B, _CONST, _WIDTH = _layout_tables()
+
+
+def _two_product(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**p as hi + lo exactly (Dekker 1971), hi the rounded product."""
+    hi = x * _POW10[p]
+    c = _SPLIT * x
+    xh = c - (c - x)
+    xl = x - xh
+    ph, pl = _POW10_HI[p], _POW10_LO[p]
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    return hi, lo
+
+
+def _ascii8(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each v < 10**8 (uint64) as ASCII bytes of
+    one little-endian word, the first digit in the lowest byte: split into
+    32-bit lanes of four digits, then 16-bit lanes of two, then bytes, each
+    step a division by multiplication exact for the lane's range."""
+    upper = v // 10000
+    w = upper | ((v - upper * 10000) << 32)
+    q = ((w * 10486) >> 20) & 0x7F0000007F
+    w = q | ((w - q * 100) << 16)
+    q = ((w * 103) >> 10) & 0x000F000F000F000F
+    return (q | ((w - q * 10) << 8)) + 0x3030303030303030
+
+
+def _digits_kept(words: np.ndarray) -> np.ndarray:
+    """Digits of lead + words[0] + words[1] (17 in all) left once trailing
+    zeros go: flag the bytes that are not '0', smear each flag down to the
+    lower bytes, and count the flagged bytes of each word."""
+    flags = ((words ^ 0x3030303030303030) + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
+    flags |= flags >> 8
+    flags |= flags >> 16
+    flags |= flags >> 32
+    count = ((flags >> 7) * 0x0101010101010101) >> 56
+    return np.where(count[1] > 0, 9 + count[1], 1 + count[0]).astype(np.int64)
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The rows of `block` as CSV text: ``"%.17g" % v`` per cell, commas
+    between cells, a newline after each row (see the module docstring)."""
+    r, d = block.shape
+    values = np.asarray(block, dtype=np.float64).ravel()
+    band = (values >= 1e-4) & (values < 1e17)
+    x = np.where(band, values, 1.0)
+    # decimal exponent: log10's guess, then corrected by the exact product so
+    # that 1e16 <= x * 10**(16 - E) < 1e17
+    e = np.clip(np.floor(np.log10(x)).astype(np.int64), -4, 16)
+    hi, lo = _two_product(x, 16 - e)
+    step = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64)
+            - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        hi[moved], lo[moved] = _two_product(x[moved], 16 - e[moved])
+    # hi >= 1e16 > 2**53 is an integer; round hi + lo half to even.  This
+    # never carries to 1e17: the doubles below each power of ten from 1e-4
+    # to 1e17 lie at least 8e-17 below it relatively, rounding up needs 5e-18
+    floor_lo = np.floor(lo)
+    m = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    half = floor_lo + 0.5
+    m += (lo > half) | ((lo == half) & (m & 1 == 1))
+    # the 17 digits: a leading one, then two ASCII words of eight
+    top, low8 = np.divmod(m.astype(np.uint64), 10 ** 8)
+    lead, high8 = np.divmod(top, 10 ** 8)
+    words = _ascii8(np.stack([high8, low8]))
+    high8, low8 = words
+    seps = np.full((r, d), ord(","), dtype=np.uint64)
+    seps[:, -1] = ord("\n")
+    cells = np.empty((values.size, 3), dtype=_WORD)
+    cells[:, 0] = ((lead + ord("0")) << 40) | (high8 << 48)
+    cells[:, 1] = (high8 >> 16) | (low8 << 48)
+    cells[:, 2] = (low8 >> 16) | (seps.ravel() << 56)
+    shifted = np.empty_like(cells)
+    shifted.view(np.uint8).reshape(-1)[1:] = cells.view(np.uint8).reshape(-1)[:-1]
+    key = np.where(band, (e + 4) * 18 + _digits_kept(words), _FALLBACK_KEY)
+    cells &= np.take(_FROM_A, key, axis=0)
+    shifted &= np.take(_FROM_B, key, axis=0)
+    cells |= shifted
+    cells |= np.take(_CONST, key, axis=0)
+    text = cells.view(np.uint8)
+    text = text[text != 0].tobytes().decode("ascii")
+    fallback = np.flatnonzero(key == _FALLBACK_KEY)
+    if not fallback.size:
+        return text
+    # each %.17g text goes in front of its cell's separator
+    width = _WIDTH[key]
+    starts = (np.cumsum(width) - width)[fallback].tolist()
+    pieces, done = [], 0
+    for start, v in zip(starts, values[fallback].tolist()):
+        pieces += [text[done:start], "%.17g" % v]
+        done = start
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
-    """Scenario CSV streamed in blocks of rows, so the whole text is never
-    held in memory; each cell is ``%.17g``, the same text as `fmt17`."""
+    """Scenario CSV streamed in blocks of `_WRITE_BLOCK_ROWS` rows, so the
+    whole text is never held in memory.  Each cell is ``%.17g``, the same
+    text as `fmt17`: numpy formats cells in 1e-4 <= v < 1e17 from an exact
+    product, ``%.17g`` the rest (see the module docstring)."""
     d = scenarios.d
     values = scenarios.values
-    row_fmt = ",".join(["%.17g"] * d) + "\n"
 
     def chunks():
         yield ",".join(f"x{i + 1}" for i in range(d)) + "\n"
         for start in range(0, values.shape[0], _WRITE_BLOCK_ROWS):
-            block = values[start:start + _WRITE_BLOCK_ROWS]
-            yield "".join([row_fmt % tuple(row) for row in block.tolist()])
+            yield _format_block(values[start:start + _WRITE_BLOCK_ROWS])
 
     atomic_write_chunks(path, chunks())
 

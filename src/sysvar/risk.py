@@ -99,18 +99,19 @@ class _ScenarioLabels:
     and so is its orthant check, so a scenario that passed at a recorded
     z' <= z passes at z, and one that failed at a recorded z'' >= z fails at
     z.  Points (one column each, so the comparisons run along the record)
-    and their pass bitmaps (packed, little-endian) live in arrays
-    preallocated to ``_LABEL_BUDGET_BYTES``; a point past that capacity is
-    not stored.  ``rows_cleared`` and ``rows_decided`` count the rows the
-    record's users sent to the clearing kernel and the rows it decided.
+    and their pass bitmaps (packed, little-endian) live in arrays that
+    double as points arrive, up to the capacity ``_LABEL_BUDGET_BYTES``
+    allows; a point past that capacity is not stored.  ``rows_cleared`` and
+    ``rows_decided`` count the rows the record's users sent to the clearing
+    kernel and the rows it decided.
     """
 
     def __init__(self, n: int, g: int):
         width = (n + 7) // 8
-        capacity = _LABEL_BUDGET_BYTES // (width + 8 * g)
         self.n = n
-        self.points = np.empty((g, capacity))
-        self.passes = np.empty((capacity, width), dtype=np.uint8)
+        self.capacity = _LABEL_BUDGET_BYTES // (width + 8 * g)
+        self.points = np.empty((g, 0))
+        self.passes = np.empty((0, width), dtype=np.uint8)
         self.size = 0
         self.rows_cleared = 0
         self.rows_decided = 0
@@ -134,10 +135,18 @@ class _ScenarioLabels:
         return bits[0], bits[1]
 
     def add(self, z: np.ndarray, passed: np.ndarray) -> None:
-        if self.size < len(self.passes):
-            self.points[:, self.size] = z
-            self.passes[self.size] = np.packbits(passed, bitorder="little")
-            self.size += 1
+        if self.size == self.capacity:
+            return
+        if self.size == len(self.passes):
+            grown = min(self.capacity, max(16, 2 * self.size))
+            points = np.empty((len(self.points), grown))
+            points[:, :self.size] = self.points
+            passes = np.empty((grown, self.passes.shape[1]), dtype=np.uint8)
+            passes[:self.size] = self.passes
+            self.points, self.passes = points, passes
+        self.points[:, self.size] = z
+        self.passes[self.size] = np.packbits(passed, bitorder="little")
+        self.size += 1
 
 
 def membership(

@@ -59,9 +59,8 @@ def required_hits(n: int, lam: float) -> int:
 
 
 def fmt17(x: float) -> str:
-    """Format a float at 17 significant digits (exact round-trip)."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+    """Format a float at 17 significant digits (exact round-trip); every NaN,
+    whatever its sign or width, is "nan"."""
     return format(float(x), ".17g")
 
 

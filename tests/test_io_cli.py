@@ -1,12 +1,16 @@
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sysvar as sv
 import sysvar.cli
@@ -99,6 +103,83 @@ class TestRoundTrips:
 _EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 2**53 + 1.0, 1e300]
 
 
+def per_cell_text(values) -> str:
+    """The reference render of a scenario block: each cell through
+    ``format(v, ".17g")``, commas between cells and a newline after each row."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in np.asarray(values, dtype=float).tolist())
+
+
+def ulp_neighbours(v: float, steps: int = 2) -> list[float]:
+    out, lo, hi = [v], v, v
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+# finite non-negative doubles from raw bits; two draws in three take a biased
+# exponent in or next to the fast band 1e-4 <= v < 1e17 (1009 .. 1079)
+_BIASED_EXPONENTS = st.one_of(st.integers(1005, 1083), st.integers(1005, 1083),
+                              st.integers(0, 2046))
+_DOUBLES = st.builds(
+    lambda exponent, mantissa: (
+        struct.unpack("<d", struct.pack("<Q", exponent << 52 | mantissa))[0]),
+    _BIASED_EXPONENTS, st.integers(0, (1 << 52) - 1))
+
+
+class TestBlockFormatter:
+    """`io._format_block` against ``format(v, ".17g")`` cell by cell."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cells=st.lists(_DOUBLES, min_size=1, max_size=60), d=st.integers(1, 6))
+    def test_random_bit_patterns(self, cells, d):
+        values = np.resize(np.array(cells), (-(-len(cells) // d), d))
+        assert io._format_block(values) == per_cell_text(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = [v for k in range(-6, 19) for v in ulp_neighbours(float(f"1e{k}"))]
+        block = np.array(values).reshape(-1, 5)
+        assert io._format_block(block) == per_cell_text(block)
+
+    @pytest.mark.parametrize("v, text", [
+        (1e-4, "0.0001"), (9.99999999999999999e-5, "0.0001"),
+        (9.9999999999999991e-05, "9.9999999999999991e-05"), (1e17, "1e+17"),
+        (99999999999999999.0, "1e+17"), (99999999999999984.0, "99999999999999984"),
+        (9999999999999998.0, "9999999999999998"), (999999.99999999988, "999999.99999999988"),
+        (1000000000000000.25, "1000000000000000.2"),
+        (1000000000000000.75, "1000000000000000.8"),
+        (2**53 + 1.0, "9007199254740992"),
+    ])
+    def test_band_edges_and_ties(self, v, text):
+        assert format(v, ".17g") == text
+        assert io._format_block(np.array([[v]])) == text + "\n"
+
+    def test_half_way_ties(self):
+        # m * 2**-18 in [0.1, 1) has 18 significant digits, the last a 5 for
+        # odd m; m * 2**-2 from 1e15 up ends in .25 or .75
+        rng = np.random.default_rng(5)
+        small = rng.integers(2**18 // 10, 2**18, 3000) | 1
+        large = rng.integers(4 * 10**15, 2**53, 3000) | 1
+        block = np.concatenate([small / 2**18, large / 4.0]).reshape(-1, 6)
+        assert io._format_block(block) == per_cell_text(block)
+
+    def test_cells_outside_the_band_take_the_per_cell_fallback(self):
+        # every cell but the middle one of each row is formatted by %.17g;
+        # the texts land in front of their own separators
+        outside = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9e-5, 1e17, 1e300,
+                   -1.5, -1e-300, float("inf"), float("nan")]
+        block = np.array([[v, 0.5, w] for v, w in zip(outside, reversed(outside))])
+        assert io._format_block(block) == per_cell_text(block)
+        assert io._format_block(block[:, [0]]) == per_cell_text(block[:, [0]])
+
+
+@pytest.mark.parametrize("nan", [float("nan"), -float("nan"), np.float32("nan"),
+                                 np.float64("nan")])
+def test_fmt17_writes_every_nan_as_nan(nan):
+    assert fmt17(nan) == "nan"
+
+
 class TestStreamedWrite:
     @pytest.mark.parametrize("n, d", [(1, 4), (1024, 4), (1025, 4), (6, 1)])
     def test_scenario_bytes_match_per_cell_fmt17(self, tmp_path, n, d):
@@ -110,6 +191,28 @@ class TestStreamedWrite:
         lines += [",".join(fmt17(v) for v in row) for row in values]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert io.read_scenarios(str(path)).values.tobytes() == values.tobytes()
+
+    def test_strided_and_fortran_ordered_values(self, tmp_path):
+        rng = np.random.default_rng(17)
+        base = 100 * ((1 - rng.random((600, 10))) ** (-1 / 3) - 1)
+        for values in (base[::2, ::3], np.asfortranarray(base)):
+            path = tmp_path / "s.csv"
+            io.write_scenarios(str(path), sv.ScenarioSet(values=values))
+            header = ",".join(f"x{i + 1}" for i in range(values.shape[1])) + "\n"
+            assert path.read_text() == header + per_cell_text(values)
+
+    def test_write_memory_stays_flat(self, tmp_path):
+        # the whole text is about 9.5 MB; a block is 256 rows
+        rng = np.random.default_rng(23)
+        values = 100 * ((1 - rng.random((25_000, 20))) ** (-1 / 3) - 1)
+        scen = sv.ScenarioSet(values=values)
+        tracemalloc.start()
+        try:
+            io.write_scenarios(str(tmp_path / "s.csv"), scen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_failure_mid_stream_keeps_target_and_removes_temp(self, tmp_path):
         target = tmp_path / "out.csv"

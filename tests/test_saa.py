@@ -8,6 +8,7 @@ import pytest
 
 import sysvar as sv
 import sysvar.mip
+import sysvar.risk
 import sysvar.saa
 from sysvar.risk import _ScenarioLabels
 from sysvar.saa import Grid, _mark_ball
@@ -102,6 +103,20 @@ class TestMembership:
         assert full.violation_fraction > 0
         assert sv.membership(net, grouping, scen, spec, box.lo, labels=labels) == full
         assert labels.rows_decided == 0 and labels.rows_cleared == scen.n
+
+    @pytest.mark.parametrize("budget, stored", [(4 << 20, 40), (3 * 29, 3)])
+    def test_record_grows_up_to_its_budget(self, monkeypatch, budget, stored):
+        # at N = 100 and g = 2 a point takes 13 bitmap bytes and 2 floats, 29 bytes
+        monkeypatch.setattr(sysvar.risk, "_LABEL_BUDGET_BYTES", budget)
+        rng = np.random.default_rng(3)
+        zs, passes = rng.random((40, 2)), rng.random((40, 100)) < 0.5
+        labels = _ScenarioLabels(100, 2)
+        for z, passed in zip(zs, passes):
+            labels.add(z, passed)
+        assert labels.size == stored <= len(labels.passes)
+        assert np.array_equal(labels.points[:, :stored], zs[:stored].T)
+        unpacked = np.unpackbits(labels.passes[:stored], axis=1, count=100, bitorder="little")
+        assert np.array_equal(unpacked.view(bool), passes[:stored])
 
 
 class TestGrid:
