@@ -275,7 +275,9 @@ def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
     """Scenario CSV streamed in blocks of `_WRITE_BLOCK_ROWS` rows, so the
     whole text is never held in memory.  Each cell is ``%.17g``, the same
     text as `fmt17`: numpy formats cells in 1e-4 <= v < 1e17 from an exact
-    product, ``%.17g`` the rest (see the module docstring)."""
+    product, ``%.17g`` the rest (see the module docstring).  The set is
+    validated first, so nothing is written that `read_scenarios` refuses."""
+    scenarios.validate()
     d = scenarios.d
     values = scenarios.values
 

@@ -7,14 +7,16 @@ longest grid axis the labels switch once, and each line is bisected until it
 is fully labelled (Feinstein, Rudloff & Weber 2017).  Lines are taken from
 the lowest levels of the other axes up, so the cones of the lines already
 searched leave each line open only beyond the previous line's boundary.
-One algorithm queries
-the membership oracle at each visited point and propagates labels along the
-componentwise order (acceptable points seed an upper cone, rejected points a
-lower cone); the other solves a least-distance scalarization per visited
-point, marking the nearest point's upper cone acceptable and the open ball
-below the distance not acceptable.  Both return the same acceptable set: the
-grid intersected with the risk set, represented by its minimal elements,
-which one cumulative OR per grid axis finds.
+One algorithm queries the membership oracle at each visited point and
+propagates labels along the componentwise order (acceptable points seed an
+upper cone, rejected points a lower cone); the other solves a least-distance
+scalarization per visited point z, at distance gamma, marking the nearest
+point's upper cone acceptable and the lower closure of the open gamma-ball
+around z not acceptable: the points p with |(p - z)^+|_2 < gamma.  None of
+them is in the set: it is an upper set, so p in it would put max(p, z) in it,
+closer to z than gamma.  Both return the same acceptable set: the grid
+intersected with the risk set, represented by its minimal elements, which
+one cumulative OR per grid axis finds.
 
 The membership-based search keeps one per-run record of per-scenario
 labels; the ideal point that floors the grid needs none, since its
@@ -158,27 +160,41 @@ def _mark(status: np.ndarray, idx: tuple[int, ...], accepted: bool) -> None:
     region[region == 0] = 1 if accepted else 2
 
 
-def _mark_ball(grid: Grid, status: np.ndarray, z: np.ndarray, radius: float) -> None:
-    """Label the unlabelled grid points strictly closer to z than radius not
-    acceptable.
+def _mark_ball(grid: Grid, status: np.ndarray, z: np.ndarray, radius: float) -> int:
+    """Label the unlabelled grid points p with |(p - z)^+|_2 < radius not
+    acceptable, and return how many it labelled.
 
-    Only the ball's bounding box is scanned: its per-axis slices keep every
-    level within radius (padded by a relative 1e-12) of z, and a point
-    outside them has one squared term alone above radius**2.  Inside, the
-    squared distances are summed axis by axis over the open mesh, so each
-    equals the whole-grid sum bit for bit.  A radius <= 0 marks nothing.
+    These points form the lower closure of the open ball of that radius
+    around z, and none of them is in the risk set R when radius <= d(z, R):
+    R is an upper set, so p in R would put max(p, z) in R (it stays <= hi),
+    at distance |(p - z)^+|_2 < d(z, R) from z.
+
+    Levels at or below z_j add exactly 0.  So each axis keeps the levels
+    above z_j within radius (padded by a relative 1e-12; a point at a
+    higher level has one squared term alone above radius**2) and the first
+    level at or below z_j.  The squared distances are summed axis by axis
+    over that box's open mesh, so each equals the whole-grid sum bit for
+    bit, and every lower level reads the first one's entry through an index
+    map: below z only int8 labels and boolean masks are touched, never a
+    float mesh.  A radius <= 0 marks nothing.
     """
-    box, diffs = [], []
+    box, terms, maps = [], [], []
     for lv, zj in zip(grid.levels, z):
-        diff = lv - zj
-        near = np.flatnonzero(np.abs(diff) <= radius * (1 + 1e-12))
-        if near.size == 0:
-            return
-        box.append(slice(near[0], near[-1] + 1))
-        diffs.append(diff[box[-1]])
+        # levels descend, so the positive parts do too
+        pos = np.maximum(lv - zj, 0.0)
+        start = int(np.count_nonzero(pos > radius * (1 + 1e-12)))
+        if start == lv.size:
+            return 0
+        # the first level at or below z_j, or the lowest level if none is
+        last = min(int(np.count_nonzero(pos)), lv.size - 1)
+        box.append(slice(start, None))
+        terms.append(pos[start:last + 1] ** 2)
+        maps.append(np.minimum(np.arange(lv.size - start), last - start))
+    near = np.sqrt(sum(np.ix_(*terms))) < radius
     region = status[tuple(box)]
-    sq = sum(np.ix_(*[d ** 2 for d in diffs]))
-    region[(region == 0) & (np.sqrt(sq) < radius)] = 2
+    hit = (region == 0) & near[np.ix_(*maps)]
+    region[hit] = 2
+    return int(np.count_nonzero(hit))
 
 
 def _generators(grid: Grid, status: np.ndarray) -> np.ndarray:
@@ -283,18 +299,21 @@ def approximate_by_norm_min(
     """Inner approximation driven by least-distance scalarizations.
 
     Each visited grid point z yields a nearest set point zbar at distance
-    gamma: the grid above zbar is acceptable, and grid points strictly
-    closer to z than gamma cannot belong to the set.  The exclusion radius
-    is shrunk by 1e-6 to stay on the safe side of solver gaps.  Each solve
-    first asks the membership oracle about z itself, and an accepted z is
-    its own nearest point, which labels it.  So a point the cone and the
-    ball both miss, or whose solve ran out of nodes, was rejected by that
-    oracle call and is labelled not acceptable without a second one: the
-    final classification matches the clearing-based algorithm.
+    gamma: the grid above zbar is acceptable, and no grid point p with
+    |(p - z)^+|_2 < gamma belongs to the set.  That region is the lower
+    closure of the open ball of radius gamma around z: the set is an upper
+    set, so such a p in it would put max(p, z) in it, closer to z than
+    gamma.  The exclusion radius is shrunk by 1e-6 to stay on the safe side
+    of solver gaps.  Each solve first asks the membership oracle about z
+    itself, and an accepted z is its own nearest point, which labels it.
+    So a point the cone and the exclusion region both miss, or whose solve
+    ran out of nodes, was rejected by that oracle call and is labelled not
+    acceptable without a second one: the final classification matches the
+    clearing-based algorithm.
     """
     # every solve searches the box the grid is built in
     box = box_or_default(net, grouping, scenarios, box)
-    counts = {"solves": 0, "fallbacks": 0}
+    counts = {"solves": 0, "fallbacks": 0, "nodes": 0, "excluded": 0}
     cut_cache: dict = {}
 
     def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
@@ -303,6 +322,8 @@ def approximate_by_norm_min(
         res = norm_min(net, grouping, scenarios, spec, z, box=box,
                        node_budget=node_budget, cut_cache=cut_cache)
         counts["solves"] += 1
+        if res.solution is not None:
+            counts["nodes"] += res.solution.nodes
         if res.status == "budget_exhausted":
             counts["fallbacks"] += 1
         else:
@@ -311,10 +332,12 @@ def approximate_by_norm_min(
             corner = tuple(int(np.sum(lv >= zj - 1e-12)) - 1
                            for lv, zj in zip(grid.levels, res.z))
             _mark(status, corner, True)
-            _mark_ball(grid, status, z, res.value - _BALL_SHRINK)
+            # the lower closure of the ball around z: it holds z itself
+            # whenever the radius is positive
+            counts["excluded"] += _mark_ball(grid, status, z, res.value - _BALL_SHRINK)
         if status[idx] == 0:
-            # the budget ran out, or the cone missed the point and the
-            # distance was too small to exclude it; either way norm_min's
+            # the budget ran out, or the distance was within _BALL_SHRINK
+            # of zero and the cone missed the point; either way norm_min's
             # membership call rejected z
             _mark(status, idx, False)
 

@@ -214,6 +214,15 @@ class TestStreamedWrite:
             tracemalloc.stop()
         assert peak < 2 << 20
 
+    @pytest.mark.parametrize("values", [[[-1.0, np.nan]], [[1.0, -2.0]], [[np.inf, 0.0]]])
+    def test_invalid_set_is_not_written(self, tmp_path, values):
+        # unchecked, [[-1, nan]] was written as "-1,nan", which
+        # read_scenarios refuses
+        target = tmp_path / "s.csv"
+        with pytest.raises(sv.ValidationError):
+            io.write_scenarios(str(target), sv.ScenarioSet(values=np.array(values)))
+        assert list(tmp_path.iterdir()) == []
+
     def test_failure_mid_stream_keeps_target_and_removes_temp(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("previous contents\n")
@@ -479,6 +488,46 @@ class TestCli:
         assert events["ideal_point"]["rows_cleared"] > 0
         done = events["grid_clearing_done"]
         assert done["rows_cleared"] > 0 and done["rows_decided"] > 0
+
+    def test_sample_shocks_exit_codes(self, pipeline, tmp_path, monkeypatch, capsys):
+        # valid samples exit 0; a set write_scenarios refuses exits 2 and
+        # leaves no file behind
+        args = ["sample-shocks", "--network", pipeline["net"], "--nu", "3",
+                "--beta", "1.0,0.5", "--rho", "0.3", "--n", "2", "--seed", "3"]
+        out = tmp_path / "bad" / "scen.csv"
+        out.parent.mkdir()
+        monkeypatch.setattr(sysvar.cli, "sample_shocks",
+                            lambda params, grouping: sv.ScenarioSet(
+                                values=np.array([[-1.0, np.nan]])))
+        capsys.readouterr()
+        assert run_cli(*args, "--out", str(out)) == 2
+        assert "validation" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+        monkeypatch.undo()
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert io.read_scenarios(str(out)).n == 2
+
+    def test_norm_min_grid_reports_nodes_and_exclusions(self, pipeline, tmp_path, capsys):
+        # the DEBUG log stays one JSON object per line; its branch-and-bound
+        # node and exclusion counts never reach the artifact
+        out = str(tmp_path / "set.json")
+        argv = ["saa", "--network", pipeline["net"], "--scenarios", pipeline["scen"],
+                "--alpha-frac", "0.8", "--lambda", "0.25", "--epsilon", "0.5",
+                "--algo", "2", "--out", out]
+        capsys.readouterr()
+        assert run_cli("--log-level", "DEBUG", *argv) == 0
+        logging.getLogger("sysvar").setLevel(logging.WARNING)
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert all(isinstance(event, dict) for event in events)
+        done = next(e for e in events if e["event"] == "grid_norm_min_done")
+        fields = ("points", "solves", "fallbacks", "nodes", "excluded")
+        assert all(type(done[key]) is int for key in fields)
+        assert 0 < done["solves"] < done["points"]
+        assert done["nodes"] > 0 and done["excluded"] > 0
+        debug = open(out, "rb").read()
+        assert b"nodes" not in debug and b"excluded" not in debug
+        assert run_cli(*argv) == 0
+        assert open(out, "rb").read() == debug
 
     def test_ideal_point_reports_its_oracle_work(self, tmp_path, capsys):
         # the README instance: 20 banks, 50 scenarios; the ray thresholds

@@ -11,7 +11,7 @@ import sysvar.mip
 import sysvar.risk
 import sysvar.saa
 from sysvar.risk import _ScenarioLabels
-from sysvar.saa import Grid, _mark_ball
+from sysvar.saa import _BALL_SHRINK, Grid, _mark_ball
 from sysvar.util import ValidationError
 from conftest import (
     exhaustive_grid_generators,
@@ -153,10 +153,55 @@ class TestGrid:
                                            abs(grid.levels[0][-1] - z[0])]))
                 expected = status.copy()
                 if radius > 0:
-                    sq = sum(np.ix_(*[(lv - zj) ** 2 for lv, zj in zip(grid.levels, z)]))
+                    sq = sum(np.ix_(*[np.maximum(lv - zj, 0) ** 2
+                                       for lv, zj in zip(grid.levels, z)]))
                     expected[(expected == 0) & (np.sqrt(sq) < radius)] = 2
                 _mark_ball(grid, status, z, radius)
                 assert np.array_equal(status, expected)
+
+    @pytest.mark.parametrize("make", [instance, three_group_instance])
+    def test_ball_lower_closure_holds_only_rejected_points(self, rng, make):
+        # for each rejected grid point z, every point labelled from
+        # norm_min(z)'s distance is rejected by membership too, and the
+        # lower closure labels points the ball alone misses
+        beyond_ball = 0
+        for _ in range(2):
+            net, grouping, scen, spec = make(rng)
+            eps = 0.3
+            approx = sv.approximate_by_clearing(net, grouping, scen, spec, eps)
+            grid = Grid.build(approx.ideal, approx.box.hi, eps)
+            accepted = np.zeros(grid.shape, dtype=bool)
+            for idx in np.ndindex(*grid.shape):
+                accepted[idx] = sv.membership(net, grouping, scen, spec,
+                                              grid.value(idx)).accepted
+            for idx in zip(*np.nonzero(~accepted)):
+                z = grid.value(idx)
+                res = sv.norm_min(net, grouping, scen, spec, z, box=approx.box)
+                status = np.zeros(grid.shape, dtype=np.int8)
+                _mark_ball(grid, status, z, res.value - _BALL_SHRINK)
+                assert status[idx] == 2
+                assert not np.any(accepted[status == 2])
+                sq = sum(np.ix_(*[(lv - zj) ** 2 for lv, zj in zip(grid.levels, z)]))
+                beyond_ball += int(np.count_nonzero(status == 2)
+                                   - np.count_nonzero(np.sqrt(sq) < res.value - _BALL_SHRINK))
+        assert beyond_ball > 0
+
+    def test_ball_lower_closure_meshes_no_more_floats_than_the_ball(self):
+        # 2,001 x 1,501 levels, z mid-grid, a radius past the grid's
+        # diagonal: the old ball's bounding box is the whole grid, and the
+        # call's peak stays below one float64 array over it
+        grid = Grid.build(np.zeros(2), np.array([2.0, 1.5]), 0.001 * math.sqrt(2))
+        assert grid.shape == (2001, 1501)
+        status = np.zeros(grid.shape, dtype=np.int8)
+        z = grid.value((1000, 750))
+        tracemalloc.start()
+        try:
+            labelled = _mark_ball(grid, status, z, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labelled == grid.size and np.all(status == 2)
+        assert peak < 8 * grid.size
 
 
 class TestGridAlgorithms:

@@ -529,8 +529,8 @@ README_WORK = {
                     kernel=30, membership_kernel=0),
     "point": dict(solves=1, nodes=2, relaxations=7, rounds=37, lp=0, qp=31,
                   kernel=31, membership_kernel=1),
-    "algo2": dict(solves=26, nodes=46, relaxations=147, rounds=266, lp=0, qp=212,
-                  kernel=212, membership_kernel=29),
+    "algo2": dict(solves=10, nodes=14, relaxations=50, rounds=88, lp=0, qp=66,
+                  kernel=66, membership_kernel=15),
 }
 
 
