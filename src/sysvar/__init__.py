@@ -29,7 +29,7 @@ from .network import (
     generate_bollobas,
     network_stats,
 )
-from .optim import Box, LinearProgram, LpResult, QpResult, min_norm_qp, solve_lp
+from .optim import LinearProgram, LpResult, QpResult, min_norm_qp, solve_lp
 from .risk import CapitalBox, MembershipResult, RiskSpec, membership, z_bounds
 from .saa import (
     ApproxSet,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxSet",
     "BollobasParams",
-    "Box",
     "CapacityError",
     "CapitalBox",
     "ClearingPolytope",

@@ -401,32 +401,21 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
     q = float(np.max(pi.T @ pbar + x))
 
     out: list[ClearingPolytope] = []
-    for mask in range(2 ** d):
-        y = np.array([(mask >> i) & 1 for i in range(d)], dtype=float)
+    # y_i is bit i of the pattern number, patterns in increasing number
+    for y in (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1:
         # raw inequalities: flow p <= x ; -p <= -pbar*y ; -flow p <= Q*y - x
         a_ub = np.vstack([flow, -eye, -flow])
         b_ub = np.concatenate([x, -pbar * y, q * y - x])
-        lo = np.zeros(d)
         feasible = solve_lp(LinearProgram(
-            c=np.zeros(d), a_ub=a_ub, b_ub=b_ub, lower=lo, upper=pbar.copy()
+            c=np.zeros(d), a_ub=a_ub, b_ub=b_ub, lower=np.zeros(d), upper=pbar.copy()
         ))
         if feasible.status != "optimal":
             continue
-        eq_rows = []
-        eq_rhs = []
-        for i in range(d):
-            if y[i] == 1.0:
-                row = np.zeros(d)
-                row[i] = 1.0
-                eq_rows.append(row)
-                eq_rhs.append(pbar[i])
-            else:
-                eq_rows.append(flow[i])
-                eq_rhs.append(x[i])
+        paid = y == 1
         out.append(ClearingPolytope(
-            y=y.astype(int),
-            a_eq=np.vstack(eq_rows),
-            b_eq=np.asarray(eq_rhs),
+            y=y,
+            a_eq=np.where(paid[:, None], eye, flow),
+            b_eq=np.where(paid, pbar, x),
             a_ub=a_ub,
             b_ub=b_ub,
         ))

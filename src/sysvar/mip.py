@@ -16,9 +16,11 @@ same computation without the counting constraint.  A node whose forced
 pattern has no cuts yet starts at the uncut point, the inner optimum with
 no cuts (the box projection of the center, or the box optimum of the
 weights); it is the same for every node of a solve, so each solve finds and
-clears it once.  Likewise each solve checks the capital box and builds its
-projector rows once (``optim.Box``), and keeps every pattern's cuts as
-arrays that grow by the rows of each round.
+clears it once.  The model carries a ``RiskSpec`` and a ``CapitalBox``,
+both checked when they were built, and the box already holds the
+projector's rows, so a solve neither checks nor converts them again.  Each
+solve keeps every pattern's cuts in its own table, as arrays that grow by
+the rows of each round.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 # The name stays bound because bench/tracing.py wraps sysvar.mip.en_supergradient.
 from .clearing import aggregate_en_many, en_supergradient  # noqa: F401
 from .network import FinancialNetwork, Grouping
-from .optim import Box, LinearProgram, min_norm_qp, solve_lp
+from .optim import LinearProgram, min_norm_qp, solve_lp
 from .risk import CapitalBox, RiskSpec
 from .shocks import ScenarioSet
 from .util import (
@@ -49,21 +51,22 @@ _NODE_MAX_ROUNDS = 300
 
 @dataclass(frozen=True)
 class ScenarioMip:
-    """Scalarization model over the sampled risk set intersected with a box."""
+    """Scalarization model over the sampled risk set intersected with a box.
+
+    ``validate`` checks what the spec and the box cannot check themselves:
+    the objective, the grouping, the scenario dimension, and the box's
+    length against the number of groups.
+    """
 
     net: FinancialNetwork
     grouping: Grouping
     scenarios: ScenarioSet
-    alpha: float
-    lam: float
-    z_lower: np.ndarray
-    z_upper: np.ndarray
+    spec: RiskSpec
+    box: CapitalBox
     weights: np.ndarray | None = None
     center: np.ndarray | None = None
 
     def validate(self) -> None:
-        RiskSpec(self.alpha, self.lam).validate()
-        CapitalBox(self.z_lower, self.z_upper).validate()
         if (self.weights is None) == (self.center is None):
             raise ValidationError("exactly one of weights/center must be given")
         if self.weights is not None:
@@ -73,6 +76,8 @@ class ScenarioMip:
         self.grouping.validate(self.net.d)
         if self.scenarios.d != self.net.d:
             raise ValidationError("scenario dimension does not match the network")
+        if self.box.lo.shape != (self.grouping.g,):
+            raise ValidationError("box bounds must have one entry per group")
 
 
 @dataclass
@@ -101,7 +106,6 @@ class _Relaxation:
 class _SolveData:
     """What every node relaxation of one solve shares, built once per solve."""
 
-    box: Box              # the capital box, checked, with the projector's rows
     scen: np.ndarray      # scenario cash flows
     bmat: np.ndarray      # the grouping matrix in floats
     target: np.ndarray    # the center (least distance) or the weights (linear)
@@ -111,7 +115,6 @@ class _SolveData:
     def of(cls, model: ScenarioMip) -> _SolveData:
         target = model.center if model.center is not None else model.weights
         return cls(
-            box=Box(model.z_lower, model.z_upper),
             scen=np.asarray(model.scenarios.values, dtype=float),
             bmat=model.grouping.matrix.astype(float),
             target=np.asarray(target, dtype=float),
@@ -123,17 +126,17 @@ def _node_relax(
     model: ScenarioMip,
     y_fix: np.ndarray,
     hits: int,
-    cut_cache: dict,
+    cuts: dict,
     uncut: list,
     data: _SolveData,
 ) -> _Relaxation:
     """Solve a node relaxation (or a leaf) by outer supporting cuts.
 
     Cuts for the forced pattern are facets of that pattern's region and are
-    shared through ``cut_cache`` across nodes and repeated solves, as a pair
-    of arrays (rows, right-hand sides); counting cuts depend on the node's
-    free set and stay local.  The inner problem takes the pattern cuts
-    first, then the counting cuts.  The loop adds one supergradient cut per
+    shared through ``cuts`` across the nodes of one solve, as a pair of
+    arrays (rows, right-hand sides); counting cuts depend on the node's free
+    set and stay local.  The inner problem takes the pattern cuts first,
+    then the counting cuts.  The loop adds one supergradient cut per
     violated constraint and re-solves the small inner problem until the
     iterate satisfies everything, which happens after finitely many rounds
     because the aggregation function is piecewise linear in the capital
@@ -145,7 +148,7 @@ def _node_relax(
     call.
     """
     quadratic = model.center is not None
-    box = data.box
+    box, alpha = model.box, model.spec.alpha
     forced = np.flatnonzero(y_fix == 1)
     free = np.flatnonzero(y_fix == -1)
     need = hits - forced.size
@@ -155,18 +158,18 @@ def _node_relax(
     def inner(rows, rhs) -> np.ndarray:
         if quadratic:
             res = min_norm_qp(data.target, rows, rhs, box)
-            return np.clip(res.z, box.lower, box.upper)
+            return np.clip(res.z, box.lo, box.hi)
         res = solve_lp(LinearProgram(c=data.target, a_ub=rows, b_ub=rhs,
-                                     lower=box.lower, upper=box.upper))
+                                     lower=box.lo, upper=box.hi))
         if res.status != "optimal":
             # valid cuts always keep the box top feasible
             raise SolverError(f"cut relaxation returned status {res.status}")
-        return np.clip(res.x, box.lower, box.upper)
+        return np.clip(res.x, box.lo, box.hi)
 
     z = None
     converged = False
     for rounds in range(1, _NODE_MAX_ROUNDS + 1):
-        pat_a, pat_b = cut_cache.get(key, data.no_cuts)
+        pat_a, pat_b = cuts.get(key, data.no_cuts)
         rows, rhs = pat_a, pat_b
         if count_b.size:
             rows, rhs = np.concatenate([pat_a, count_a]), np.concatenate([pat_b, count_b])
@@ -180,22 +183,22 @@ def _node_relax(
         else:
             z, totals, grads = uncut[0]
         ok = True
-        short = forced[violates(totals[forced], model.alpha)]
+        short = forced[violates(totals[forced], alpha)]
         if short.size:
             slopes = [data.bmat @ grads[n] for n in short]
-            cut_cache[key] = (
+            cuts[key] = (
                 np.concatenate([pat_a, -np.array(slopes)]),
-                np.concatenate([pat_b, [totals[n] - slope @ z - model.alpha
+                np.concatenate([pat_b, [totals[n] - slope @ z - alpha
                                         for n, slope in zip(short, slopes)]]),
             )
             ok = False
         if need > 0 and free.size:
-            caps = np.minimum(totals[free] / model.alpha, 1.0)
+            caps = np.minimum(totals[free] / alpha, 1.0)
             phi = float(caps.sum())
             if phi < need - 1e-9:
                 slope = np.zeros(model.grouping.g)
                 for n in free[caps < 1.0]:
-                    slope += (data.bmat @ grads[n]) / model.alpha
+                    slope += (data.bmat @ grads[n]) / alpha
                 count_a = np.concatenate([count_a, -slope[None, :]])
                 count_b = np.concatenate([count_b, [phi - slope @ z - need]])
                 ok = False
@@ -206,8 +209,8 @@ def _node_relax(
     y_frac = np.zeros(data.scen.shape[0])
     y_frac[forced] = 1.0
     if free.size:
-        y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / model.alpha, 1.0)
-    passing = forced.size + int(np.count_nonzero(~violates(totals[free], model.alpha)))
+        y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / alpha, 1.0)
+    passing = forced.size + int(np.count_nonzero(~violates(totals[free], alpha)))
     value = float(np.sum((data.target - z) ** 2)) if quadratic else float(data.target @ z)
     return _Relaxation(
         value=value, z=z, y_frac=y_frac, totals=totals,
@@ -215,47 +218,38 @@ def _node_relax(
     )
 
 
-def branch_and_bound(
-    model: ScenarioMip,
-    node_budget: int = 100_000,
-    cut_cache: dict | None = None,
-) -> MipSolution:
+def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolution:
     """Globally minimize the model objective over the mixed-binary region.
 
     Best-bound search branching on the most fractional marker; first
     incumbent from rounding the relaxation (the required number of scenarios
-    with the largest relaxed payments).  ``cut_cache`` optionally shares the
-    per-pattern supporting cuts across repeated solves on the same data.
-    A node is pruned when its bound is within 1e-6 of the incumbent.  Linear
-    objectives report the absolute gap; least-distance objectives report it,
-    and prune, on the distance scale so callers can shrink exclusion radii
-    safely.
+    with the largest relaxed payments).  A node is pruned when its bound is
+    within 1e-6 of the incumbent.  Linear objectives report the absolute
+    gap; least-distance objectives report it, and prune, on the distance
+    scale so callers can shrink exclusion radii safely.
     """
     model.validate()
     n_scen = model.scenarios.n
-    hits = required_hits(n_scen, model.lam)
+    hits = required_hits(n_scen, model.spec.lam)
     quadratic = model.center is not None
 
-    if model.alpha > model.net.total_obligations:
+    if model.spec.alpha > model.net.total_obligations:
         return MipSolution("infeasible", None, np.nan, None, 0, np.nan)
-
-    z_lo = np.asarray(model.z_lower, dtype=float)
-    z_hi = np.asarray(model.z_upper, dtype=float)
 
     if hits == 0:
         # chance constraint is vacuous; only the box binds
         if quadratic:
-            z = np.clip(np.asarray(model.center, dtype=float), z_lo, z_hi)
+            z = np.clip(np.asarray(model.center, dtype=float), model.box.lo, model.box.hi)
             obj = float(np.sum((z - model.center) ** 2))
         else:
-            z = z_lo.copy()
+            z = model.box.lo.copy()
             obj = float(np.asarray(model.weights) @ z)
         return MipSolution("optimal", z, obj, np.zeros(n_scen, dtype=int), 0, 0.0)
 
-    if cut_cache is None:
-        cut_cache = {}
-    # the first cut-free round of the solve, shared by every node, and the
-    # data every node reads, both built once per solve
+    # each forced pattern's cuts and the first cut-free round of the solve,
+    # shared by every node, and the data every node reads, all built once
+    # per solve
+    cuts: dict = {}
     uncut: list = []
     data = _SolveData.of(model)
 
@@ -271,7 +265,7 @@ def branch_and_bound(
             return leaf_memo[members]
         fix = np.zeros(n_scen, dtype=np.int8)
         fix[list(members)] = 1
-        relax = _node_relax(model, fix, hits, cut_cache, uncut, data)
+        relax = _node_relax(model, fix, hits, cuts, uncut, data)
         if not relax.converged:
             raise SolverError("leaf cut model failed to converge")
         out = (relax.z, relax.value)
@@ -311,7 +305,7 @@ def branch_and_bound(
     def evaluate(y_fix: np.ndarray) -> _Relaxation | None:
         if int((y_fix == 0).sum()) > n_scen - hits:
             return None
-        return _node_relax(model, y_fix, hits, cut_cache, uncut, data)
+        return _node_relax(model, y_fix, hits, cuts, uncut, data)
 
     root_fix = np.full(n_scen, -1, dtype=np.int8)
     root = evaluate(root_fix)

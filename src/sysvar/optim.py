@@ -10,18 +10,23 @@ switching to Bland's rule after a run of degenerate steps to guarantee
 termination.  ``min_norm_qp`` projects a point onto a polyhedron of any
 dimension through Lawson and Hanson's reduction of the least-distance
 program to a nonnegative least-squares problem, solved by their active-set
-method in numpy.  Its bounds come as a ``Box``, which checks them and
-builds their rows once, so a caller that projects many times onto cuts
-inside one box (a branch-and-bound solve) pays for that once.
+method in numpy.  Its bounds come as a ``risk.CapitalBox``, which checks
+them and builds their rows when it is built, so a caller that projects many
+times onto cuts inside one box (a branch-and-bound solve) pays for that
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .util import SolverError, ValidationError
+
+if TYPE_CHECKING:
+    from .risk import CapitalBox
 
 _FEAS_TOL = 1e-9
 _COST_TOL = 1e-9
@@ -308,42 +313,13 @@ def _nnls(e: np.ndarray) -> np.ndarray:
     raise SolverError("least-distance NNLS reached its iteration cap")
 
 
-class Box:
-    """Finite bounds lower <= z <= upper, checked once, with the projector's box rows.
-
-    ``rows`` and ``rhs`` hold the 2g box inequalities per axis, z_j <=
-    upper_j then -z_j <= -lower_j.  ``min_norm_qp`` places them after the
-    cut rows; that row order is NNLS's column order, which fixes its pivots.
-    A solve that projects many times builds one box and passes it to every
-    call.  The arrays are read-only, since calls share them.
-    """
-
-    __slots__ = ("lower", "upper", "rows", "rhs")
-
-    def __init__(self, lower, upper):
-        lower, upper = _finite_bounds(lower, upper)
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ValidationError("box bounds must be two vectors of one length")
-        g = lower.size
-        axis = np.arange(g)
-        rows = np.zeros((2 * g, g))
-        rows[2 * axis, axis] = 1.0
-        rows[2 * axis + 1, axis] = -1.0
-        # copies, so that freezing them leaves the caller's arrays writable
-        self.lower, self.upper = lower.copy(), upper.copy()
-        self.rows = rows
-        self.rhs = np.column_stack([upper, -lower]).ravel()
-        for arr in (self.lower, self.upper, self.rows, self.rhs):
-            arr.flags.writeable = False
-
-
 def min_norm_qp(
     v: np.ndarray,
     a_ub: np.ndarray | None,
     b_ub: np.ndarray | None,
-    box: Box,
+    box: CapitalBox,
 ) -> QpResult:
-    """Project v onto {a_ub z <= b_ub, box.lower <= z <= box.upper}.
+    """Project v onto {a_ub z <= b_ub, box.lo <= z <= box.hi}.
 
     With u = z - v and s = b - A v, the least-distance program
     min ||u|| s.t. A u <= s reduces to the NNLS min ||E w - f||, w >= 0, for
@@ -356,7 +332,7 @@ def min_norm_qp(
     """
     v = np.asarray(v, dtype=float)
     g = v.size
-    if box.lower.shape != v.shape:
+    if box.lo.shape != v.shape:
         raise ValidationError("the point and the box differ in dimension")
     big_a, big_b = box.rows, box.rhs
     if a_ub is not None and len(a_ub):

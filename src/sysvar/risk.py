@@ -1,4 +1,10 @@
-"""Risk specification, capital box, and the sampled-set membership oracle."""
+"""Risk specification, capital box, and the sampled-set membership oracle.
+
+``RiskSpec`` and ``CapitalBox`` check themselves when they are built, so
+the routines that take them check neither again; a routine that takes an
+optional box checks only its length against the grouping
+(``box_or_default``).
+"""
 
 from __future__ import annotations
 
@@ -21,34 +27,49 @@ _LABEL_BUDGET_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class RiskSpec:
-    """Threshold alpha on aggregate payments and violation level lambda."""
+    """Threshold alpha on aggregate payments and violation level lambda,
+    checked when built: alpha > 0 and 0 < lambda < 1."""
 
     alpha: float
     lam: float
 
-    def validate(self) -> None:
-        if self.alpha <= 0:
+    def __post_init__(self) -> None:
+        if not self.alpha > 0:
             raise ValidationError("alpha must be positive")
         if not 0 < self.lam < 1:
             raise ValidationError("lambda must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
 class CapitalBox:
-    """Componentwise capital bounds [z_lo, z_hi] containing the set's generators."""
+    """Componentwise capital bounds lo <= z <= hi, checked when built.
 
-    lo: np.ndarray
-    hi: np.ndarray
+    ``lo`` and ``hi`` are finite vectors of one length with lo <= hi + 1e-12.
+    ``rows`` and ``rhs`` hold the projector's 2g box inequalities, per axis
+    z_j <= hi_j then -z_j <= -lo_j; ``min_norm_qp`` places them after the
+    cut rows, and that row order is NNLS's column order, which fixes its
+    pivots.  All four arrays are read-only, since every projection of a
+    branch-and-bound solve shares them; ``lo`` and ``hi`` are copies, so the
+    caller's arrays stay writable.
+    """
 
-    def validate(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
+    __slots__ = ("lo", "hi", "rows", "rhs")
+
+    def __init__(self, lo, hi):
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValidationError("box bounds must be vectors of equal length")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValidationError("box bounds must be finite")
         if np.any(lo > hi + 1e-12):
             raise ValidationError("box is empty (lo > hi)")
+        axis = np.arange(lo.size)
+        rows = np.zeros((2 * lo.size, lo.size))
+        rows[2 * axis, axis] = 1.0
+        rows[2 * axis + 1, axis] = -1.0
+        self.lo, self.hi, self.rows = lo, hi, rows
+        self.rhs = np.column_stack([hi, -lo]).ravel()
+        for arr in (lo, hi, rows, self.rhs):
+            arr.flags.writeable = False
 
 
 def z_bounds(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet) -> CapitalBox:
@@ -77,11 +98,11 @@ def z_bounds(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet) 
 
 def box_or_default(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet,
                    box: CapitalBox | None) -> CapitalBox:
-    """``box`` once validated, or the default capital box of the sample."""
+    """``box``, once checked to hold one entry per group, or the default
+    capital box of the sample."""
     if box is None:
         return z_bounds(net, grouping, scenarios)
-    box.validate()
-    if np.shape(box.lo) != (grouping.g,):
+    if box.lo.shape != (grouping.g,):
         raise ValidationError("box bounds must have one entry per group")
     return box
 
@@ -171,7 +192,6 @@ def membership(
     rule rests on per-scenario monotonicity in floating point, which the
     grid search assumes.
     """
-    spec.validate()
     z = np.asarray(z, dtype=float)
     if z.shape != (grouping.g,):
         raise ValidationError("z must have one entry per group")

@@ -229,15 +229,13 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     points.  ``counts`` holds the visitor's counters for the ``event`` log
     line.
     """
-    spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)
     if grid_lo is None:
         ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection")
         grid_lo = ideal - _IDEAL_MARGIN
-    grid = Grid.build(np.asarray(grid_lo, dtype=float),
-                      np.asarray(box.hi, dtype=float), epsilon)
+    grid = Grid.build(np.asarray(grid_lo, dtype=float), box.hi, epsilon)
     status = np.zeros(grid.shape, dtype=np.int8)
     for idx in _traversal(grid, status):
         if status[idx] == 0:
@@ -314,13 +312,11 @@ def approximate_by_norm_min(
     # every solve searches the box the grid is built in
     box = box_or_default(net, grouping, scenarios, box)
     counts = {"solves": 0, "fallbacks": 0, "nodes": 0, "excluded": 0}
-    cut_cache: dict = {}
 
     def visit(grid: Grid, status: np.ndarray, idx: tuple[int, ...]) -> None:
         # every solve's membership call stays record-free
         z = grid.value(idx)
-        res = norm_min(net, grouping, scenarios, spec, z, box=box,
-                       node_budget=node_budget, cut_cache=cut_cache)
+        res = norm_min(net, grouping, scenarios, spec, z, box=box, node_budget=node_budget)
         counts["solves"] += 1
         if res.solution is not None:
             counts["nodes"] += res.solution.nodes
@@ -379,7 +375,6 @@ def insensitive_saa(aggregates: np.ndarray, spec: RiskSpec) -> float:
     The least y with at most floor(N*lambda) scenarios below alpha - y is
     alpha minus the (floor(N*lambda)+1)-th smallest aggregate.
     """
-    spec.validate()
     arr = np.sort(np.asarray(aggregates, dtype=float))
     if arr.size == 0:
         raise ValidationError("aggregate list is empty")
@@ -410,6 +405,8 @@ def convergence_study(
     probes come from the seed's reference set: its ideal corner and its
     middle generator (NaN when the reference has no generator).
     """
+    if not (n_list and seeds) or min(n_list) < 1:
+        raise ValidationError("need at least one seed and sample sizes of at least 1")
     if n_ref < max(n_list):
         raise ValidationError("n_ref must be at least max(n_list)")
     n_probes = 2 if probe_points is None else len(probe_points)

@@ -41,18 +41,13 @@ class ScalarizationResult:
     solution: MipSolution | None = None
 
 
-def _solve(net, grouping, scenarios, spec, box, node_budget, cut_cache=None,
-           weights=None, center=None) -> ScalarizationResult:
+def _solve(net, grouping, scenarios, spec, box, node_budget, weights=None,
+           center=None) -> ScalarizationResult:
     """Branch-and-bound on the boxed model with one objective: ``weights``
     (linear) or ``center`` (squared distance, reported as a distance)."""
-    model = ScenarioMip(
-        net=net, grouping=grouping, scenarios=scenarios,
-        alpha=spec.alpha, lam=spec.lam,
-        z_lower=np.asarray(box.lo, dtype=float),
-        z_upper=np.asarray(box.hi, dtype=float),
-        weights=weights, center=center,
-    )
-    sol = branch_and_bound(model, node_budget=node_budget, cut_cache=cut_cache)
+    model = ScenarioMip(net=net, grouping=grouping, scenarios=scenarios, spec=spec,
+                        box=box, weights=weights, center=center)
+    sol = branch_and_bound(model, node_budget=node_budget)
     if sol.status == "infeasible":
         return ScalarizationResult("infeasible", np.nan, None, sol)
     value = sol.objective if center is None else np.sqrt(max(sol.objective, 0.0))
@@ -69,7 +64,6 @@ def weighted_sum(
     node_budget: int = 100_000,
 ) -> ScalarizationResult:
     """Minimum of weights.z over the sampled risk set (boxed)."""
-    spec.validate()
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or not np.any(weights > 0):
         raise ValidationError("weights must be nonnegative and not all zero")
@@ -87,7 +81,6 @@ def norm_min(
     point: np.ndarray,
     box: CapitalBox | None = None,
     node_budget: int = 100_000,
-    cut_cache: dict | None = None,
 ) -> ScalarizationResult:
     """Distance from `point` to the boxed sampled risk set, with a nearest point.
 
@@ -95,16 +88,14 @@ def norm_min(
     reference points below the set the nearest point dominates the reference
     componentwise.
     """
-    spec.validate()
     point = np.asarray(point, dtype=float)
     if spec.alpha > net.total_obligations:
         return ScalarizationResult("infeasible", np.nan, None)
     box = box_or_default(net, grouping, scenarios, box)
-    inside_box = bool(np.all(point <= np.asarray(box.hi) + 1e-12))
+    inside_box = bool(np.all(point <= box.hi + 1e-12))
     if inside_box and membership(net, grouping, scenarios, spec, point).accepted:
         return ScalarizationResult("optimal", 0.0, point.copy())
-    return _solve(net, grouping, scenarios, spec, box, node_budget, cut_cache,
-                  center=point)
+    return _solve(net, grouping, scenarios, spec, box, node_budget, center=point)
 
 
 def bisection_unit(
@@ -137,10 +128,8 @@ def bisection_unit(
 def _bisection_unit(net, grouping, scenarios, spec, j, box, work: Counter) -> float:
     """``bisection_unit``, adding its oracle work to ``work``: rows sent to
     the clearing kernel, kernel calls, and reruns on the oracle."""
-    spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
-    lo = np.asarray(box.lo, dtype=float)
-    hi = np.asarray(box.hi, dtype=float)
+    lo, hi = box.lo, box.hi
     if not 0 <= j < grouping.g:
         raise ValidationError("group index out of range")
 
@@ -264,7 +253,6 @@ def ideal_point(
     ``bisection`` route logs its oracle work: rows sent to the clearing
     kernel, kernel calls, and the axes that reran on the oracle.
     """
-    spec.validate()
     box = box_or_default(net, grouping, scenarios, box)
     work: Counter = Counter()
 

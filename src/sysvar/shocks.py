@@ -75,9 +75,9 @@ class ScenarioSet:
             raise ValidationError("scenario values must be nonnegative")
 
     def head(self, n: int) -> "ScenarioSet":
-        """First n scenarios (prefix of the same stream)."""
-        if n > self.n:
-            raise ValidationError("cannot take more scenarios than available")
+        """First n scenarios (prefix of the same stream), 1 <= n <= N."""
+        if not 1 <= n <= self.n:
+            raise ValidationError(f"cannot take {n} of {self.n} scenarios")
         return ScenarioSet(values=self.values[:n])
 
 

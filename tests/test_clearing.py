@@ -377,6 +377,33 @@ class TestEnumeration:
         assert [tuple(p.y) for p in polys] == [(1, 1)]
         assert polytope_contains(polys[0], np.array([1.0, 1.0]), net.pbar)
 
+    def test_patterns_and_equalities_match_a_per_bank_loop(self, rng):
+        # the equality rows written out bank by bank: full payment where
+        # y_i = 1, exact pass-through where y_i = 0, patterns in mask order;
+        # zero cash leaves more than one pattern
+        seen = 0
+        for d, zero in [(2, True), (4, True), (6, True), (4, False), (6, False)]:
+            net = random_network(rng, d, pbar_range=(0.5, 1.5))
+            x = np.zeros(d) if zero else rng.exponential(0.3, size=d)
+            flow = np.eye(d) - net.pi.T
+            polys = sv.enumerate_clearing_vectors(net, x)
+            masks = [sum(int(v) << i for i, v in enumerate(p.y)) for p in polys]
+            assert masks == sorted(masks)
+            seen += len(polys)
+            for poly in polys:
+                rows, rhs = [], []
+                for i in range(d):
+                    if poly.y[i] == 1:
+                        rows.append(np.eye(d)[i])
+                        rhs.append(net.pbar[i])
+                    else:
+                        rows.append(flow[i])
+                        rhs.append(x[i])
+                assert poly.y.dtype.kind == "i"
+                assert np.vstack(rows).tobytes() == poly.a_eq.tobytes()
+                assert np.asarray(rhs).tobytes() == poly.b_eq.tobytes()
+        assert seen > 5
+
     def test_capacity_guard(self, rng):
         net = random_network(rng, 13)
         with pytest.raises(CapacityError):

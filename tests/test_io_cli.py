@@ -351,12 +351,18 @@ class TestCli:
         ("", ["clear", "--network", "{net}", "--x", "1,1"]),
         ("", _GEN + ["--m", "1,2,3,abc"]),
         ("", _CONVERGE + ["--n-list", "5,abc"]),
+        ("", _CONVERGE + ["--n-list", "0,10"]),
+        ("", _CONVERGE + ["--n-list=-5,10"]),
+        ("", _CONVERGE + ["--n-list", "5", "--seeds", "0"]),
+        ("", ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "0.8",
+              "--lambda", "1.5", "--epsilon", "1.0"]),
     ], ids=["edge-cell", "edge-columns", "edge-negative", "truncated-json", "x-length",
-            "float-list", "int-list"])
+            "float-list", "int-list", "size-zero", "size-negative", "no-seeds",
+            "lambda-above-one"])
     def test_malformed_input_exits_two(self, pipeline, tmp_path, capsys, text, argv):
         bad = tmp_path / "bad"
         bad.write_text(text)
-        code = run_cli(*[a.format(bad=bad, net=pipeline["net"]) for a in argv],
+        code = run_cli(*[a.format(bad=bad, **pipeline) for a in argv],
                        "--out", str(tmp_path / "out.json"))
         assert code == 2
         err = capsys.readouterr().err

@@ -3,7 +3,8 @@ import pytest
 
 import sysvar as sv
 import sysvar.optim
-from sysvar.optim import Box, LinearProgram, min_norm_qp, solve_lp
+from sysvar.optim import LinearProgram, min_norm_qp, solve_lp
+from sysvar.risk import CapitalBox
 from sysvar.util import SolverError, ValidationError, required_hits
 from conftest import (
     exp_scenarios,
@@ -69,7 +70,7 @@ class TestSolveLp:
             solve_lp(LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                                    lower=lower, upper=np.ones(2)))
         with pytest.raises(ValidationError):
-            Box(lower, np.ones(2))
+            CapitalBox(lower, np.ones(2))
 
     def test_step_without_blocking_bound_raises(self, monkeypatch):
         # x1 enters on a pivot of -10; the slack that later enters moves x1
@@ -163,7 +164,7 @@ class TestSolveLp:
 class TestMinNormQp:
     def test_interior_point_is_fixed(self):
         res = min_norm_qp(np.array([0.2, 0.3]), None, None,
-                          Box(np.zeros(2), np.ones(2)))
+                          CapitalBox(np.zeros(2), np.ones(2)))
         assert res.distance == 0.0
         assert np.allclose(res.z, [0.2, 0.3])
 
@@ -171,7 +172,7 @@ class TestMinNormQp:
         res = min_norm_qp(np.array([0.0, 0.0]),
                           np.array([[-1.0, 0.0], [0.0, -1.0]]),
                           np.array([-1.0, -1.0]),
-                          Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
+                          CapitalBox(np.array([-5.0, -5.0]), np.array([5.0, 5.0])))
         assert np.allclose(res.z, [1.0, 1.0])
         assert res.distance == pytest.approx(np.sqrt(2.0))
 
@@ -186,7 +187,7 @@ class TestMinNormQp:
                 k = rng.integers(0, len(a), size=2)
                 a, b = np.vstack([a, a[k]]), np.concatenate([b, b[k]])
             v = rng.uniform(-3.0, 3.0, size=g) * rng.choice([1.0, 100.0])
-            res = min_norm_qp(v, a, b, Box(np.full(g, -1.0), np.full(g, 1.5)))
+            res = min_norm_qp(v, a, b, CapitalBox(np.full(g, -1.0), np.full(g, 1.5)))
             assert_kkt(v, a, b, np.full(g, -1.0), np.full(g, 1.5), res)
             projected += res.distance > 0
         assert projected > 300
@@ -197,7 +198,7 @@ class TestMinNormQp:
         # without cuts are mixed in.  Both also match the reference
         # formulation bit for bit, which pins the NNLS column order
         def fresh(g):
-            return Box(np.full(g, -1.0), np.full(g, 1.5))
+            return CapitalBox(np.full(g, -1.0), np.full(g, 1.5))
 
         boxes = {g: fresh(g) for g in range(1, 9)}
         inside = projected = 0
@@ -231,15 +232,15 @@ class TestMinNormQp:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_box_rejects_non_finite_bounds(self, bad):
         with pytest.raises(ValidationError):
-            Box(np.array([0.0, bad]), np.ones(2))
+            CapitalBox(np.array([0.0, bad]), np.ones(2))
         with pytest.raises(ValidationError):
-            Box(np.zeros(2), np.array([bad, 1.0]))
+            CapitalBox(np.zeros(2), np.array([bad, 1.0]))
 
     def test_box_and_point_dimensions_must_agree(self):
         with pytest.raises(ValidationError):
-            Box(np.zeros(2), np.ones(3))
+            CapitalBox(np.zeros(2), np.ones(3))
         with pytest.raises(ValidationError):
-            min_norm_qp(np.zeros(3), None, None, Box(np.zeros(2), np.ones(2)))
+            min_norm_qp(np.zeros(3), None, None, CapitalBox(np.zeros(2), np.ones(2)))
 
     def test_singular_gram_takes_residual_path(self, monkeypatch):
         # duplicated rows give NNLS identical columns, so splitting a freed
@@ -268,7 +269,7 @@ class TestMinNormQp:
         b = np.array([-2.0, 3.0, -2.0])
         v = np.array([0.0, 0.0])
         lo, hi = np.full(2, -5.0), np.full(2, 5.0)
-        res = min_norm_qp(v, a, b, Box(lo, hi))
+        res = min_norm_qp(v, a, b, CapitalBox(lo, hi))
         assert len(grams) == 1 and np.linalg.matrix_rank(grams[0]) == 1
         assert_kkt(v, a, b, lo, hi, res)
         assert np.allclose(res.z, [0.4, 0.8], atol=1e-12)
@@ -277,7 +278,7 @@ class TestMinNormQp:
         monkeypatch.setattr(sysvar.optim, "_NNLS_ROUNDS_PER_ROW", 0)
         with pytest.raises(SolverError):
             min_norm_qp(np.zeros(2), np.array([[-1.0, -1.0]]), np.array([-1.0]),
-                        Box(np.zeros(2), np.ones(2)))
+                        CapitalBox(np.zeros(2), np.ones(2)))
 
     def test_matches_dense_grid_scan(self, rng):
         for _ in range(5):
@@ -285,7 +286,7 @@ class TestMinNormQp:
             b = a @ rng.uniform(0.2, 0.8, size=2) + rng.uniform(0.05, 0.3, size=10)
             lo, hi = np.array([-1.0, -1.0]), np.array([1.5, 1.5])
             v = rng.uniform(-1.0, 1.5, size=2)
-            res = min_norm_qp(v, a, b, Box(lo, hi))
+            res = min_norm_qp(v, a, b, CapitalBox(lo, hi))
             step = 1e-3
             xs = np.arange(lo[0], hi[0] + step, step)
             ys = np.arange(lo[1], hi[1] + step, step)
@@ -303,7 +304,7 @@ class TestMinNormQp:
             min_norm_qp(np.zeros(2),
                         np.array([[1.0, 0.0], [-1.0, 0.0]]),
                         np.array([-1.0, -1.0]),
-                        Box(np.full(2, -5.0), np.full(2, 5.0)))
+                        CapitalBox(np.full(2, -5.0), np.full(2, 5.0)))
 
 
 def reference_projection(v, a, b, lower, upper):
@@ -366,8 +367,7 @@ def toy_model(rng, n_scen=4, lam=0.25, quadratic=False):
     box = sv.z_bounds(net, grouping, scen)
     kwargs = dict(
         net=net, grouping=grouping, scenarios=scen,
-        alpha=0.85 * net.total_obligations, lam=lam,
-        z_lower=box.lo, z_upper=box.hi,
+        spec=sv.RiskSpec(alpha=0.85 * net.total_obligations, lam=lam), box=box,
     )
     if quadratic:
         kwargs["center"] = box.lo - 0.5
@@ -382,15 +382,13 @@ class TestBranchAndBound:
         grouping = two_group_split(rng, 3)
         scen = exp_scenarios(rng, 1, 3, 0.3)
         box = sv.z_bounds(net, grouping, scen)
-        spec_alpha = 0.8 * net.total_obligations
+        spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=0.3)
         model = sv.ScenarioMip(
-            net=net, grouping=grouping, scenarios=scen, alpha=spec_alpha,
-            lam=0.3, z_lower=box.lo, z_upper=box.hi,
+            net=net, grouping=grouping, scenarios=scen, spec=spec, box=box,
             weights=np.array([1.0, 1.0]))
         sol = sv.branch_and_bound(model)
         oracle = subset_oracle_weighted(
-            net, grouping, scen, sv.RiskSpec(alpha=spec_alpha, lam=0.3),
-            np.array([1.0, 1.0]), box)
+            net, grouping, scen, spec, np.array([1.0, 1.0]), box)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(oracle, abs=1e-7)
         assert sol.y.sum() == 1
@@ -400,9 +398,8 @@ class TestBranchAndBound:
             model, box = toy_model(rng, n_scen=int(rng.integers(4, 8)),
                                    lam=float(rng.uniform(0.2, 0.5)))
             sol = sv.branch_and_bound(model)
-            spec = sv.RiskSpec(alpha=model.alpha, lam=model.lam)
             oracle = subset_oracle_weighted(
-                model.net, model.grouping, model.scenarios, spec,
+                model.net, model.grouping, model.scenarios, model.spec,
                 model.weights, box)
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(oracle, abs=1e-6)
@@ -419,9 +416,8 @@ class TestBranchAndBound:
         model, _ = toy_model(rng)
         bad = sv.ScenarioMip(
             net=model.net, grouping=model.grouping, scenarios=model.scenarios,
-            alpha=model.net.total_obligations + 1e-3, lam=model.lam,
-            z_lower=model.z_lower, z_upper=model.z_upper,
-            weights=model.weights)
+            spec=sv.RiskSpec(alpha=model.net.total_obligations + 1e-3, lam=model.spec.lam),
+            box=model.box, weights=model.weights)
         assert sv.branch_and_bound(bad).status == "infeasible"
 
     def test_incumbent_trace_monotone_and_deterministic(self, rng):
@@ -438,9 +434,8 @@ class TestBranchAndBound:
         for quadratic in (False, True):
             model, _ = toy_model(rng, n_scen=5, lam=0.35, quadratic=quadratic)
             sol = sv.branch_and_bound(model)
-            spec = sv.RiskSpec(alpha=model.alpha, lam=model.lam)
             assert sv.membership(model.net, model.grouping, model.scenarios,
-                                 spec, sol.z).accepted
+                                 model.spec, sol.z).accepted
 
     def test_node_budget_flagged(self, rng):
         model, _ = toy_model(rng, n_scen=8, lam=0.5)

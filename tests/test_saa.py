@@ -560,6 +560,19 @@ class TestConvergenceStudy:
         assert all(np.isfinite(r["hausdorff_to_ref"]) for r in data)
         assert all("probe_1" in r and "probe_2" in r for r in rows)
 
+    @pytest.mark.parametrize("n_list, seeds", [([5, 10], []), ([], [0]), ([0, 10], [0]),
+                                               ([-5, 10], [0])],
+                             ids=["no-seeds", "no-sizes", "size-zero", "size-negative"])
+    def test_empty_and_short_requests_are_rejected(self, rng, monkeypatch, n_list, seeds):
+        # rejected before any set is computed
+        net, grouping, _, spec = instance(rng, n_scen=8)
+        params = sv.ShockParams(nu=3.0, beta_by_group=np.array([0.4, 0.2]),
+                                rho=0.3, n=20, seed=0)
+        monkeypatch.setattr(sysvar.saa, "sample_shocks", None)
+        with pytest.raises(ValidationError):
+            sv.convergence_study(net, grouping, params, spec, n_list=n_list, seeds=seeds,
+                                 epsilon=0.4, n_ref=20)
+
     def test_default_probes_are_reference_corners(self, rng):
         # per seed: the distance from each sampled set to the reference's
         # ideal corner and to its middle generator

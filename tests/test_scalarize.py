@@ -89,9 +89,62 @@ class TestBounds:
     ], ids=["weighted_sum", "norm_min", "bisection_unit", "ideal_point",
             "algorithm_1", "algorithm_2"])
     def test_every_entry_point_rejects_a_bad_box(self, rng, lo, hi, solve):
+        # a wrong-length box is well formed, so each entry point checks its
+        # length against g; the other boxes are refused when built (see
+        # TestConstruction), before any entry point sees them
         net, grouping, scen, spec = instance(rng)
         with pytest.raises(ValidationError):
             solve(net, grouping, scen, spec, box=sv.CapitalBox(lo=lo, hi=hi))
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("lo, hi", [
+        (np.array([-np.inf, 0.0]), np.ones(2)),
+        (np.zeros(2), np.array([1.0, np.nan])),
+        (np.ones(2), np.zeros(2)),
+        (np.zeros(2), np.ones(3)),
+        (np.zeros((1, 2)), np.ones((1, 2))),
+    ], ids=["infinite", "nan", "inverted", "ragged", "matrix"])
+    def test_capital_box_rejects_bad_bounds_when_built(self, lo, hi):
+        with pytest.raises(ValidationError):
+            sv.CapitalBox(lo=lo, hi=hi)
+
+    def test_capital_box_keeps_read_only_copies(self):
+        lo, hi = np.zeros(2), np.array([1.0, 2.0])
+        box = sv.CapitalBox(lo=lo, hi=hi)
+        for arr in (box.lo, box.hi, box.rows, box.rhs):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        # the caller's arrays stay writable and apart from the box's
+        lo[0] = hi[0] = -1.0
+        assert box.lo.tolist() == [0.0, 0.0] and box.hi.tolist() == [1.0, 2.0]
+        # the projector's rows per axis: z_j <= hi_j, then -z_j <= -lo_j
+        assert box.rows.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        assert box.rhs.tolist() == [1.0, 0.0, 2.0, 0.0]
+        # lo may exceed hi by rounding
+        assert sv.CapitalBox(lo=[1.0 + 1e-13], hi=[1.0]).lo[0] > 1.0
+
+    @pytest.mark.parametrize("alpha, lam", [
+        (0.0, 0.2), (-1.0, 0.2), (np.nan, 0.2), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5),
+        (1.0, np.nan),
+    ], ids=["alpha-zero", "alpha-negative", "alpha-nan", "lambda-zero", "lambda-one",
+            "lambda-above-one", "lambda-nan"])
+    def test_risk_spec_rejects_bad_parameters_when_built(self, alpha, lam):
+        with pytest.raises(ValidationError):
+            sv.RiskSpec(alpha=alpha, lam=lam)
+
+    @pytest.mark.parametrize("objective", [{"center": np.array([0.0, 20.0])},
+                                           {"weights": np.ones(2)}],
+                             ids=["center", "weights"])
+    def test_model_rejects_a_box_of_the_wrong_length(self, objective):
+        # the README network has g = 2; a 1-entry box would broadcast, and
+        # with the vacuous level the center would be clipped into it
+        net, grouping, scen, _ = readme_instance()
+        spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=1.0 - 1e-12)
+        model = sv.ScenarioMip(net=net, grouping=grouping, scenarios=scen, spec=spec,
+                               box=sv.CapitalBox(lo=[5.0], hi=[9.0]), **objective)
+        with pytest.raises(ValidationError, match="one entry per group"):
+            sv.branch_and_bound(model)
 
 
 class TestWeightedSum:
@@ -144,9 +197,8 @@ class TestWeightedSum:
             net, np.maximum(scen.values + grouping.spread(box.lo), 0.0))
         # more failures than the level allows, so every leaf forces one
         assert (bottom < spec.alpha).sum() > max_violations(scen.n, spec.lam)
-        model = sv.ScenarioMip(
-            net=net, grouping=grouping, scenarios=scen, alpha=spec.alpha,
-            lam=spec.lam, z_lower=box.lo, z_upper=box.hi, weights=np.ones(2))
+        model = sv.ScenarioMip(net=net, grouping=grouping, scenarios=scen, spec=spec,
+                               box=box, weights=np.ones(2))
         with pytest.raises(sv.SolverError, match="failed to converge"):
             sv.branch_and_bound(model)
 
@@ -463,13 +515,13 @@ class TestUncutPoint:
             solves.append([])
             return bnb(*args, **kwargs)
 
-        def spy_relax(model, y_fix, hits, cut_cache, *rest):
+        def spy_relax(model, y_fix, hits, cuts, *rest):
             # the node's kind, and whether its forced pattern has no cuts yet
             forced = frozenset(np.flatnonzero(y_fix == 1).tolist())
             kind = ("root" if np.all(y_fix == -1) else "leaf" if np.all(y_fix != -1)
                     else "value-0 child" if np.any(y_fix == 0) else "value-1 child")
-            starts.append((kind, not len(cut_cache.get(forced, ((), ()))[0])))
-            return relax(model, y_fix, hits, cut_cache, *rest)
+            starts.append((kind, not len(cuts.get(forced, ((), ()))[0])))
+            return relax(model, y_fix, hits, cuts, *rest)
 
         def spy_kernel(net, xs, supergradients=False):
             solves[-1].append(xs.tobytes())
@@ -529,8 +581,8 @@ README_WORK = {
                     kernel=30, membership_kernel=0),
     "point": dict(solves=1, nodes=2, relaxations=7, rounds=37, lp=0, qp=31,
                   kernel=31, membership_kernel=1),
-    "algo2": dict(solves=10, nodes=14, relaxations=50, rounds=88, lp=0, qp=66,
-                  kernel=66, membership_kernel=15),
+    "algo2": dict(solves=10, nodes=14, relaxations=50, rounds=108, lp=0, qp=68,
+                  kernel=68, membership_kernel=15),
 }
 
 

@@ -31,6 +31,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             sv.sample_shocks(params(beta_by_group=np.array([1.0])), GROUPING)
 
+    @pytest.mark.parametrize("n", [-5, 0, 4])
+    def test_head_takes_between_one_and_all_scenarios(self, n):
+        scen = sv.ScenarioSet(values=np.ones((3, 2)))
+        with pytest.raises(ValidationError):
+            scen.head(n)
+        assert scen.head(1).n == 1 and scen.head(3).n == 3
+
 
 class TestSampling:
     def test_benchmark_config_runs(self):
