@@ -12,8 +12,10 @@ closed-form per default pattern D: (I - pi_DD)^{-1} 1 on the defaulters and
 zero on solvent banks.  Each default pattern's inverse (I - pi_DD^T)^{-1} is
 built once, kept on the network (``FinancialNetwork.derived``) under a fixed
 byte budget, and applied row by row, so a row's results do not depend on the
-rows cleared beside it.  ``clearing_fixed_point``, ``aggregate_en`` and
-``en_supergradient`` are one-row calls of the kernel.
+rows cleared beside it.  The network's arrays are read-only and were
+checked when it was built, so the kernel reads them as they are, and the
+cache, built with the network, is never rebuilt.  ``clearing_fixed_point``,
+``aggregate_en`` and ``en_supergradient`` are one-row calls of the kernel.
 
 The payment LP maximizes a strictly increasing linear objective over the
 limited liability region and recovers the same vector (``clearing_lp``).  It
@@ -60,8 +62,8 @@ class ClearingPolytope:
 
 def _check_nonnegative(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValidationError("cash flow vector must be nonnegative")
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValidationError("cash flow vector must be finite and nonnegative")
     return x
 
 
@@ -75,8 +77,7 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
     step.
     """
     x = _check_nonnegative(x)
-    pi = np.asarray(net.pi, dtype=float)
-    pbar = np.asarray(net.pbar, dtype=float)
+    pi, pbar = net.pi, net.pbar
     _, groups, fallback = _fictitious_default(net, x[None, :])
     p = pbar.copy()
     iterations = 1
@@ -101,18 +102,17 @@ def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray,
     """Solve the payment LP, max weights.p subject to (I - pi^T) p <= x and
     0 <= p <= pbar (unit weights by default); return its payments clipped
     to [0, pbar] and the solver's result."""
-    pbar = np.array(net.pbar, dtype=float)
     res = solve_lp(LinearProgram(
         c=np.ones(net.d) if weights is None else weights,
-        a_ub=np.eye(net.d) - np.asarray(net.pi, dtype=float).T,
+        a_ub=np.eye(net.d) - net.pi.T,
         b_ub=x,
         lower=np.zeros(net.d),
-        upper=pbar,
+        upper=net.pbar,
         sense="max",
     ))
     if res.status != "optimal":
         raise SolverError(f"clearing LP returned status {res.status}")
-    return np.clip(res.x, 0.0, pbar), res
+    return np.clip(res.x, 0.0, net.pbar), res
 
 
 def _dual_supergradient(res: LpResult) -> np.ndarray:
@@ -137,7 +137,7 @@ def clearing_lp(net: FinancialNetwork, x: np.ndarray,
         if np.any(f_weights <= 0):
             raise ValidationError("objective weights must be strictly positive")
     p, res = _solve_payment_lp(net, x, f_weights)
-    defaults = p < np.asarray(net.pbar, dtype=float) - DEFAULT_TOL
+    defaults = p < net.pbar - DEFAULT_TOL
     return ClearingResult(p=p, defaults=defaults, iterations=res.iterations,
                           total_payment=float(p.sum()))
 
@@ -208,8 +208,7 @@ def _fictitious_default(net: FinancialNetwork,
     so later calls with the same patterns skip building it; the network's
     constants of the solvent, one-step and range tests live there too.
     """
-    pi = np.asarray(net.pi, dtype=float)
-    cache = net.derived.valid_for(pi, np.asarray(net.pbar, dtype=float))
+    cache = net.derived
     out = np.empty(xs.shape[0])
     solvent = (xs >= cache.solvent_floor).all(axis=1)
     negative = (xs < 0).any(axis=1)
@@ -226,7 +225,7 @@ def _fictitious_default(net: FinancialNetwork,
         order, bounds = _sort_by_pattern(masks[live])
         live = live[order]
         totals, done, again, grown, systems = _fictitious_round(
-            cache, pi, xs[rows[live]], masks[live], bounds)
+            net, xs[rows[live]], masks[live], bounds)
         # allocation order sets peak RSS here: an array made before the
         # round and kept across it (such as ids) sits on the heap above the
         # round's full-batch arrays and keeps them from being returned to
@@ -256,8 +255,8 @@ def _defaulter_payments(system: _PatternSystem, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,nj->ni", system.inv, rhs)
 
 
-def _fictitious_round(cache: DerivedCache, pi: np.ndarray, x: np.ndarray,
-                      masks: np.ndarray, bounds: np.ndarray):
+def _fictitious_round(net: FinancialNetwork, x: np.ndarray, masks: np.ndarray,
+                      bounds: np.ndarray):
     """One fictitious-default round over rows grouped by default mask
     (group j is rows bounds[j]:bounds[j + 1]).
 
@@ -268,12 +267,13 @@ def _fictitious_round(cache: DerivedCache, pi: np.ndarray, x: np.ndarray,
     pattern neither settle nor go on.  The full-batch arrays are freed on
     return, before the next round allocates its own.
     """
+    pi, cache = net.pi, net.derived
     trial = np.empty(x.shape)
-    trial[:] = cache.pbar
+    trial[:] = net.pbar
     systems, singular = [], []
     bounds = bounds.tolist()
     for s, e in zip(bounds[:-1], bounds[1:]):
-        system = _pattern_system(cache, pi, cache.pbar, masks[s])
+        system = _pattern_system(cache, pi, net.pbar, masks[s])
         systems.append(system)
         if system.inv is None:
             singular.append((s, e))
@@ -394,8 +394,7 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
     if d > _ENUM_MAX_DIM:
         raise CapacityError(
             f"enumeration over 2^{d} patterns exceeds the limit {_ENUM_MAX_DIM}")
-    pi = np.asarray(net.pi, dtype=float)
-    pbar = np.asarray(net.pbar, dtype=float)
+    pi, pbar = net.pi, net.pbar
     eye = np.eye(d)
     flow = eye - pi.T
     q = float(np.max(pi.T @ pbar + x))
@@ -407,7 +406,7 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
         a_ub = np.vstack([flow, -eye, -flow])
         b_ub = np.concatenate([x, -pbar * y, q * y - x])
         feasible = solve_lp(LinearProgram(
-            c=np.zeros(d), a_ub=a_ub, b_ub=b_ub, lower=np.zeros(d), upper=pbar.copy()
+            c=np.zeros(d), a_ub=a_ub, b_ub=b_ub, lower=np.zeros(d), upper=pbar
         ))
         if feasible.status != "optimal":
             continue

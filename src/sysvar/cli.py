@@ -147,13 +147,12 @@ def _cmd_gen_network(args) -> int:
     m = _floats(args.m)
     if len(m) != 4:
         raise ValidationError("--m expects four comma-separated values (2x2, row-major)")
-    params = BollobasParams(
+    inter = IntergroupLiabilityMatrix(values=np.reshape(m, (2, 2)))
+    graph = generate_bollobas(BollobasParams(
         theta=args.theta, eta=args.eta, zeta=args.zeta,
         delta_in=args.delta_in, delta_out=args.delta_out,
         target_nodes=args.nodes, seed=args.seed,
-    )
-    graph = generate_bollobas(params)
-    inter = IntergroupLiabilityMatrix(values=np.asarray(m).reshape(2, 2))
+    ))
     net, grouping = build_liabilities(graph, args.core_size, inter,
                                        repair=not args.no_repair)
     write_network(args.out, net, grouping, provenance=_provenance(args))

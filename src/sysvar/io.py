@@ -92,19 +92,13 @@ def write_network(path: str, net: FinancialNetwork, grouping: Grouping,
 def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
     data = load_json(path)
     try:
-        net = FinancialNetwork(
-            d=int(data["d"]),
-            pi=np.asarray(data["pi"], dtype=float),
-            pbar=np.asarray(data["pbar"], dtype=float),
-        )
-        grouping = Grouping(
-            g=int(data["grouping"]["g"]),
-            assignment=np.asarray(data["grouping"]["assignment"], dtype=int),
-        )
-    except (KeyError, TypeError) as exc:
+        net = FinancialNetwork(d=int(data["d"]), pi=data["pi"], pbar=data["pbar"])
+        grouping = Grouping(g=int(data["grouping"]["g"]),
+                            assignment=data["grouping"]["assignment"])
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers ragged arrays and the values' own checks
         raise ValidationError(f"malformed network file {path}: {exc}") from exc
-    net.validate()
-    grouping.validate(net.d)
+    grouping.check_banks(net.d)
     return net, grouping
 
 
@@ -275,9 +269,9 @@ def write_scenarios(path: str, scenarios: ScenarioSet) -> None:
     """Scenario CSV streamed in blocks of `_WRITE_BLOCK_ROWS` rows, so the
     whole text is never held in memory.  Each cell is ``%.17g``, the same
     text as `fmt17`: numpy formats cells in 1e-4 <= v < 1e17 from an exact
-    product, ``%.17g`` the rest (see the module docstring).  The set is
-    validated first, so nothing is written that `read_scenarios` refuses."""
-    scenarios.validate()
+    product, ``%.17g`` the rest (see the module docstring).  Negative cash
+    flows are refused first, as `read_scenarios` refuses them."""
+    scenarios.check_nonnegative()
     d = scenarios.d
     values = scenarios.values
 
@@ -313,7 +307,7 @@ def read_scenarios(path: str) -> ScenarioSet:
         raise ValidationError(f"malformed scenario CSV {path}: the header names {width} "
                               f"columns, the rows hold {values.shape[1]}")
     out = ScenarioSet(values=values)
-    out.validate()
+    out.check_nonnegative()
     return out
 
 
@@ -349,10 +343,7 @@ def read_approx(path: str) -> ApproxSet:
         return ApproxSet(
             epsilon=float(data["epsilon"]),
             generators=gens,
-            box=CapitalBox(
-                lo=np.asarray(data["box"]["lo"], dtype=float),
-                hi=np.asarray(data["box"]["hi"], dtype=float),
-            ),
+            box=CapitalBox(lo=data["box"]["lo"], hi=data["box"]["hi"]),
             ideal=ideal_arr,
             feasible=bool(data.get("feasible", True)),
         )

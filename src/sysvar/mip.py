@@ -16,9 +16,10 @@ same computation without the counting constraint.  A node whose forced
 pattern has no cuts yet starts at the uncut point, the inner optimum with
 no cuts (the box projection of the center, or the box optimum of the
 weights); it is the same for every node of a solve, so each solve finds and
-clears it once.  The model carries a ``RiskSpec`` and a ``CapitalBox``,
-both checked when they were built, and the box already holds the
-projector's rows, so a solve neither checks nor converts them again.  Each
+clears it once.  The model checks itself when it is built, and so does
+each value it carries (the network, the grouping, the scenarios, a
+``RiskSpec`` and a ``CapitalBox``, which already holds the projector's
+rows), so a solve neither checks nor converts any of them again.  Each
 solve keeps every pattern's cuts in its own table, as arrays that grow by
 the rows of each round.
 """
@@ -40,6 +41,7 @@ from .shocks import ScenarioSet
 from .util import (
     SolverError,
     ValidationError,
+    frozen_array,
     log_event,
     required_hits,
     violates,
@@ -53,9 +55,10 @@ _NODE_MAX_ROUNDS = 300
 class ScenarioMip:
     """Scalarization model over the sampled risk set intersected with a box.
 
-    ``validate`` checks what the spec and the box cannot check themselves:
-    the objective, the grouping, the scenario dimension, and the box's
-    length against the number of groups.
+    Checked when built for what its values cannot check alone: exactly one
+    objective, a finite vector per group kept as a read-only copy (weights
+    nonnegative, not all zero), and the grouping, scenarios and box against
+    the network and the group count.
     """
 
     net: FinancialNetwork
@@ -66,14 +69,17 @@ class ScenarioMip:
     weights: np.ndarray | None = None
     center: np.ndarray | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if (self.weights is None) == (self.center is None):
             raise ValidationError("exactly one of weights/center must be given")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or not np.any(w > 0):
-                raise ValidationError("weights must be nonnegative and nonzero")
-        self.grouping.validate(self.net.d)
+        name = "weights" if self.center is None else "center"
+        target = frozen_array(getattr(self, name), name)
+        if target.shape != (self.grouping.g,):
+            raise ValidationError(f"{name} must have one entry per group")
+        if name == "weights" and (np.any(target < 0) or not np.any(target > 0)):
+            raise ValidationError("weights must be nonnegative and not all zero")
+        object.__setattr__(self, name, target)
+        self.grouping.check_banks(self.net.d)
         if self.scenarios.d != self.net.d:
             raise ValidationError("scenario dimension does not match the network")
         if self.box.lo.shape != (self.grouping.g,):
@@ -113,11 +119,10 @@ class _SolveData:
 
     @classmethod
     def of(cls, model: ScenarioMip) -> _SolveData:
-        target = model.center if model.center is not None else model.weights
         return cls(
-            scen=np.asarray(model.scenarios.values, dtype=float),
+            scen=model.scenarios.values,
             bmat=model.grouping.matrix.astype(float),
-            target=np.asarray(target, dtype=float),
+            target=model.center if model.center is not None else model.weights,
             no_cuts=(np.empty((0, model.grouping.g)), np.empty(0)),
         )
 
@@ -228,7 +233,6 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
     gap; least-distance objectives report it, and prune, on the distance
     scale so callers can shrink exclusion radii safely.
     """
-    model.validate()
     n_scen = model.scenarios.n
     hits = required_hits(n_scen, model.spec.lam)
     quadratic = model.center is not None
@@ -239,11 +243,11 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
     if hits == 0:
         # chance constraint is vacuous; only the box binds
         if quadratic:
-            z = np.clip(np.asarray(model.center, dtype=float), model.box.lo, model.box.hi)
+            z = np.clip(model.center, model.box.lo, model.box.hi)
             obj = float(np.sum((z - model.center) ** 2))
         else:
             z = model.box.lo.copy()
-            obj = float(np.asarray(model.weights) @ z)
+            obj = float(model.weights @ z)
         return MipSolution("optimal", z, obj, np.zeros(n_scen, dtype=int), 0, 0.0)
 
     # each forced pattern's cuts and the first cut-free round of the solve,

@@ -5,16 +5,19 @@ three event types (new node with out-edge, edge between existing nodes, new
 node with in-edge).  The resulting adjacency is combined with a 2x2
 intergroup liability matrix to produce a relative-liability matrix and a
 total-obligation vector for a core-periphery network, plus the usual
-descriptive statistics.
+descriptive statistics.  Each value type checks itself when built and keeps
+read-only copies of its arrays, so the clearing kernel's ``DerivedCache``,
+built with the network, never goes stale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DEFAULT_TOL, ValidationError, as_array
+from .util import DEFAULT_TOL, ValidationError, frozen_array
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,8 @@ class BollobasParams:
     """Parameters of the preferential-attachment growth process.
 
     theta/eta/zeta are the probabilities of the three growth events and must
-    sum to one; delta_in/delta_out are the attachment smoothing constants.
+    sum to one; delta_in/delta_out are the attachment smoothing constants,
+    finite and nonnegative.  Checked when built.
     """
 
     theta: float
@@ -33,15 +37,15 @@ class BollobasParams:
     target_nodes: int
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         probs = (self.theta, self.eta, self.zeta)
-        if any(p < 0 or p > 1 for p in probs):
+        if not all(0 <= p <= 1 for p in probs):
             raise ValidationError("theta, eta, zeta must lie in [0, 1]")
-        if abs(self.theta + self.eta + self.zeta - 1.0) > 1e-12:
+        if not abs(self.theta + self.eta + self.zeta - 1.0) <= 1e-12:
             raise ValidationError("theta + eta + zeta must equal 1 within 1e-12")
-        if self.delta_in < 0 or self.delta_out < 0:
-            raise ValidationError("delta_in and delta_out must be nonnegative")
-        if self.target_nodes < 1:
+        if not (0 <= self.delta_in < math.inf and 0 <= self.delta_out < math.inf):
+            raise ValidationError("delta_in and delta_out must be finite and nonnegative")
+        if not self.target_nodes >= 1:
             raise ValidationError("target_nodes must be a positive integer")
         if self.target_nodes > 1 and self.theta + self.zeta == 0:
             raise ValidationError(
@@ -67,60 +71,48 @@ class DirectedMultigraph:
 
 
 class DerivedCache:
-    """Data derived from one (pi, pbar) pair, rebuilt once either changes.
+    """Data the clearing kernel derives from one network, built with it.
 
-    The clearing kernel keeps its per-pattern linear systems in ``entries``
-    and their size in ``nbytes``.  Next to them sit the per-network
-    constants of its solvent, one-step and range tests: ``solvent_floor``
+    The kernel keeps its per-pattern linear systems in ``entries`` and
+    their size in ``nbytes``.  Next to them sit the network's constants of
+    its solvent, one-step and range tests: ``solvent_floor``
     (pbar - pi^T pbar), ``one_step`` (pbar pi), ``short_at``
     (pbar - DEFAULT_TOL), ``pay_cap`` (pbar + 1e-9) and ``total`` (the sum
-    of pbar).  The cache holds private copies of the arrays it was built
-    from and compares their bytes on every ``valid_for``, so an in-place
-    edit of ``pi`` or ``pbar`` empties the entries and recomputes the
-    constants.
+    of pbar).  The network's arrays are read-only, so nothing here ever
+    goes stale.
     """
 
-    def __init__(self) -> None:
-        self.pi: np.ndarray | None = None
-        self.pbar: np.ndarray | None = None
+    def __init__(self, pi: np.ndarray, pbar: np.ndarray) -> None:
         self.entries: dict = {}
         self.nbytes = 0
-
-    def valid_for(self, pi: np.ndarray, pbar: np.ndarray) -> DerivedCache:
-        """This cache, rebuilt first unless it was built from (pi, pbar)."""
-        if not (self.pi is not None and self.pi.tobytes() == pi.tobytes()
-                and self.pbar.tobytes() == pbar.tobytes()):
-            self.pi, self.pbar = pi.copy(), pbar.copy()
-            self.entries = {}
-            self.nbytes = 0
-            self.solvent_floor = pbar - pi.T @ pbar
-            self.one_step = pbar @ pi
-            self.short_at = pbar - DEFAULT_TOL
-            self.pay_cap = pbar + 1e-9
-            self.total = float(pbar.sum())
-        return self
+        self.solvent_floor = pbar - pi.T @ pbar
+        self.one_step = pbar @ pi
+        self.short_at = pbar - DEFAULT_TOL
+        self.pay_cap = pbar + 1e-9
+        self.total = float(pbar.sum())
 
 
 @dataclass(frozen=True)
 class FinancialNetwork:
     """Relative-liability matrix and total obligations of a clearing network.
 
-    ``derived`` is a cache for the clearing kernel; it takes no part in
-    equality, ``repr`` or the network file.
+    Checked when built: pi is d x d, nonnegative and row-stochastic with a
+    zero diagonal, pbar is positive, both finite, and both are kept as
+    read-only copies.  ``derived``, the clearing kernel's cache, is built
+    here and takes no part in equality, ``repr`` or the network file.
     """
 
     d: int
     pi: np.ndarray
     pbar: np.ndarray
-    derived: DerivedCache = field(default_factory=DerivedCache, init=False,
-                                  compare=False, repr=False)
+    derived: DerivedCache = field(init=False, compare=False, repr=False)
 
-    def validate(self) -> None:
-        pi = np.asarray(self.pi, dtype=float)
-        pbar = np.asarray(self.pbar, dtype=float)
+    def __post_init__(self) -> None:
+        pi = frozen_array(self.pi, "pi")
+        pbar = frozen_array(self.pbar, "pbar")
         if pi.shape != (self.d, self.d) or pbar.shape != (self.d,):
             raise ValidationError("pi must be d x d and pbar length d")
-        if np.any(np.abs(np.diag(pi)) > 0):
+        if np.any(np.diag(pi) != 0):
             raise ValidationError("pi must have a zero diagonal")
         if np.any(pi < 0):
             raise ValidationError("pi entries must be nonnegative")
@@ -128,6 +120,9 @@ class FinancialNetwork:
             raise ValidationError("each row of pi must sum to 1 within 1e-9")
         if np.any(pbar <= 0):
             raise ValidationError("pbar must be strictly positive")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pbar", pbar)
+        object.__setattr__(self, "derived", DerivedCache(pi, pbar))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -137,62 +132,66 @@ class FinancialNetwork:
 
     @property
     def total_obligations(self) -> float:
-        return float(np.sum(self.pbar))
+        return self.derived.total
 
 
 @dataclass(frozen=True)
 class Grouping:
     """Partition of the d banks into g groups.
 
-    assignment[i] is the group index of bank i; the derived binary matrix
-    has one 1 per column.  spread(z) maps group capital levels to the
-    per-bank injection vector.
+    assignment[i] is the group index of bank i, a read-only int copy,
+    checked when built: every entry lies in [0, g) and every group is
+    nonempty.  The derived binary matrix has one 1 per column.  spread(z)
+    maps group capital levels to the per-bank injection vector.
     """
 
     g: int
     assignment: np.ndarray
 
-    def validate(self, d: int | None = None) -> None:
-        a = np.asarray(self.assignment, dtype=int)
-        if d is not None and a.shape != (d,):
-            raise ValidationError("assignment length must equal the bank count")
-        if a.size == 0:
-            raise ValidationError("assignment must be nonempty")
+    def __post_init__(self) -> None:
+        a = frozen_array(self.assignment, "assignment", dtype=int)
+        if a.ndim != 1 or a.size == 0:
+            raise ValidationError("assignment must be a nonempty vector")
         if a.min() < 0 or a.max() >= self.g:
             raise ValidationError("assignment entries must lie in [0, g)")
-        sizes = np.bincount(a, minlength=self.g)
-        if np.any(sizes == 0):
+        if np.any(np.bincount(a, minlength=self.g) == 0):
             raise ValidationError("every group must be nonempty")
+        object.__setattr__(self, "assignment", a)
+
+    def check_banks(self, d: int) -> None:
+        """Refuse a grouping of other than d banks."""
+        if self.assignment.size != d:
+            raise ValidationError("assignment length must equal the bank count")
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.bincount(np.asarray(self.assignment, dtype=int), minlength=self.g)
+        return np.bincount(self.assignment, minlength=self.g)
 
     @property
     def matrix(self) -> np.ndarray:
         """Binary g x d matrix with entry (j, i) = 1 iff bank i is in group j."""
-        a = np.asarray(self.assignment, dtype=int)
-        b = np.zeros((self.g, a.size), dtype=int)
-        b[a, np.arange(a.size)] = 1
-        return b
+        return (np.arange(self.g)[:, None] == self.assignment).astype(int)
 
     def spread(self, z: np.ndarray) -> np.ndarray:
         """Per-bank injection from group levels (matrix transpose applied to z)."""
-        return np.asarray(z, dtype=float)[np.asarray(self.assignment, dtype=int)]
+        return np.asarray(z, dtype=float)[self.assignment]
 
 
 @dataclass(frozen=True)
 class IntergroupLiabilityMatrix:
-    """Per-edge nominal liability by (source group, target group)."""
+    """Per-edge nominal liability by (source group, target group); a
+    read-only square matrix of finite nonnegative entries, checked when
+    built."""
 
     values: np.ndarray
 
-    def validate(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+    def __post_init__(self) -> None:
+        v = frozen_array(self.values, "intergroup liabilities")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValidationError("intergroup liability matrix must be square")
         if np.any(v < 0):
             raise ValidationError("intergroup liabilities must be nonnegative")
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,6 @@ def generate_bollobas(params: BollobasParams) -> DirectedMultigraph:
     delta_out.  The process stops as soon as the node count reaches
     ``target_nodes``.  Deterministic given (params, seed).
     """
-    params.validate()
     rng = np.random.default_rng(params.seed)
 
     n = 1
@@ -281,15 +279,14 @@ def build_liabilities(
     the smallest positive intergroup entry, owed to the highest-degree node of
     the other group (ties to lower index).
     """
-    intergroup.validate()
-    m = np.asarray(intergroup.values, dtype=float)
+    m = intergroup.values
     if m.shape != (2, 2):
         raise ValidationError("build_liabilities expects a 2x2 intergroup matrix")
 
     a = graph.simple_adjacency()
     d = graph.n
     grouping = core_periphery_grouping(a, core_size)
-    assignment = np.asarray(grouping.assignment)
+    assignment = grouping.assignment
 
     liab = m[np.ix_(assignment, assignment)] * a
     if not np.any(liab > 0):
@@ -311,9 +308,7 @@ def build_liabilities(
 
     pbar = liab.sum(axis=1)
     pi = liab / pbar[:, None]
-    net = FinancialNetwork(d=d, pi=pi, pbar=pbar)
-    net.validate()
-    return net, grouping
+    return FinancialNetwork(d=d, pi=pi, pbar=pbar), grouping
 
 
 def network_stats(adjacency: np.ndarray, grouping: Grouping) -> NetworkStats:
@@ -326,13 +321,13 @@ def network_stats(adjacency: np.ndarray, grouping: Grouping) -> NetworkStats:
     the fraction of links touching the core.  Both are NaN when the graph has
     no links.
     """
-    a = as_array(adjacency, "adjacency")
+    a = frozen_array(adjacency, "adjacency", copy=False)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValidationError("adjacency must be square")
     if np.any(np.diag(a) != 0):
         raise ValidationError("adjacency must have a zero diagonal")
-    grouping.validate(d)
+    grouping.check_banks(d)
 
     total_links = float(a.sum())
     avg_degree = total_links / d
@@ -350,7 +345,7 @@ def network_stats(adjacency: np.ndarray, grouping: Grouping) -> NetworkStats:
     if total_links == 0:
         return NetworkStats(avg_degree, density, tcc, float("nan"), float("nan"))
 
-    core = np.asarray(grouping.assignment) == 0
+    core = grouping.assignment == 0
     peri = ~core
     cc_block = a[np.ix_(core, core)]
     pp_links = float(a[np.ix_(peri, peri)].sum())

@@ -1,9 +1,10 @@
 """Risk specification, capital box, and the sampled-set membership oracle.
 
-``RiskSpec`` and ``CapitalBox`` check themselves when they are built, so
-the routines that take them check neither again; a routine that takes an
-optional box checks only its length against the grouping
-(``box_or_default``).
+Every value type checks itself when it is built, so the routines that take
+one check only how two values fit together: a routine that takes an
+optional box checks its length against the grouping (``box_or_default``),
+and ``z_bounds`` checks the grouping and the scenarios against the network
+and refuses negative cash flows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .clearing import aggregate_en_many
 from .network import FinancialNetwork, Grouping
 from .shocks import ScenarioSet
-from .util import ValidationError, max_violations, violates
+from .util import ValidationError, frozen_array, max_violations, violates
 
 # slack on the nonnegativity selection constraint, consistent with the
 # violation tolerance on the aggregate threshold
@@ -28,14 +29,14 @@ _LABEL_BUDGET_BYTES = 4 << 20
 @dataclass(frozen=True)
 class RiskSpec:
     """Threshold alpha on aggregate payments and violation level lambda,
-    checked when built: alpha > 0 and 0 < lambda < 1."""
+    checked when built: 0 < alpha < inf and 0 < lambda < 1."""
 
     alpha: float
     lam: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValidationError("alpha must be positive and finite")
         if not 0 < self.lam < 1:
             raise ValidationError("lambda must lie strictly between 0 and 1")
 
@@ -55,11 +56,9 @@ class CapitalBox:
     __slots__ = ("lo", "hi", "rows", "rhs")
 
     def __init__(self, lo, hi):
-        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        lo, hi = frozen_array(lo, "box bounds"), frozen_array(hi, "box bounds")
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValidationError("box bounds must be vectors of equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValidationError("box bounds must be finite")
         if np.any(lo > hi + 1e-12):
             raise ValidationError("box is empty (lo > hi)")
         axis = np.arange(lo.size)
@@ -68,7 +67,7 @@ class CapitalBox:
         rows[2 * axis + 1, axis] = -1.0
         self.lo, self.hi, self.rows = lo, hi, rows
         self.rhs = np.column_stack([hi, -lo]).ravel()
-        for arr in (lo, hi, rows, self.rhs):
+        for arr in (rows, self.rhs):
             arr.flags.writeable = False
 
 
@@ -80,19 +79,16 @@ def z_bounds(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet) 
     cash flow.  The upper corner hi_j is the largest total obligation in
     group j, which makes full payment feasible in every scenario.
     """
-    grouping.validate(net.d)
-    scenarios.validate()
+    grouping.check_banks(net.d)
+    scenarios.check_nonnegative()
     if scenarios.d != net.d:
         raise ValidationError("scenario dimension does not match the network")
-    assignment = np.asarray(grouping.assignment, dtype=int)
-    xs = np.asarray(scenarios.values, dtype=float)
-    pbar = np.asarray(net.pbar, dtype=float)
     lo = np.empty(grouping.g)
     hi = np.empty(grouping.g)
     for j in range(grouping.g):
-        cols = assignment == j
-        lo[j] = -float(xs[:, cols].min())
-        hi[j] = float(pbar[cols].max())
+        cols = grouping.assignment == j
+        lo[j] = -float(scenarios.values[:, cols].min())
+        hi[j] = float(net.pbar[cols].max())
     return CapitalBox(lo=lo, hi=hi)
 
 
@@ -195,7 +191,7 @@ def membership(
     z = np.asarray(z, dtype=float)
     if z.shape != (grouping.g,):
         raise ValidationError("z must have one entry per group")
-    xs = np.asarray(scenarios.values, dtype=float)
+    xs = scenarios.values
     shifted = xs + grouping.spread(z)[None, :]
     selection_ok = bool(shifted.min() >= -_SELECT_TOL)
 

@@ -70,8 +70,8 @@ class Grid:
     def build(lo: np.ndarray, hi: np.ndarray, epsilon: float) -> "Grid":
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValidationError("epsilon must be positive and finite")
         if np.any(lo > hi + 1e-12):
             raise ValidationError("grid corners are inverted")
         step = epsilon / math.sqrt(lo.size)

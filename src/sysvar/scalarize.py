@@ -41,16 +41,18 @@ class ScalarizationResult:
     solution: MipSolution | None = None
 
 
-def _solve(net, grouping, scenarios, spec, box, node_budget, weights=None,
-           center=None) -> ScalarizationResult:
-    """Branch-and-bound on the boxed model with one objective: ``weights``
-    (linear) or ``center`` (squared distance, reported as a distance)."""
-    model = ScenarioMip(net=net, grouping=grouping, scenarios=scenarios, spec=spec,
-                        box=box, weights=weights, center=center)
+def _model(net, grouping, scenarios, spec, box, **objective) -> ScenarioMip:
+    """The boxed model with one objective, ``weights`` or ``center``."""
+    return ScenarioMip(net=net, grouping=grouping, scenarios=scenarios, spec=spec,
+                       box=box_or_default(net, grouping, scenarios, box), **objective)
+
+
+def _solve(model: ScenarioMip, node_budget: int) -> ScalarizationResult:
+    """Branch-and-bound on the model, a squared distance reported as a distance."""
     sol = branch_and_bound(model, node_budget=node_budget)
     if sol.status == "infeasible":
         return ScalarizationResult("infeasible", np.nan, None, sol)
-    value = sol.objective if center is None else np.sqrt(max(sol.objective, 0.0))
+    value = sol.objective if model.center is None else np.sqrt(max(sol.objective, 0.0))
     return ScalarizationResult(sol.status, float(value), sol.z, sol)
 
 
@@ -64,13 +66,10 @@ def weighted_sum(
     node_budget: int = 100_000,
 ) -> ScalarizationResult:
     """Minimum of weights.z over the sampled risk set (boxed)."""
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0) or not np.any(weights > 0):
-        raise ValidationError("weights must be nonnegative and not all zero")
+    model = _model(net, grouping, scenarios, spec, box, weights=weights)
     if spec.alpha > net.total_obligations:
         return ScalarizationResult("infeasible", np.nan, None)
-    box = box_or_default(net, grouping, scenarios, box)
-    return _solve(net, grouping, scenarios, spec, box, node_budget, weights=weights)
+    return _solve(model, node_budget)
 
 
 def norm_min(
@@ -84,18 +83,18 @@ def norm_min(
 ) -> ScalarizationResult:
     """Distance from `point` to the boxed sampled risk set, with a nearest point.
 
-    Membership of the reference point short-circuits to distance zero.  For
-    reference points below the set the nearest point dominates the reference
-    componentwise.
+    Membership of the reference point short-circuits to distance zero, once
+    the model has checked the point.  For reference points below the set
+    the nearest point dominates the reference componentwise.
     """
-    point = np.asarray(point, dtype=float)
+    model = _model(net, grouping, scenarios, spec, box, center=point)
     if spec.alpha > net.total_obligations:
         return ScalarizationResult("infeasible", np.nan, None)
-    box = box_or_default(net, grouping, scenarios, box)
-    inside_box = bool(np.all(point <= box.hi + 1e-12))
+    point = model.center
+    inside_box = bool(np.all(point <= model.box.hi + 1e-12))
     if inside_box and membership(net, grouping, scenarios, spec, point).accepted:
         return ScalarizationResult("optimal", 0.0, point.copy())
-    return _solve(net, grouping, scenarios, spec, box, node_budget, center=point)
+    return _solve(model, node_budget)
 
 
 def bisection_unit(
@@ -174,8 +173,8 @@ def _acceptance_cut(net, grouping, scenarios, spec, j, lo_j, hi, work: Counter) 
     most k scenarios fail, that is once t reaches the (k+1)-th largest
     threshold; every t passes when k >= N.
     """
-    xs = np.asarray(scenarios.values, dtype=float)
-    cols = np.asarray(grouping.assignment) == j
+    xs = scenarios.values
+    cols = grouping.assignment == j
     # fl(x + t) is monotone in x, so the column minima decide the orthant
     least = xs.min(axis=0)
     if np.any((least + grouping.spread(hi))[~cols] < -_SELECT_TOL):
@@ -208,7 +207,7 @@ def _ray_thresholds(net, grouping, xs, alpha, j, lo_j, hi, work: Counter) -> np.
     bound, and the bisection's confirmation calls judge the result.
     """
     n, d = xs.shape
-    cols = np.asarray(grouping.assignment) == j
+    cols = grouping.assignment == j
     fixed = grouping.spread(hi)[~cols]
     t = np.full(n, float(lo_j))
     thresholds = np.full(n, np.inf)

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .network import Grouping
-from .util import CapacityError, ValidationError, as_array
+from .util import CapacityError, ValidationError, frozen_array
 
 # Scenario n starts at Philox counter n << 64, whose little-endian uint64
 # words are [0, n, 0, 0]: n goes in word 1.  One scenario consumes d+1
@@ -41,23 +41,33 @@ class ShockParams:
     n: int
     seed: int
 
-    def validate(self) -> None:
-        if not self.nu > 1:
-            raise ValidationError("nu must exceed 1 (finite mean)")
-        beta = np.asarray(self.beta_by_group, dtype=float)
-        if beta.ndim != 1 or np.any(beta <= 0):
+    def __post_init__(self) -> None:
+        if not 1 < self.nu < np.inf:
+            raise ValidationError("nu must be finite and exceed 1 (finite mean)")
+        beta = frozen_array(self.beta_by_group, "beta_by_group")
+        if beta.ndim != 1 or not np.all(beta > 0):
             raise ValidationError("beta_by_group must be a vector of positive scales")
         if not 0 <= self.rho < 1:
             raise ValidationError("rho must lie in [0, 1)")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValidationError("sample count must be positive")
+        object.__setattr__(self, "beta_by_group", beta)
 
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """N x d matrix of nonnegative cash-flow scenarios; row n is scenario n."""
+    """N x d matrix of cash-flow scenarios; row n is scenario n.  Checked
+    when built to be finite, and kept as a read-only view, not a copy.  A
+    translated set may hold negative entries; ``check_nonnegative`` refuses
+    them where cash flows enter or leave the program."""
 
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = frozen_array(self.values, "scenario values", copy=False)
+        if v.ndim != 2:
+            raise ValidationError("scenario values must be an N x d matrix")
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -67,11 +77,9 @@ class ScenarioSet:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def validate(self) -> None:
-        v = as_array(self.values, "scenario values")
-        if v.ndim != 2:
-            raise ValidationError("scenario values must be an N x d matrix")
-        if np.any(v < 0):
+    def check_nonnegative(self) -> None:
+        """Refuse a set with a negative cash flow."""
+        if self.values.size and self.values.min() < 0:
             raise ValidationError("scenario values must be nonnegative")
 
     def head(self, n: int) -> "ScenarioSet":
@@ -108,20 +116,16 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
     # for loading scipy.special
     from scipy.special import ndtr
 
-    params.validate()
-    grouping.validate()
-    beta = np.asarray(params.beta_by_group, dtype=float)
-    if beta.size != grouping.g:
+    if params.beta_by_group.size != grouping.g:
         raise ValidationError("beta_by_group length must equal the group count")
 
-    assignment = np.asarray(grouping.assignment, dtype=int)
-    d = assignment.size
+    d = grouping.assignment.size
     # check before allocating, so an oversized request fails fast instead
     # of filling memory
     if 8 * params.n * (2 * d + 1) > _SAMPLE_BYTE_CAP:
         raise CapacityError(f"{params.n} scenarios of {d} banks exceed "
                             f"{_SAMPLE_BYTE_CAP} bytes of sample arrays")
-    beta_bank = beta[assignment]
+    beta_bank = params.beta_by_group[grouping.assignment]
     sq_common = np.sqrt(params.rho)
     sq_own = np.sqrt(1.0 - params.rho)
 
@@ -148,6 +152,4 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
     values -= 1.0
     values *= beta_bank
 
-    out = ScenarioSet(values=values)
-    out.validate()
-    return out
+    return ScenarioSet(values=values)

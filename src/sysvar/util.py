@@ -102,8 +102,11 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_chunks(path, (text,))
 
 
-def as_array(values, name: str, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+def frozen_array(values, name: str, dtype=float, copy: bool = True) -> np.ndarray:
+    """``values`` as a read-only array, a copy or else a view, refused
+    unless every entry is finite."""
+    arr = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype).view()
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    arr.flags.writeable = False
     return arr

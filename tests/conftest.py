@@ -24,9 +24,7 @@ def random_network(rng: np.random.Generator, d: int, pbar_range=(0.5, 3.0)) -> s
     np.fill_diagonal(pi, 0.0)
     pi /= pi.sum(axis=1, keepdims=True)
     pbar = rng.uniform(*pbar_range, size=d)
-    net = sv.FinancialNetwork(d=d, pi=pi, pbar=pbar)
-    net.validate()
-    return net
+    return sv.FinancialNetwork(d=d, pi=pi, pbar=pbar)
 
 
 def two_group_split(rng: np.random.Generator, d: int) -> sv.Grouping:

@@ -216,7 +216,6 @@ class TestSupergradient:
         pi = np.array([[0.0, 1.0, 0.0, 0.0], [0.99, 0.0, 0.01, 0.0],
                        [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
         net = sv.FinancialNetwork(d=4, pi=pi, pbar=np.array([1.0, 1.0, 0.005, 0.001]))
-        net.validate()
         x = np.array([0.0, 0.0, 0.0, 3e-4])
         patterns = []
         calls = _count_lp_calls(monkeypatch)
@@ -303,40 +302,32 @@ class TestPatternSystems:
             assert np.array_equal(grads0, grads)
             assert bare.derived.entries == {} and bare.derived.nbytes == 0
 
-    def test_in_place_edit_of_pbar_resets_the_cache(self, rng):
-        net = random_network(rng, 6)
-        xs = rng.exponential(0.4, size=(200, 6))
-        sv.aggregate_en_many(net, xs, supergradients=True)
-        net.pbar[:] = net.pbar * rng.uniform(0.5, 1.5, size=6)
-        net.pi[0, 1:] = rng.dirichlet(np.ones(5))
-        fresh = sv.FinancialNetwork(d=6, pi=net.pi.copy(), pbar=net.pbar.copy())
-        totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
-        totals0, grads0 = sv.aggregate_en_many(fresh, xs, supergradients=True)
-        assert np.array_equal(totals, totals0)
-        assert np.array_equal(grads, grads0)
-        assert np.array_equal(net.derived.pbar, net.pbar)
-
-    @pytest.mark.parametrize("edit", ["pi", "pbar"])
-    def test_in_place_edit_of_one_array_rebuilds_the_constants(self, rng, edit):
-        # rows just above the old solvent floor, where the one-step masks
-        # and the range bound decide, so stale constants would show
-        net = random_network(rng, 6)
+    def test_network_arrays_are_read_only_copies(self, rng):
+        # rows just above the solvent floor, where the one-step masks and
+        # the range bound decide, so a stale constant would show
+        pi = random_network(rng, 6).pi.copy()
+        pbar = rng.uniform(0.5, 3.0, size=6)
+        net = sv.FinancialNetwork(d=6, pi=pi, pbar=pbar)
         floor = net.pbar - net.pi.T @ net.pbar
         xs = rng.exponential(0.4, size=(200, 6))
         xs[:60] = np.maximum(floor, 0.0) * rng.uniform(0.98, 1.05, size=(60, 6))
-        sv.aggregate_en_many(net, xs, supergradients=True)
-        if edit == "pi":
-            net.pi[0, 1:] = rng.dirichlet(np.ones(5))
-            net.pi[3, [0, 1, 2, 4, 5]] = rng.dirichlet(np.ones(5))
-        else:
-            net.pbar[:] = net.pbar * rng.uniform(0.8, 1.2, size=6)
-        fresh = sv.FinancialNetwork(d=6, pi=net.pi.copy(), pbar=net.pbar.copy())
         totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
+        # an in-place edit of the network's arrays is refused
+        for arr in (net.pi, net.pbar):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+        # an edit to the caller's arrays does not reach the network
+        kept_pi, kept_pbar = pi.copy(), pbar.copy()
+        pi[0, 1:] = rng.dirichlet(np.ones(5))
+        pbar *= 2.0
+        assert np.array_equal(net.pi, kept_pi) and np.array_equal(net.pbar, kept_pbar)
+        # the constants built with the network equal a fresh network's
+        fresh = sv.FinancialNetwork(d=6, pi=kept_pi, pbar=kept_pbar)
+        for name in ("solvent_floor", "one_step", "short_at", "pay_cap", "total"):
+            assert np.array_equal(getattr(net.derived, name), getattr(fresh.derived, name))
         totals0, grads0 = sv.aggregate_en_many(fresh, xs, supergradients=True)
         assert np.array_equal(totals, totals0)
         assert np.array_equal(grads, grads0, equal_nan=True)
-        for name in ("solvent_floor", "one_step", "short_at", "pay_cap", "total"):
-            assert np.array_equal(getattr(net.derived, name), getattr(fresh.derived, name))
 
     def test_cache_is_not_part_of_the_network_value(self, rng, tmp_path):
         net = random_network(rng, 5)

@@ -223,6 +223,12 @@ class TestStreamedWrite:
             io.write_scenarios(str(target), sv.ScenarioSet(values=np.array(values)))
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_cash_flow_is_not_read(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x1,x2\n1.0,2.0\n3.0,-0.5\n")
+        with pytest.raises(sv.ValidationError, match="nonnegative"):
+            io.read_scenarios(str(path))
+
     def test_failure_mid_stream_keeps_target_and_removes_temp(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("previous contents\n")
@@ -341,6 +347,10 @@ class TestCli:
     _CONVERGE = ["converge", "--network", "{net}", "--nu", "3", "--beta", "1.0,0.5",
                  "--rho", "0.3", "--alpha-frac", "0.8", "--lambda", "0.25",
                  "--epsilon", "1.0", "--n-ref", "10", "--seeds", "1"]
+    _SCALARIZE = ["scalarize", "--network", "{net}", "--scenarios", "{scen}",
+                  "--alpha-frac", "0.8", "--lambda", "0.25"]
+    _SAA = ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "0.8",
+            "--lambda", "0.25"]
 
     @pytest.mark.parametrize("text, argv", [
         ("source,target\n0,1\n1,x\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
@@ -356,9 +366,30 @@ class TestCli:
         ("", _CONVERGE + ["--n-list", "5", "--seeds", "0"]),
         ("", ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "0.8",
               "--lambda", "1.5", "--epsilon", "1.0"]),
+        ('{"d": 2, "pbar": [1.0, null], "pi": [[0, 1], [1, 0]], '
+         '"grouping": {"g": 2, "assignment": [0, 1]}}',
+         ["clear", "--network", "{bad}", "--x", "1,1"]),
+        ('{"d": 2, "pbar": [1.0, 2.0], "pi": [[0, 1], [1, 0]], '
+         '"grouping": {"g": 2, "assignment": [0, 1, 1]}}',
+         ["clear", "--network", "{bad}", "--x", "1,1"]),
+        ('{"d": 2, "pbar": [1.0, 2.0], "pi": [[0, 1], [1]], '
+         '"grouping": {"g": 2, "assignment": [0, 1]}}',
+         ["clear", "--network", "{bad}", "--x", "1,1"]),
+        ("", ["clear", "--network", "{net}", "--x", "nan" + ",0" * 9]),
+        ("", _GEN + ["--m", "nan,2,3,1.5"]),
+        ("", _GEN + ["--m", "4,2,3,1", "--theta", "nan"]),
+        ("", _GEN + ["--m", "4,2,3,1", "--delta-in", "nan"]),
+        ("", _SCALARIZE + ["--point", "0,0,0"]),
+        ("", _SCALARIZE + ["--point", "nan,0"]),
+        ("", _SCALARIZE + ["--weights", "1,1,1"]),
+        ("", _SCALARIZE + ["--weights", "nan,1"]),
+        ("", _SAA + ["--epsilon", "nan"]),
+        ("", _SAA + ["--epsilon", "inf"]),
     ], ids=["edge-cell", "edge-columns", "edge-negative", "truncated-json", "x-length",
             "float-list", "int-list", "size-zero", "size-negative", "no-seeds",
-            "lambda-above-one"])
+            "lambda-above-one", "pbar-null", "assignment-long", "pi-ragged", "x-nan",
+            "m-nan", "theta-nan", "delta-in-nan", "point-long", "point-nan",
+            "weights-long", "weights-nan", "epsilon-nan", "epsilon-inf"])
     def test_malformed_input_exits_two(self, pipeline, tmp_path, capsys, text, argv):
         bad = tmp_path / "bad"
         bad.write_text(text)

@@ -128,7 +128,6 @@ def _leaky_cycle_instance(seed: int, d: int, n: int):
     pi[np.arange(d), (np.arange(d) + 1) % d] += 1.0 - leak
     pbar = rng.uniform(1.0, 3.0) * 0.8 ** np.arange(d)
     net = sv.FinancialNetwork(d=d, pi=pi, pbar=pbar)
-    net.validate()
     xs = rng.exponential(0.05, size=(n, d)) * pbar * (rng.random((n, d)) < 0.6)
     xs[0] = 0.0
     return net, xs

@@ -140,6 +140,11 @@ class TestGrid:
         with pytest.raises(sv.CapacityError):
             Grid.build(np.zeros(2), np.array([1e12, 1.0]), epsilon=0.01)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            Grid.build(np.zeros(2), np.ones(2), epsilon=epsilon)
+
     def test_ball_slice_matches_full_mesh(self, rng):
         for g in (1, 2, 3):
             for _ in range(150):

@@ -125,13 +125,83 @@ class TestConstruction:
         assert sv.CapitalBox(lo=[1.0 + 1e-13], hi=[1.0]).lo[0] > 1.0
 
     @pytest.mark.parametrize("alpha, lam", [
-        (0.0, 0.2), (-1.0, 0.2), (np.nan, 0.2), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5),
-        (1.0, np.nan),
-    ], ids=["alpha-zero", "alpha-negative", "alpha-nan", "lambda-zero", "lambda-one",
-            "lambda-above-one", "lambda-nan"])
+        (0.0, 0.2), (-1.0, 0.2), (np.nan, 0.2), (np.inf, 0.2), (1.0, 0.0), (1.0, 1.0),
+        (1.0, 1.5), (1.0, np.nan),
+    ], ids=["alpha-zero", "alpha-negative", "alpha-nan", "alpha-inf", "lambda-zero",
+            "lambda-one", "lambda-above-one", "lambda-nan"])
     def test_risk_spec_rejects_bad_parameters_when_built(self, alpha, lam):
         with pytest.raises(ValidationError):
             sv.RiskSpec(alpha=alpha, lam=lam)
+
+    _RING = [[0.0, 1.0], [1.0, 0.0]]
+    _SHOCK = dict(nu=3.0, beta_by_group=[1.0, 0.5], rho=0.3, n=5, seed=1)
+    _GROWTH = dict(theta=0.2, eta=0.6, zeta=0.2, delta_in=0.5, delta_out=0.5,
+                   target_nodes=5, seed=1)
+
+    @staticmethod
+    def _model(**objective):
+        return sv.ScenarioMip(
+            net=ring2([2.0, 2.0]), grouping=sv.Grouping(g=2, assignment=[0, 1]),
+            scenarios=sv.ScenarioSet(values=np.ones((3, 2))),
+            spec=sv.RiskSpec(alpha=3.0, lam=0.2), box=sv.CapitalBox(lo=[0, 0], hi=[2, 2]),
+            **objective)
+
+    @pytest.mark.parametrize("build", [
+        lambda: sv.FinancialNetwork(d=2, pi=TestConstruction._RING, pbar=[1.0, np.nan]),
+        lambda: sv.FinancialNetwork(d=2, pi=[[0.0, np.inf], [1.0, 0.0]], pbar=[1.0, 1.0]),
+        lambda: sv.FinancialNetwork(d=2, pi=[[0.5, 0.5], [1.0, 0.0]], pbar=[1.0, 1.0]),
+        lambda: sv.FinancialNetwork(d=2, pi=[[0.0, 0.9], [1.0, 0.0]], pbar=[1.0, 1.0]),
+        lambda: sv.Grouping(g=2, assignment=[0, 2]),
+        lambda: sv.Grouping(g=3, assignment=[0, 1]),
+        lambda: sv.ScenarioSet(values=[[1.0, np.nan]]),
+        lambda: sv.ScenarioSet(values=[[1.0, np.inf]]),
+        lambda: sv.ScenarioSet(values=[1.0, 2.0]),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "nu": np.nan}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "beta_by_group": [1.0, np.nan]}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "rho": np.nan}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "theta": np.nan}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "delta_in": np.nan}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "delta_out": np.inf}),
+        lambda: sv.IntergroupLiabilityMatrix(values=[[4.0, np.nan], [3.0, 1.5]]),
+        lambda: sv.IntergroupLiabilityMatrix(values=[[4.0, -2.0], [3.0, 1.5]]),
+        lambda: TestConstruction._model(center=[np.nan, 0.0]),
+        lambda: TestConstruction._model(center=[0.0, 0.0, 0.0]),
+        lambda: TestConstruction._model(weights=[1.0, 1.0, 1.0]),
+        lambda: TestConstruction._model(weights=[np.nan, 1.0]),
+        lambda: TestConstruction._model(weights=[0.0, 0.0]),
+        lambda: TestConstruction._model(weights=[1.0, 1.0], center=[0.0, 0.0]),
+    ], ids=["network-nan-pbar", "network-inf-pi", "network-diagonal", "network-row-sum",
+            "grouping-range", "grouping-empty-group", "scenarios-nan", "scenarios-inf",
+            "scenarios-vector", "shocks-nan-nu", "shocks-nan-beta", "shocks-nan-rho",
+            "growth-nan-theta", "growth-nan-delta", "growth-inf-delta", "intergroup-nan",
+            "intergroup-negative", "model-nan-center", "model-long-center",
+            "model-long-weights", "model-nan-weights", "model-zero-weights",
+            "model-two-objectives"])
+    def test_every_value_type_rejects_a_bad_field_when_built(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_grouping_and_scenarios_keep_read_only_arrays(self):
+        # the table's bases are valid, so each case above fails on its field
+        sv.ShockParams(**self._SHOCK), sv.BollobasParams(**self._GROWTH)
+        assert not self._model(weights=[1.0, 2.0]).weights.flags.writeable
+        assignment, values = np.array([0, 1, 1]), -np.ones((2, 3))
+        grouping = sv.Grouping(g=2, assignment=assignment)
+        scen = sv.ScenarioSet(values=values)
+        for arr in (grouping.assignment, scen.values):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # the assignment is a copy; the scenarios are a view of the caller's
+        # writable array, and a negative cash flow is refused only on demand
+        assignment[0] = 1
+        assert grouping.assignment.tolist() == [0, 1, 1]
+        assert np.shares_memory(scen.values, values) and values.flags.writeable
+        with pytest.raises(ValidationError):
+            scen.check_nonnegative()
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sv.z_bounds(random_network(np.random.default_rng(1), 3), grouping, scen)
+        with pytest.raises(ValidationError, match="bank count"):
+            grouping.check_banks(2)
 
     @pytest.mark.parametrize("objective", [{"center": np.array([0.0, 20.0])},
                                            {"weights": np.ones(2)}],
@@ -141,10 +211,9 @@ class TestConstruction:
         # with the vacuous level the center would be clipped into it
         net, grouping, scen, _ = readme_instance()
         spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=1.0 - 1e-12)
-        model = sv.ScenarioMip(net=net, grouping=grouping, scenarios=scen, spec=spec,
-                               box=sv.CapitalBox(lo=[5.0], hi=[9.0]), **objective)
         with pytest.raises(ValidationError, match="one entry per group"):
-            sv.branch_and_bound(model)
+            sv.ScenarioMip(net=net, grouping=grouping, scenarios=scen, spec=spec,
+                           box=sv.CapitalBox(lo=[5.0], hi=[9.0]), **objective)
 
 
 class TestWeightedSum:
