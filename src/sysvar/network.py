@@ -140,18 +140,21 @@ class Grouping:
     """Partition of the d banks into g groups.
 
     assignment[i] is the group index of bank i, a read-only int copy,
-    checked when built: every entry lies in [0, g) and every group is
-    nonempty.  The derived binary matrix has one 1 per column.  spread(z)
-    maps group capital levels to the per-bank injection vector.
+    checked when built: every entry is a whole number in [0, g) and every
+    group is nonempty.  The derived binary matrix has one 1 per column.
+    spread(z) maps group capital levels to the per-bank injection vector.
     """
 
     g: int
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        a = frozen_array(self.assignment, "assignment", dtype=int)
+        a = frozen_array(self.assignment, "assignment")
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("assignment must be a nonempty vector")
+        if np.any(a != np.floor(a)):
+            raise ValidationError("assignment entries must be whole numbers")
+        a = frozen_array(a, "assignment", dtype=int)
         if a.min() < 0 or a.max() >= self.g:
             raise ValidationError("assignment entries must lie in [0, g)")
         if np.any(np.bincount(a, minlength=self.g) == 0):

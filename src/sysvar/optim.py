@@ -3,17 +3,22 @@
 Both kernels take only inequality rows and finite bounds, the form of the
 payment LP (0 <= p <= pbar), the clearing-pattern checks and the node
 problems of branch-and-bound (the capital box); a non-finite bound raises
-``ValidationError``.  ``solve_lp`` is a two-phase bounded-variable primal
-simplex on a dense tableau (revised form with an explicit basis inverse)
-whose status is "optimal" or "infeasible".  Pricing is Dantzig's rule,
-switching to Bland's rule after a run of degenerate steps to guarantee
-termination.  ``min_norm_qp`` projects a point onto a polyhedron of any
-dimension through Lawson and Hanson's reduction of the least-distance
-program to a nonnegative least-squares problem, solved by their active-set
-method in numpy.  Its bounds come as a ``risk.CapitalBox``, which checks
-them and builds their rows when it is built, so a caller that projects many
-times onto cuts inside one box (a branch-and-bound solve) pays for that
-once.
+``ValidationError``.  ``solve_lp`` is the primal active-set (vertex) method
+(Fletcher 1987, ch. 8) whose status is "optimal" or "infeasible".  Its basis
+is n active rows among the inequalities and the 2n bound rows, with a
+rank-one-updated n x n inverse, so a step costs O(m n) however many rows
+there are.  It starts at the first box corner that satisfies the rows, the
+lower and then the upper one; when neither does, a phase 1 on one extra
+variable t, which relaxes the rows the lower corner violates, minimizes t
+first.  Each step drops the active row with the most negative multiplier,
+switching to Bland's smallest-index rule after a run of degenerate steps
+to guarantee termination.  ``min_norm_qp`` projects a point onto a
+polyhedron of any dimension through Lawson and Hanson's reduction of the
+least-distance program to a nonnegative least-squares problem, solved by
+their active-set method in numpy.  Its bounds come as a
+``risk.CapitalBox``, which checks them and builds their rows when it is
+built, so a caller that projects many times onto cuts inside one box (a
+branch-and-bound solve) pays for that once.
 """
 
 from __future__ import annotations
@@ -82,193 +87,114 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     lower, upper = _finite_bounds(lp.lower, lp.upper)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValidationError("bound vectors must match the variable count")
+    if lp.a_ub is None or len(lp.a_ub) == 0:
+        a, b = np.zeros((0, n)), np.zeros(0)
+    else:
+        a, b = np.asarray(lp.a_ub, dtype=float), np.asarray(lp.b_ub, dtype=float)
+    m = len(a)
+    if a.shape != (m, n) or b.shape != (m,):
+        raise ValidationError("a_ub shape inconsistent with c")
     if np.any(lower > upper + _FEAS_TOL):
         return LpResult("infeasible", None, np.nan, None, None, 0)
 
-    if lp.a_ub is None or len(lp.a_ub) == 0:
-        # pure box problem
-        x = np.where(c < 0, upper, lower)
-        return LpResult("optimal", x, sign * float(c @ x), np.zeros(0), sign * c, 0)
-    a = np.asarray(lp.a_ub, dtype=float)
-    if a.shape != (len(a), n):
-        raise ValidationError("a_ub shape inconsistent with c")
-
-    state = _Simplex(a, np.asarray(lp.b_ub, dtype=float), c, lower, upper)
-    if not state.run():
-        return LpResult("infeasible", None, np.nan, None, None, state.iterations)
-    x, y, red = state.solution()
+    rows = np.concatenate([a, -np.eye(n), np.eye(n)])
+    rhs = np.concatenate([b, -lower, upper])
+    k = n
+    for corner, start in ((lower, m), (upper, m + n)):
+        if (a @ corner <= b + _FEAS_TOL).all():
+            x, active, lam, iterations = _vertex(rows, rhs, c, corner,
+                                                 np.arange(start, start + n))
+            break
+    else:
+        # phase 1: t in [0, t0] relaxes the rows the lower corner violates,
+        # t0 their largest violation, so (lower, t0) is a feasible corner
+        excess = a @ lower - b
+        t0 = excess.max()
+        k = n + 1
+        relax = np.where(excess > 0.0, -1.0, 0.0)
+        rows = np.concatenate([np.column_stack([a, relax]), -np.eye(k), np.eye(k)])
+        rhs = np.concatenate([b, -lower, [0.0], upper, [t0]])
+        x, active, _, iterations = _vertex(rows, rhs, np.eye(k)[n], np.append(lower, t0),
+                                           np.append(np.arange(m, m + n), m + 2 * k - 1))
+        if x[n] > 1e-7 * np.abs(b).max(initial=1.0):
+            return LpResult("infeasible", None, np.nan, None, None, iterations)
+        # phase 2 keeps t in [0, t*], so the phase-1 vertex stays a vertex
+        rhs[-1] = x[n]
+        x, active, lam, steps = _vertex(rows, rhs, np.append(c, 0.0), x, active)
+        x = x[:n]
+        iterations += steps
+    resid = np.concatenate([a @ x - b, lower - x, x - upper]).max(initial=0.0)
+    if resid > 1e-7 * np.abs(b).max(initial=1.0):
+        raise SolverError("primal residual exceeds tolerance after solve")
+    mult = np.zeros(len(rows))
+    mult[active] = lam
     return LpResult(
         status="optimal",
         x=x,
         objective=sign * float(c @ x),
-        duals_ub=sign * y,
-        reduced_costs=sign * red[:n],
-        iterations=state.iterations,
+        duals_ub=-sign * mult[:m],
+        reduced_costs=sign * (mult[m:m + n] - mult[m + k:m + k + n]),
+        iterations=iterations,
     )
 
 
-_AT_LOWER = 1
-_AT_UPPER = 2
-_BASIC = 0
+def _vertex(rows, rhs, c, x, active):
+    """Primal active-set (vertex) method for min c.x subject to rows x <= rhs.
+
+    ``x`` is a vertex on which the n rows ``active`` are tight.  Each step
+    drops the active row with the most negative multiplier (the smallest
+    row index once ``_BLAND_TRIGGER`` degenerate steps run in a row: Bland's
+    rule), moves along the edge that frees it, and makes the first row it
+    meets active (the smallest index among ties).  The inverse of the
+    active rows takes a rank-one update per step and is recomputed every
+    ``_REFACTOR_EVERY`` steps and at the end.  Returns the vertex, its
+    active rows, their multipliers (c + rows[active]^T lam = 0, lam >= 0 at
+    the optimum) and the step count.
+    """
+    binv = _inverse(rows[active])
+    steps = degenerate = since_refresh = 0
+    while True:
+        lam = -(c @ binv)
+        drop = lam < -_COST_TOL
+        if not drop.any():
+            break
+        if steps >= _MAX_ITER:
+            raise SolverError("vertex method iteration cap exceeded (cycling guard)")
+        if degenerate >= _BLAND_TRIGGER:
+            q = int(np.flatnonzero(drop)[np.argmin(active[drop])])
+        else:
+            q = int(np.argmin(lam))
+        d = -binv[:, q]
+        rate = rows @ d
+        rate[active] = 0.0
+        block = np.flatnonzero(rate > _PIVOT_TOL)
+        if not block.size:
+            raise SolverError("vertex step meets no bound inside a finite box")
+        ratio = np.maximum(rhs[block] - rows[block] @ x, 0.0) / rate[block]
+        step = ratio.min()
+        r = int(block[np.flatnonzero(ratio <= step + 1e-12)[0]])
+        degenerate = degenerate + 1 if step <= _DEGENERATE_STEP else 0
+        x = x + step * d
+        w = rows[r] @ binv
+        col = binv[:, q] / w[q]
+        binv -= np.outer(col, w)
+        binv[:, q] = col
+        active[q] = r
+        steps += 1
+        since_refresh += 1
+        if since_refresh >= _REFACTOR_EVERY:
+            binv = _inverse(rows[active])
+            x = binv @ rhs[active]
+            since_refresh = 0
+    binv = _inverse(rows[active])
+    return binv @ rhs[active], active, -(c @ binv), steps
 
 
-class _Simplex:
-    """Bounded-variable primal simplex over A x + s = b with slacks and artificials."""
-
-    def __init__(self, a, b, c, lower, upper):
-        m, n = a.shape
-        self.m = m
-        self.n_struct = n
-        # columns: structurals | slacks | artificials, all nonbasic at their
-        # lower bound (zero for slacks and artificials)
-        self.art0 = n + m
-        self.ncols = n + 2 * m
-        self.a = np.hstack([a, np.eye(m), np.zeros((m, m))])
-        self.b = b.astype(float)
-        self.cost2 = np.concatenate([c, np.zeros(2 * m)])
-        self.lower = np.concatenate([lower, np.zeros(2 * m)])
-        self.status = np.full(self.ncols, _AT_LOWER, dtype=np.int8)
-        self.xval = self.lower.copy()
-        self.iterations = 0
-
-        # crash basis: a satisfied row starts on its slack, a violated row on
-        # an artificial signed to its residual
-        resid = self.b - self.a[:, : self.art0] @ self.xval[: self.art0]
-        satisfied = resid >= 0
-        signs = np.where(satisfied, 1.0, -1.0)
-        self.a[:, self.art0:] = np.diag(signs)
-        self.upper = np.concatenate([upper, np.full(m, np.inf),
-                                     np.where(satisfied, 0.0, np.inf)])
-        self.basis = np.where(satisfied, n, self.art0) + np.arange(m)
-        self.status[self.basis] = _BASIC
-        self.binv = np.diag(signs)
-        self.xb = np.where(satisfied, resid, np.abs(resid))
-        self.cost1 = np.concatenate([np.zeros(self.art0), np.ones(m)])
-
-    # -- core iteration ---------------------------------------------------
-
-    def run(self) -> bool:
-        """Both phases; False when phase 1 leaves the rows violated."""
-        self._phase(self.cost1)
-        if float(self.cost1[self.basis] @ self.xb) > 1e-7 * max(1.0, np.abs(self.b).max()):
-            return False
-        # freeze artificials at zero for phase 2
-        self.upper[self.art0:] = 0.0
-        self.xval[self.art0:] = 0.0
-        self._phase(self.cost2)
-        return True
-
-    def _phase(self, cost) -> None:
-        degenerate_run = 0
-        bland = False
-        since_refactor = 0
-        while True:
-            if self.iterations >= _MAX_ITER:
-                raise SolverError("simplex iteration cap exceeded (cycling guard)")
-            y = self.binv.T @ cost[self.basis]
-            red = cost - self.a.T @ y
-            j = self._entering(red, bland)
-            if j < 0:
-                return
-            self.iterations += 1
-            since_refactor += 1
-
-            direction = 1.0 if self.status[j] == _AT_LOWER else -1.0
-            w = self.binv @ self.a[:, j]
-            rate = -w if direction > 0 else w
-
-            basis_lo = self.lower[self.basis]
-            basis_up = self.upper[self.basis]
-            t_hit = np.full(self.m, np.inf)
-            dec = rate < -_PIVOT_TOL
-            inc = rate > _PIVOT_TOL
-            t_hit[dec] = (self.xb[dec] - basis_lo[dec]) / (-rate[dec])
-            t_hit[inc] = (basis_up[inc] - self.xb[inc]) / rate[inc]
-            np.maximum(t_hit, 0.0, out=t_hit)
-            t_best = t_hit.min()
-
-            t_flip = self.upper[j] - self.lower[j]
-
-            if t_flip < t_best:
-                # bound flip, no basis change
-                self.xb += rate * t_flip
-                self.xval[j] = self.upper[j] if direction > 0 else self.lower[j]
-                self.status[j] = _AT_UPPER if direction > 0 else _AT_LOWER
-                degenerate_run = 0
-                bland = False
-                continue
-
-            if not np.isfinite(t_best):
-                raise SolverError("simplex step meets no bound inside a finite box")
-
-            candidates = np.flatnonzero(t_hit <= t_best + 1e-12)
-            leave = int(candidates[np.argmin(self.basis[candidates])])
-            leave_to = _AT_LOWER if rate[leave] < 0 else _AT_UPPER
-
-            if t_best <= _DEGENERATE_STEP:
-                degenerate_run += 1
-                if degenerate_run >= _BLAND_TRIGGER:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-
-            old = self.basis[leave]
-            self.xb += rate * t_best
-            enter_val = self.xval[j] + direction * t_best
-            self.status[old] = leave_to
-            self.xval[old] = self.lower[old] if leave_to == _AT_LOWER else self.upper[old]
-            self.basis[leave] = j
-            self.status[j] = _BASIC
-            self.xb[leave] = enter_val
-
-            piv = w[leave]
-            if abs(piv) < _PIVOT_TOL:
-                raise SolverError("vanishing pivot element")
-            self.binv[leave] /= piv
-            w[leave] = 0.0
-            self.binv -= w[:, None] * self.binv[leave][None, :]
-
-            if since_refactor >= _REFACTOR_EVERY:
-                self._refactor()
-                since_refactor = 0
-
-    def _entering(self, red, bland: bool) -> int:
-        st = self.status
-        down = (st == _AT_LOWER) & (red < -_COST_TOL)
-        up = (st == _AT_UPPER) & (red > _COST_TOL)
-        eligible = np.flatnonzero((down | up) & (self.upper - self.lower > 0))
-        if eligible.size == 0:
-            return -1
-        if bland:
-            return int(eligible[0])
-        scores = np.abs(red[eligible])
-        return int(eligible[np.argmax(scores)])
-
-    def _refactor(self) -> None:
-        basis_mat = self.a[:, self.basis]
-        try:
-            self.binv = np.linalg.inv(basis_mat)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular basis during refactorization") from exc
-        nb = np.flatnonzero(self.status != _BASIC)
-        self.xb = self.binv @ (self.b - self.a[:, nb] @ self.xval[nb])
-
-    # -- extraction --------------------------------------------------------
-
-    def solution(self):
-        self._refactor()
-        x = self.xval.copy()
-        x[self.basis] = self.xb
-        # snap basics onto violated bounds within tolerance
-        x = np.minimum(np.maximum(x, self.lower - _FEAS_TOL), self.upper + _FEAS_TOL)
-        y = self.binv.T @ self.cost2[self.basis]
-        red = self.cost2 - self.a.T @ y
-        resid = self.a[:, : self.art0] @ x[: self.art0] - self.b
-        scale = max(1.0, float(np.abs(self.b).max()))
-        if np.abs(resid).max() > 1e-7 * scale:
-            raise SolverError("primal residual exceeds tolerance after solve")
-        return x[: self.n_struct], y, red
+def _inverse(basis: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(basis)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular active set in the vertex method") from exc
 
 
 @dataclass

@@ -52,6 +52,11 @@ _BALL_SHRINK = 1e-6
 _CONTAINS_TOL = 1e-12
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValidationError("epsilon must be positive and finite")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Rectangular lattice anchored at the upper corner.
@@ -70,8 +75,7 @@ class Grid:
     def build(lo: np.ndarray, hi: np.ndarray, epsilon: float) -> "Grid":
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if not 0 < epsilon < math.inf:
-            raise ValidationError("epsilon must be positive and finite")
+        _check_epsilon(epsilon)
         if np.any(lo > hi + 1e-12):
             raise ValidationError("grid corners are inverted")
         step = epsilon / math.sqrt(lo.size)
@@ -229,6 +233,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     points.  ``counts`` holds the visitor's counters for the ``event`` log
     line.
     """
+    _check_epsilon(epsilon)
     box = box_or_default(net, grouping, scenarios, box)
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)

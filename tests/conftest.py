@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's solution paths: the 2-bank
 ring has a closed-form clearing vector, batch clearing uses a plain capped
-Picard iteration, the weighted-sum oracle enumerates scenario subsets, unit
+Picard iteration, the weighted-sum oracle enumerates scenario subsets and
+solves each with scipy's HiGHS, unit
 weights have a plain bisection on the membership oracle, and distances come
 from dense grid scans.
 """
@@ -13,9 +14,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import sysvar as sv
-from sysvar.optim import LinearProgram, solve_lp
 from sysvar.util import max_violations, required_hits
 
 
@@ -62,7 +63,8 @@ def picard_totals(net: sv.FinancialNetwork, xs: np.ndarray, sweeps: int = 400) -
 
 
 def subset_oracle_weighted(net, grouping, scenarios, spec, weights, box) -> float:
-    """Exhaustive scan over scenario subsets of the required size, each an LP."""
+    """Exhaustive scan over scenario subsets of the required size, each an LP
+    solved by HiGHS."""
     n, d = scenarios.values.shape
     g = grouping.g
     k = required_hits(n, spec.lam)
@@ -86,15 +88,13 @@ def subset_oracle_weighted(net, grouping, scenarios, spec, weights, box) -> floa
             agg[g + slot * d: g + (slot + 1) * d] = -1.0
             rows.append(agg[None, :])
             rhs.append(np.array([-spec.alpha]))
-        res = solve_lp(LinearProgram(
-            c=c,
-            a_ub=np.vstack(rows),
-            b_ub=np.concatenate(rhs),
-            lower=np.concatenate([box.lo, np.zeros(len(subset) * d)]),
-            upper=np.concatenate([box.hi, np.tile(net.pbar, len(subset))]),
-        ))
-        if res.status == "optimal":
-            best = min(best, res.objective)
+        res = linprog(
+            c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+            bounds=list(zip(np.concatenate([box.lo, np.zeros(len(subset) * d)]),
+                            np.concatenate([box.hi, np.tile(net.pbar, len(subset))]))),
+            method="highs")
+        if res.status == 0:
+            best = min(best, res.fun)
     return best
 
 

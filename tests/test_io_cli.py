@@ -375,6 +375,12 @@ class TestCli:
         ('{"d": 2, "pbar": [1.0, 2.0], "pi": [[0, 1], [1]], '
          '"grouping": {"g": 2, "assignment": [0, 1]}}',
          ["clear", "--network", "{bad}", "--x", "1,1"]),
+        ('{"d": 2, "pbar": [1.0, 2.0], "pi": [[0, 1], [1, 0]], '
+         '"grouping": {"g": 2, "assignment": [0.7, 1]}}',
+         ["clear", "--network", "{bad}", "--x", "1,1"]),
+        ('{"d": 2.5, "pbar": [1.0, 2.0], "pi": [[0, 1], [1, 0]], '
+         '"grouping": {"g": 2, "assignment": [0, 1]}}',
+         ["clear", "--network", "{bad}", "--x", "1,1"]),
         ("", ["clear", "--network", "{net}", "--x", "nan" + ",0" * 9]),
         ("", _GEN + ["--m", "nan,2,3,1.5"]),
         ("", _GEN + ["--m", "4,2,3,1", "--theta", "nan"]),
@@ -385,11 +391,16 @@ class TestCli:
         ("", _SCALARIZE + ["--weights", "nan,1"]),
         ("", _SAA + ["--epsilon", "nan"]),
         ("", _SAA + ["--epsilon", "inf"]),
+        # an unreachable alpha ends the search before any grid is built
+        ("", ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "2",
+              "--lambda", "0.25", "--epsilon", "inf"]),
     ], ids=["edge-cell", "edge-columns", "edge-negative", "truncated-json", "x-length",
             "float-list", "int-list", "size-zero", "size-negative", "no-seeds",
-            "lambda-above-one", "pbar-null", "assignment-long", "pi-ragged", "x-nan",
+            "lambda-above-one", "pbar-null", "assignment-long", "pi-ragged",
+            "assignment-fraction", "d-fraction", "x-nan",
             "m-nan", "theta-nan", "delta-in-nan", "point-long", "point-nan",
-            "weights-long", "weights-nan", "epsilon-nan", "epsilon-inf"])
+            "weights-long", "weights-nan", "epsilon-nan", "epsilon-inf",
+            "epsilon-inf-unreachable-alpha"])
     def test_malformed_input_exits_two(self, pipeline, tmp_path, capsys, text, argv):
         bad = tmp_path / "bad"
         bad.write_text(text)

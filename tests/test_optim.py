@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,39 @@ def readme_payment_lp() -> LinearProgram:
                          lower=np.zeros(net.d), upper=net.pbar, sense="max")
 
 
+def agree_with_highs(rng) -> tuple[int, int]:
+    """Solve 300 random box-bounded LPs with solve_lp and with HiGHS; assert
+    the same status and objective, and count the optimal and infeasible ones."""
+    from scipy.optimize import linprog
+
+    counts = Counter()
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        m = int(rng.integers(1, 10))
+        lower = -2 * rng.random(n)
+        upper = 2 * rng.random(n)
+        lp = LinearProgram(
+            c=rng.normal(size=n),
+            a_ub=rng.normal(size=(m, n)),
+            b_ub=rng.normal(size=m) + 0.5,
+            lower=lower,
+            upper=upper,
+        )
+        res = solve_lp(lp)
+        ref = linprog(
+            lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
+            bounds=list(zip(lower, upper)), method="highs")
+        ref_status = {0: "optimal", 2: "infeasible"}.get(ref.status)
+        if ref_status is None:
+            continue
+        assert res.status == ref_status
+        if ref_status == "optimal":
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+            assert res.objective == pytest.approx(dual_objective(lp, res), abs=1e-6)
+        counts[ref_status] += 1
+    return counts["optimal"], counts["infeasible"]
+
+
 class TestSolveLp:
     def test_single_binding_constraint(self):
         res = solve_lp(LinearProgram(
@@ -73,34 +108,51 @@ class TestSolveLp:
             CapitalBox(lower, np.ones(2))
 
     def test_step_without_blocking_bound_raises(self, monkeypatch):
-        # x1 enters on a pivot of -10; the slack that later enters moves x1
-        # at rate 0.1, which a pivot tolerance of 0.5 counts as zero, so
-        # nothing blocks the slack's infinite upper bound
-        monkeypatch.setattr(sysvar.optim, "_PIVOT_TOL", 0.5)
+        # from the lower corner, the step that frees x0 >= 0 meets the row
+        # x0 + x1 <= 1 and the bound x0 <= 2 at rate 1, which a pivot
+        # tolerance of 2 counts as zero, so nothing blocks it
+        monkeypatch.setattr(sysvar.optim, "_PIVOT_TOL", 2.0)
         with pytest.raises(SolverError, match="no bound"):
             solve_lp(LinearProgram(
-                c=np.array([0.0, -1.0]), a_ub=np.array([[-10.0, -10.0]]),
-                b_ub=np.array([-2.0]), lower=np.zeros(2), upper=np.full(2, 2.0)))
+                c=np.array([-1.0, 0.0]), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
+                lower=np.zeros(2), upper=np.full(2, 2.0)))
 
-    def test_result_does_not_depend_on_uninitialized_memory(self, monkeypatch):
-        # every nonbasic column starts with a defined status: whatever bytes a
-        # fresh int8 array holds, the payment LP takes the same pivots
-        ref = solve_lp(readme_payment_lp())
-        assert ref.status == "optimal"
-        empty = np.empty
-        for fill in range(4):
-            def filled(shape, dtype=float, *args, **kwargs):
-                out = empty(shape, dtype, *args, **kwargs)
-                if out.dtype == np.int8:
-                    out.fill(fill)
-                return out
+    def test_iteration_cap_and_singular_active_set_raise(self, monkeypatch):
+        lp = LinearProgram(c=np.array([-1.0, 0.0]), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
+                           lower=np.zeros(2), upper=np.full(2, 2.0))
+        with monkeypatch.context() as patch:
+            patch.setattr(sysvar.optim, "_MAX_ITER", 0)
+            with pytest.raises(SolverError, match="iteration cap"):
+                solve_lp(lp)
 
-            monkeypatch.setattr(sysvar.optim.np, "empty", filled)
-            res = solve_lp(readme_payment_lp())
-            monkeypatch.setattr(sysvar.optim.np, "empty", empty)
-            assert res.iterations == ref.iterations
-            assert np.array_equal(res.x, ref.x)
-            assert np.array_equal(res.duals_ub, ref.duals_ub)
+        def singular(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(sysvar.optim.np.linalg, "inv", singular)
+        with pytest.raises(SolverError, match="singular active set"):
+            solve_lp(lp)
+
+    def test_a_feasible_corner_needs_no_phase_one(self, monkeypatch):
+        # the payment LP starts at p = 0, and a cut LP whose lower corner
+        # is cut off starts at the box top
+        from scipy.optimize import linprog
+
+        starts = []
+        vertex = sysvar.optim._vertex
+        monkeypatch.setattr(sysvar.optim, "_vertex",
+                            lambda *args: starts.append(args[3].tolist()) or vertex(*args))
+        lp = readme_payment_lp()
+        res = solve_lp(lp)
+        assert starts == [[0.0] * lp.c.size]
+        ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
+                      bounds=list(zip(lp.lower, lp.upper)), method="highs")
+        assert res.objective == pytest.approx(-ref.fun, rel=1e-9)
+        assert res.duals_ub.min() >= 0.0
+        assert res.objective == pytest.approx(dual_objective(lp, res), rel=1e-9)
+        starts.clear()
+        res = solve_lp(LinearProgram(c=np.ones(2), a_ub=-np.ones((1, 2)), b_ub=np.array([-1.0]),
+                                     lower=np.zeros(2), upper=np.full(2, 2.0)))
+        assert starts == [[2.0, 2.0]] and res.objective == pytest.approx(1.0)
 
     def test_clearing_lp_value(self):
         net = ring2([2.0, 2.0])
@@ -132,33 +184,37 @@ class TestSolveLp:
     def test_matches_reference_solver(self, rng):
         # cross-check objective values and statuses against an unrelated
         # implementation on random boxes and inequalities
-        from scipy.optimize import linprog
+        optimal, infeasible = agree_with_highs(rng)
+        assert optimal + infeasible > 250
 
-        agreements = 0
-        for _ in range(300):
-            n = int(rng.integers(2, 10))
-            m = int(rng.integers(1, 10))
-            lower = -2 * rng.random(n)
-            upper = 2 * rng.random(n)
-            lp = LinearProgram(
-                c=rng.normal(size=n),
-                a_ub=rng.normal(size=(m, n)),
-                b_ub=rng.normal(size=m) + 0.5,
-                lower=lower,
-                upper=upper,
-            )
-            res = solve_lp(lp)
-            ref = linprog(
-                lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
-                bounds=list(zip(lower, upper)), method="highs")
-            ref_status = {0: "optimal", 2: "infeasible"}.get(ref.status)
-            if ref_status is None:
-                continue
-            assert res.status == ref_status
-            if ref_status == "optimal":
-                assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
-            agreements += 1
-        assert agreements > 250
+    @pytest.mark.parametrize("knob, value", [("_BLAND_TRIGGER", 0), ("_REFACTOR_EVERY", 1)],
+                             ids=["bland-from-the-start", "refresh-every-step"])
+    def test_forced_paths_match_reference_solver(self, monkeypatch, rng, knob, value):
+        # Bland's rule on every step, and the inverse recomputed after every
+        # rank-one update, reach the same optima
+        monkeypatch.setattr(sysvar.optim, knob, value)
+        optimal, infeasible = agree_with_highs(rng)
+        assert optimal > 200 and infeasible > 20
+
+    def test_phase_one_when_neither_corner_is_feasible(self, monkeypatch):
+        # x0 - x1 <= -1 cuts off both corners of [0, 2]^2; phase 1 finds
+        # (0, 1) and phase 2 starts there, while the reversed row as well
+        # leaves nothing feasible and phase 2 never runs
+        calls = []
+        vertex = sysvar.optim._vertex
+        monkeypatch.setattr(sysvar.optim, "_vertex",
+                            lambda *args: calls.append(args[2]) or vertex(*args))
+        box = dict(lower=np.zeros(2), upper=np.full(2, 2.0))
+        res = solve_lp(LinearProgram(c=np.ones(2), a_ub=np.array([[1.0, -1.0]]),
+                                     b_ub=np.array([-1.0]), **box))
+        assert res.status == "optimal" and len(calls) == 2
+        assert [cost.tolist() for cost in calls] == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert res.x.tolist() == [0.0, 1.0] and res.objective == 1.0
+        assert res.duals_ub.tolist() == [-1.0] and res.reduced_costs.tolist() == [2.0, 0.0]
+        calls.clear()
+        res = solve_lp(LinearProgram(c=np.ones(2), a_ub=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                     b_ub=np.array([-1.0, -1.0]), **box))
+        assert res.status == "infeasible" and res.iterations > 0 and len(calls) == 1
 
 
 class TestMinNormQp:

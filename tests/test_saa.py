@@ -141,9 +141,16 @@ class TestGrid:
             Grid.build(np.zeros(2), np.array([1e12, 1.0]), epsilon=0.01)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
-    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+    def test_epsilon_must_be_positive_and_finite(self, rng, epsilon):
         with pytest.raises(ValidationError, match="epsilon"):
             Grid.build(np.zeros(2), np.ones(2), epsilon=epsilon)
+        # an alpha above the total obligations returns the empty set before
+        # any grid is built, and still refuses the epsilon
+        net, grouping, scen, _ = instance(rng)
+        spec = sv.RiskSpec(alpha=2.0 * net.total_obligations, lam=0.2)
+        for algorithm in (sv.approximate_by_clearing, sv.approximate_by_norm_min):
+            with pytest.raises(ValidationError, match="epsilon"):
+                algorithm(net, grouping, scen, spec, epsilon)
 
     def test_ball_slice_matches_full_mesh(self, rng):
         for g in (1, 2, 3):

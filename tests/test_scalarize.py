@@ -153,6 +153,7 @@ class TestConstruction:
         lambda: sv.FinancialNetwork(d=2, pi=[[0.0, 0.9], [1.0, 0.0]], pbar=[1.0, 1.0]),
         lambda: sv.Grouping(g=2, assignment=[0, 2]),
         lambda: sv.Grouping(g=3, assignment=[0, 1]),
+        lambda: sv.Grouping(g=2, assignment=[0.7, 1]),
         lambda: sv.ScenarioSet(values=[[1.0, np.nan]]),
         lambda: sv.ScenarioSet(values=[[1.0, np.inf]]),
         lambda: sv.ScenarioSet(values=[1.0, 2.0]),
@@ -171,8 +172,8 @@ class TestConstruction:
         lambda: TestConstruction._model(weights=[0.0, 0.0]),
         lambda: TestConstruction._model(weights=[1.0, 1.0], center=[0.0, 0.0]),
     ], ids=["network-nan-pbar", "network-inf-pi", "network-diagonal", "network-row-sum",
-            "grouping-range", "grouping-empty-group", "scenarios-nan", "scenarios-inf",
-            "scenarios-vector", "shocks-nan-nu", "shocks-nan-beta", "shocks-nan-rho",
+            "grouping-range", "grouping-empty-group", "grouping-fraction", "scenarios-nan",
+            "scenarios-inf", "scenarios-vector", "shocks-nan-nu", "shocks-nan-beta", "shocks-nan-rho",
             "growth-nan-theta", "growth-nan-delta", "growth-inf-delta", "intergroup-nan",
             "intergroup-negative", "model-nan-center", "model-long-center",
             "model-long-weights", "model-nan-weights", "model-zero-weights",
@@ -534,16 +535,17 @@ class TestRayThresholds:
         assert np.all((box.lo[0] < ts) & (ts < box.lo[0] + 1e-4))
 
 
-def readme_instance():
+def readme_instance(n=10, seed=11):
     """The README network (gen-network --seed 7) with its 10-scenario sample
-    (sample-shocks --n 10 --seed 11) and the README risk parameters."""
+    (sample-shocks --n 10 --seed 11, or another size and seed) and the
+    README risk parameters."""
     graph = sv.generate_bollobas(sv.BollobasParams(
         theta=0.2, eta=0.6, zeta=0.2, delta_in=0.5, delta_out=0.5,
         target_nodes=20, seed=7))
     net, grouping = sv.build_liabilities(graph, 4, sv.IntergroupLiabilityMatrix(
         values=np.array([[400.0, 200.0], [300.0, 150.0]])))
     scen = sv.sample_shocks(sv.ShockParams(
-        nu=3.0, beta_by_group=np.array([100.0, 50.0]), rho=0.3, n=10, seed=11), grouping)
+        nu=3.0, beta_by_group=np.array([100.0, 50.0]), rho=0.3, n=n, seed=seed), grouping)
     spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=0.2)
     return net, grouping, scen, spec
 
@@ -553,9 +555,9 @@ def readme_instance():
 # cleared its own uncut first round
 README_SOLUTIONS = {
     "weights": dict(
-        z=["-0x1.b63b8e544e220p-3", "0x1.9d10cd4e4a104p+7"],
-        objective="0x1.9ca33e6ab4fcbp+7", nodes=2, gap=0.0,
-        trace=[(0, "0x1.9fc15886c886cp+7"), (2, "0x1.9ca33e6ab4fcbp+7")],
+        z=["-0x1.b63b8e544e220p-3", "0x1.9d10cd4e4a10ap+7"],
+        objective="0x1.9ca33e6ab4fd1p+7", nodes=2, gap=0.0,
+        trace=[(0, "0x1.9fc15886c886bp+7"), (2, "0x1.9ca33e6ab4fd1p+7")],
         kernel_calls=36),
     "point": dict(
         z=["0x1.1cc13a08ddd12p+6", "0x1.63f1888b15456p+7"],
@@ -639,6 +641,21 @@ class TestUncutPoint:
         assert sv.membership(net, grouping, scen, spec, z["point"]).accepted
         u = z["point"] / np.linalg.norm(z["point"])
         assert subset_oracle_weighted(net, grouping, scen, spec, u, box) >= distance - 1e-6
+
+
+class TestLargeSample:
+    def test_both_scalarizations_at_two_hundred_scenarios(self):
+        # the README network on sample-shocks --n 200 --seed 36: the dense
+        # two-phase simplex that solved the inner LPs before the vertex
+        # method gave 207.89852522017728 after 46 nodes
+        net, grouping, scen, spec = readme_instance(n=200, seed=36)
+        ws = sv.weighted_sum(net, grouping, scen, spec, np.ones(2))
+        assert ws.value == pytest.approx(207.89852522017728, rel=1e-9)
+        assert ws.solution.nodes == 46
+        nm = sv.norm_min(net, grouping, scen, spec, np.zeros(2))
+        assert nm.value == 193.05125361927205
+        for z in (ws.z, nm.z):
+            assert sv.membership(net, grouping, scen, spec, z).accepted
 
 
 # the branch-and-bound work of the README instance's three solves: solves,
