@@ -89,21 +89,13 @@ def write_network(path: str, net: FinancialNetwork, grouping: Grouping,
     dump_json(path, network_payload(net, grouping, provenance))
 
 
-def _whole(value, name: str) -> int:
-    if not float(value).is_integer():
-        raise ValidationError(f"{name} must be a whole number")
-    return int(value)
-
-
 def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
     data = load_json(path)
     try:
-        net = FinancialNetwork(d=_whole(data["d"], "d"), pi=data["pi"], pbar=data["pbar"])
-        grouping = Grouping(g=_whole(data["grouping"]["g"], "g"),
-                            assignment=data["grouping"]["assignment"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers ragged arrays and the values' own checks, and
-        # OverflowError a count too large for a float
+        net = FinancialNetwork(d=data["d"], pi=data["pi"], pbar=data["pbar"])
+        grouping = Grouping(g=data["grouping"]["g"], assignment=data["grouping"]["assignment"])
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers ragged arrays and the values' own checks
         raise ValidationError(f"malformed network file {path}: {exc}") from exc
     grouping.check_banks(net.d)
     return net, grouping

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DEFAULT_TOL, ValidationError, frozen_array
+from .util import DEFAULT_TOL, ValidationError, frozen_array, frozen_whole
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,9 @@ class DerivedCache:
 class FinancialNetwork:
     """Relative-liability matrix and total obligations of a clearing network.
 
-    Checked when built: pi is d x d, nonnegative and row-stochastic with a
-    zero diagonal, pbar is positive, both finite, and both are kept as
-    read-only copies.  ``derived``, the clearing kernel's cache, is built
+    Checked when built: d is a whole number (kept as an int), pi is d x d,
+    nonnegative and row-stochastic with a zero diagonal, pbar is positive,
+    both finite, and both are kept as read-only copies.  ``derived``, the clearing kernel's cache, is built
     here and takes no part in equality, ``repr`` or the network file.
     """
 
@@ -108,9 +108,10 @@ class FinancialNetwork:
     derived: DerivedCache = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        d = int(frozen_whole(self.d, "d"))
         pi = frozen_array(self.pi, "pi")
         pbar = frozen_array(self.pbar, "pbar")
-        if pi.shape != (self.d, self.d) or pbar.shape != (self.d,):
+        if pi.shape != (d, d) or pbar.shape != (d,):
             raise ValidationError("pi must be d x d and pbar length d")
         if np.any(np.diag(pi) != 0):
             raise ValidationError("pi must have a zero diagonal")
@@ -120,6 +121,7 @@ class FinancialNetwork:
             raise ValidationError("each row of pi must sum to 1 within 1e-9")
         if np.any(pbar <= 0):
             raise ValidationError("pbar must be strictly positive")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "pbar", pbar)
         object.__setattr__(self, "derived", DerivedCache(pi, pbar))
@@ -140,8 +142,8 @@ class Grouping:
     """Partition of the d banks into g groups.
 
     assignment[i] is the group index of bank i, a read-only int copy,
-    checked when built: every entry is a whole number in [0, g) and every
-    group is nonempty.  The derived binary matrix has one 1 per column.
+    checked when built: g and every entry are whole numbers, the entries
+    lie in [0, g) and every group is nonempty.  The derived binary matrix has one 1 per column.
     spread(z) maps group capital levels to the per-bank injection vector.
     """
 
@@ -149,16 +151,15 @@ class Grouping:
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        a = frozen_array(self.assignment, "assignment")
+        g = int(frozen_whole(self.g, "g"))
+        a = frozen_whole(self.assignment, "assignment")
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("assignment must be a nonempty vector")
-        if np.any(a != np.floor(a)):
-            raise ValidationError("assignment entries must be whole numbers")
-        a = frozen_array(a, "assignment", dtype=int)
-        if a.min() < 0 or a.max() >= self.g:
+        if a.min() < 0 or a.max() >= g:
             raise ValidationError("assignment entries must lie in [0, g)")
-        if np.any(np.bincount(a, minlength=self.g) == 0):
+        if np.any(np.bincount(a, minlength=g) == 0):
             raise ValidationError("every group must be nonempty")
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "assignment", a)
 
     def check_banks(self, d: int) -> None:

@@ -105,8 +105,20 @@ def atomic_write_text(path: str, text: str) -> None:
 def frozen_array(values, name: str, dtype=float, copy: bool = True) -> np.ndarray:
     """``values`` as a read-only array, a copy or else a view, refused
     unless every entry is finite."""
-    arr = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype).view()
+    try:
+        arr = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype).view()
+    except OverflowError as exc:  # an integer too large for a float
+        raise ValidationError(f"{name} must be finite") from exc
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def frozen_whole(values, name: str) -> np.ndarray:
+    """``values`` as a read-only int array, refused unless every entry is a
+    whole number of magnitude at most 2**53 (where floats count exactly)."""
+    arr = frozen_array(values, name)
+    if np.any((arr != np.floor(arr)) | (np.abs(arr) > 2.0**53)):
+        raise ValidationError(f"{name}: expected whole numbers of magnitude at most 2**53")
+    return frozen_array(arr, name, dtype=int)

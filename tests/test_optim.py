@@ -117,6 +117,26 @@ class TestSolveLp:
                 c=np.array([-1.0, 0.0]), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                 lower=np.zeros(2), upper=np.full(2, 2.0)))
 
+    def test_result_does_not_depend_on_uninitialized_memory(self, monkeypatch):
+        # every nonbasic column starts with a defined status: whatever bytes a
+        # fresh int8 array holds, the payment LP takes the same pivots
+        ref = solve_lp(readme_payment_lp())
+        assert ref.status == "optimal"
+        empty = np.empty
+        for fill in range(4):
+            def filled(shape, dtype=float, *args, **kwargs):
+                out = empty(shape, dtype, *args, **kwargs)
+                if out.dtype == np.int8:
+                    out.fill(fill)
+                return out
+
+            monkeypatch.setattr(sysvar.optim.np, "empty", filled)
+            res = solve_lp(readme_payment_lp())
+            monkeypatch.setattr(sysvar.optim.np, "empty", empty)
+            assert res.iterations == ref.iterations
+            assert np.array_equal(res.x, ref.x)
+            assert np.array_equal(res.duals_ub, ref.duals_ub)
+
     def test_iteration_cap_and_singular_active_set_raise(self, monkeypatch):
         lp = LinearProgram(c=np.array([-1.0, 0.0]), a_ub=np.ones((1, 2)), b_ub=np.ones(1),
                            lower=np.zeros(2), upper=np.full(2, 2.0))

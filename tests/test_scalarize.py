@@ -151,9 +151,11 @@ class TestConstruction:
         lambda: sv.FinancialNetwork(d=2, pi=[[0.0, np.inf], [1.0, 0.0]], pbar=[1.0, 1.0]),
         lambda: sv.FinancialNetwork(d=2, pi=[[0.5, 0.5], [1.0, 0.0]], pbar=[1.0, 1.0]),
         lambda: sv.FinancialNetwork(d=2, pi=[[0.0, 0.9], [1.0, 0.0]], pbar=[1.0, 1.0]),
+        lambda: sv.FinancialNetwork(d=2.5, pi=TestConstruction._RING, pbar=[1.0, 1.0]),
         lambda: sv.Grouping(g=2, assignment=[0, 2]),
         lambda: sv.Grouping(g=3, assignment=[0, 1]),
         lambda: sv.Grouping(g=2, assignment=[0.7, 1]),
+        lambda: sv.Grouping(g=2.5, assignment=[0, 1]),
         lambda: sv.ScenarioSet(values=[[1.0, np.nan]]),
         lambda: sv.ScenarioSet(values=[[1.0, np.inf]]),
         lambda: sv.ScenarioSet(values=[1.0, 2.0]),
@@ -172,7 +174,8 @@ class TestConstruction:
         lambda: TestConstruction._model(weights=[0.0, 0.0]),
         lambda: TestConstruction._model(weights=[1.0, 1.0], center=[0.0, 0.0]),
     ], ids=["network-nan-pbar", "network-inf-pi", "network-diagonal", "network-row-sum",
-            "grouping-range", "grouping-empty-group", "grouping-fraction", "scenarios-nan",
+            "network-fraction-d", "grouping-range", "grouping-empty-group", "grouping-fraction",
+            "grouping-fraction-g", "scenarios-nan",
             "scenarios-inf", "scenarios-vector", "shocks-nan-nu", "shocks-nan-beta", "shocks-nan-rho",
             "growth-nan-theta", "growth-nan-delta", "growth-inf-delta", "intergroup-nan",
             "intergroup-negative", "model-nan-center", "model-long-center",
@@ -196,6 +199,9 @@ class TestConstruction:
         # writable array, and a negative cash flow is refused only on demand
         assignment[0] = 1
         assert grouping.assignment.tolist() == [0, 1, 1]
+        # whole counts given as floats are kept as ints
+        assert type(sv.Grouping(g=2.0, assignment=[0.0, 1.0]).g) is int
+        assert type(sv.FinancialNetwork(d=2.0, pi=self._RING, pbar=[1.0, 1.0]).d) is int
         assert np.shares_memory(scen.values, values) and values.flags.writeable
         with pytest.raises(ValidationError):
             scen.check_nonnegative()
