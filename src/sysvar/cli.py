@@ -7,7 +7,9 @@ extraction.  Exit codes: 0 success, 2 validation error, 3 infeasibility,
 4 solver capacity (including a branch-and-bound node budget exhausted before
 optimality was proven).  Every run writes a manifest with the configuration, a
 config hash, library versions, and wall time; numeric artifacts embed the
-configuration but never timestamps, so reruns are byte-identical.
+configuration but never timestamps or solver step counts, so reruns are
+byte-identical and a solver change moves an artifact only through its
+results.  ``clear`` records its solver's step count in the manifest.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {"tool": "sysvar", "version": __version__, "config": config}
 
 
-def _manifest(args: argparse.Namespace, artifacts: list[str], started: float) -> None:
+def _manifest(args: argparse.Namespace, artifacts: list[str], started: float,
+              solver: dict | None) -> None:
     prov = _provenance(args)
     blob = json.dumps(prov["config"], sort_keys=True, default=str).encode()
     manifest = {
@@ -135,6 +138,8 @@ def _manifest(args: argparse.Namespace, artifacts: list[str], started: float) ->
         "wall_time_s": time.monotonic() - started,
         "artifacts": artifacts,
     }
+    if solver is not None:
+        manifest["solver"] = solver
     out = getattr(args, "out", None)
     if out:
         dump_json(out + ".manifest.json", manifest)
@@ -168,7 +173,7 @@ def _cmd_sample_shocks(args) -> int:
     return EXIT_OK
 
 
-def _cmd_clear(args) -> int:
+def _cmd_clear(args) -> tuple[int, dict]:
     net, _ = read_network(args.network)
     x = _read_x(args.x, net.d)
     if args.method == "fp":
@@ -179,11 +184,10 @@ def _cmd_clear(args) -> int:
         "method": args.method,
         "p": res.p,
         "defaults": res.defaults.astype(int),
-        "iterations": res.iterations,
         "total_payment": res.total_payment,
         "provenance": _provenance(args),
     })
-    return EXIT_OK
+    return EXIT_OK, {"iterations": res.iterations}
 
 
 def _cmd_enumerate(args) -> int:
@@ -410,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.monotonic()
     try:
-        code = args.func(args)
+        result = args.func(args)
     except ValidationError as exc:
         print(f"sysvar: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -423,8 +427,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"sysvar: i/o error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # a command returns its exit code, and ``clear`` also the solver facts
+    # that go to the manifest
+    code, solver = result if isinstance(result, tuple) else (result, None)
     artifacts = [p for p in [getattr(args, "out", None), getattr(args, "graph_out", None)] if p]
-    _manifest(args, artifacts, started)
+    _manifest(args, artifacts, started, solver)
     return code
 
 

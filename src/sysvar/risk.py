@@ -5,6 +5,13 @@ one check only how two values fit together: a routine that takes an
 optional box checks its length against the grouping (``box_or_default``),
 and ``z_bounds`` checks the grouping and the scenarios against the network
 and refuses negative cash flows.
+
+The oracle needs only each scenario's side of the line alpha - VIOL_TOL, and
+two Picard bounds on the greatest clearing vector settle most scenarios
+before any reaches the clearing kernel (``_picard_bounds``): one step down
+from pbar bounds it above, and the iterates up from min(x, pbar) bound it
+below (Eisenberg & Noe 2001; Tarski 1955).  The rest go to
+``aggregate_en_many``, the only source of totals.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 from .clearing import aggregate_en_many
 from .network import FinancialNetwork, Grouping
 from .shocks import ScenarioSet
-from .util import ValidationError, frozen_array, max_violations, violates
+from .util import VIOL_TOL, ValidationError, frozen_array, max_violations, violates
 
 # slack on the nonnegativity selection constraint, consistent with the
 # violation tolerance on the aggregate threshold
@@ -24,6 +31,11 @@ _SELECT_TOL = 1e-9
 # a scenario-label record stores points only while its arrays stay within
 # this many bytes; later points are not stored, which costs time, not bits
 _LABEL_BUDGET_BYTES = 4 << 20
+# the Picard bounds decide a row only this far, times the total obligations,
+# from the line alpha - VIOL_TOL (derived in ``_picard_bounds``)
+_BOUND_MARGIN = 1e-7
+# in-place Picard steps up from min(x, pbar) behind the lower bound
+_LOWER_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -119,8 +131,9 @@ class _ScenarioLabels:
     and their pass bitmaps (packed, little-endian) live in arrays that
     double as points arrive, up to the capacity ``_LABEL_BUDGET_BYTES``
     allows; a point past that capacity is not stored.  ``rows_cleared`` and
-    ``rows_decided`` count the rows the record's users sent to the clearing
-    kernel and the rows it decided.
+    ``rows_decided`` count the rows the record's users sent to clearing and
+    the rows it decided; ``rows_bounded`` counts the cleared rows the Picard
+    bounds decided, so ``rows_cleared - rows_bounded`` reached the kernel.
     """
 
     def __init__(self, n: int, g: int):
@@ -132,6 +145,7 @@ class _ScenarioLabels:
         self.size = 0
         self.rows_cleared = 0
         self.rows_decided = 0
+        self.rows_bounded = 0
 
     def known(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scenarios the record leaves open at z, and scenarios it fails.
@@ -166,6 +180,66 @@ class _ScenarioLabels:
         self.size += 1
 
 
+def _picard_bounds(net: FinancialNetwork, xs: np.ndarray,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of xs (nonnegative cash flows) that two Picard bounds show to
+    fail, and rows they show to pass, at the line alpha - VIOL_TOL.
+
+    The greatest clearing vector p* = min(pbar, x + p* pi) lies below pbar,
+    so below one step from it: p* <= min(pbar, x + pbar pi), whose sum U
+    uses the network's ``one_step``.  It lies above every iterate
+    q <- min(pbar, x + q pi) from q = min(x, pbar): the map is monotone and
+    q starts below p*, so the iterates rise towards the least clearing
+    vector, which is at most p*.  A row passes if the sum L of an iterate
+    is at least line + m, and fails if U < line - m, with m =
+    ``_BOUND_MARGIN`` times the total obligations T; the rest are open.
+    L at the start decides first, U only the rows it leaves open, and
+    ``_LOWER_STEPS`` steps then run on the rows both leave open.
+
+    The margin covers two errors.  Each entry of a bound caps a sum of
+    d + 1 nonnegative terms, so U and each step's L are off by at most
+    about 2(d + 1) u T (u = 2^-53), and pi's rows sum to one, so L's error
+    grows by that much per step: below 1e-11 T for d <= 1,000 and 5 steps.
+    The kernel's total carries the rounding of its pattern solves and the
+    DEFAULT_TOL up to which it lets a short bank count as solvent.  With
+    m = 1e-7 T, the kernel's total may be off by nearly m before a row the
+    bounds decide would fall on the other side of the line from it, and a
+    row within m of the line costs only a kernel call.
+    """
+    pbar, cache = net.pbar, net.derived
+    line = alpha - VIOL_TOL
+    margin = _BOUND_MARGIN * cache.total
+    q = np.minimum(xs, pbar)
+    passes = q.sum(axis=1) >= line + margin
+    fails = np.zeros_like(passes)
+    rows = np.flatnonzero(~passes)
+    # min(pbar, x + one_step) is min(pbar, q + one_step) at q = min(x, pbar)
+    step = np.take(q, rows, axis=0)
+    step += cache.one_step
+    fails[rows] = np.minimum(step, pbar, out=step).sum(axis=1) < line - margin
+    # the iterates rise, so only the rows still open take the steps
+    rows = np.flatnonzero(~(passes | fails))
+    if rows.size:
+        x, q, step = np.take(xs, rows, axis=0), np.take(q, rows, axis=0), step[:rows.size]
+        for _ in range(_LOWER_STEPS):
+            np.matmul(q, net.pi, out=step)
+            step += x
+            np.minimum(step, pbar, out=q)
+        passes[rows] = q.sum(axis=1) >= line + margin
+    return fails, passes
+
+
+def _violations(net: FinancialNetwork, xs: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """Which rows of xs (nonnegative cash flows) violate alpha, and how many
+    of them the Picard bounds decided.  The rows the bounds leave open go
+    to the clearing kernel, through this module's ``aggregate_en_many``."""
+    fails, passes = _picard_bounds(net, xs, alpha)
+    rows = np.flatnonzero(~(fails | passes))
+    if rows.size:
+        fails[rows] = violates(aggregate_en_many(net, np.take(xs, rows, axis=0)), alpha)
+    return fails, xs.shape[0] - rows.size
+
+
 def membership(
     net: FinancialNetwork,
     grouping: Grouping,
@@ -184,9 +258,10 @@ def membership(
     ``labels`` is a run's private scenario-label record.  With it, a
     scenario that passed at a recorded point below z counts as passing and
     one that failed at a recorded point above z counts as failing, so only
-    the rest go to the clearing kernel, and z's labels are recorded.  The
-    rule rests on per-scenario monotonicity in floating point, which the
-    grid search assumes.
+    the rest go to clearing, and z's labels are recorded.  The rule rests
+    on per-scenario monotonicity in floating point, which the grid search
+    assumes.  Either way the scenarios left go to the Picard bounds first,
+    and only the ones they leave open to the clearing kernel.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (grouping.g,):
@@ -201,14 +276,14 @@ def membership(
                 else np.any(shifted < -_SELECT_TOL, axis=1))
     clipped = np.maximum(shifted, 0.0, out=shifted)
     if labels is None:
-        fails = bad_rows | violates(aggregate_en_many(net, clipped), spec.alpha)
+        fails = bad_rows | _violations(net, clipped, spec.alpha)[0]
     else:
         open_, failing = labels.known(z)
         fails = bad_rows | failing
         rows = np.flatnonzero(open_ & ~bad_rows)
         if rows.size:
-            values = aggregate_en_many(net, np.take(clipped, rows, axis=0))
-            fails[rows] = violates(values, spec.alpha)
+            fails[rows], bounded = _violations(net, np.take(clipped, rows, axis=0), spec.alpha)
+            labels.rows_bounded += bounded
         labels.rows_cleared += rows.size
         labels.rows_decided += n - int(np.count_nonzero(bad_rows)) - rows.size
         labels.add(z, ~fails)

@@ -21,11 +21,14 @@ one cumulative OR per grid axis finds.
 The membership-based search keeps one per-run record of per-scenario
 labels; the ideal point that floors the grid needs none, since its
 bisections take their decisions from exact ray thresholds (see
-``scalarize``).  Each
-scenario's aggregate is nondecreasing in the capital vector (Eisenberg & Noe
-2001), so a scenario that passed at an evaluated point below z passes at z,
-one that failed at an evaluated point above z fails at z, and each oracle
-call clears only the scenarios no earlier point decides.
+``scalarize``).  Each scenario's aggregate is nondecreasing in the capital
+vector (Eisenberg & Noe 2001), so a scenario that passed at an evaluated
+point below z passes at z, one that failed at an evaluated point above z
+fails at z, and each oracle call clears only the scenarios no earlier point
+decides.  The oracle settles most of those by two Picard bounds on the
+clearing vector, and sends only the scenarios near the threshold to the
+clearing kernel; the record still pays its way, since each scenario it
+decides costs neither.
 
 Sets are compared by the closed-form distance |(gen - v)^+|_2 from a point v
 to a generated upper set, one point at a time, so the Hausdorff distance
@@ -270,9 +273,12 @@ def approximate_by_clearing(
     cones label the rest.  Every grid point is classified exactly as the
     membership oracle would classify it; the search and the cones only save
     evaluations.  The returned upper set is within epsilon Hausdorff
-    distance of the sampled risk set.
+    distance of the sampled risk set.  The ``grid_clearing_done`` log line
+    counts the scenario rows the label record decided (``rows_decided``)
+    and left to clearing (``rows_cleared``), and those of the latter that
+    the Picard bounds decided (``rows_bounded``).
     """
-    counts = {"evaluations": 0, "rows_cleared": 0, "rows_decided": 0}
+    counts = {"evaluations": 0, "rows_cleared": 0, "rows_decided": 0, "rows_bounded": 0}
     # the run's scenario-label record, which only the visits use.  It is
     # made before the grid search computes the ideal point: made after it,
     # the record's preallocated arrays cost about 0.5 MB of peak RSS
@@ -283,7 +289,8 @@ def approximate_by_clearing(
         counts["evaluations"] += 1
         res = membership(net, grouping, scenarios, spec, grid.value(idx), labels=labels)
         _mark(status, idx, res.accepted)
-        counts.update(rows_cleared=labels.rows_cleared, rows_decided=labels.rows_decided)
+        counts.update(rows_cleared=labels.rows_cleared, rows_decided=labels.rows_decided,
+                      rows_bounded=labels.rows_bounded)
 
     return _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
                         visit, "grid_clearing_done", counts)

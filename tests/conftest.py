@@ -163,6 +163,21 @@ def plain_bisection(net, grouping, scenarios, spec, j, box) -> float:
     return right
 
 
+def readme_instance(n=10, seed=11):
+    """The README network (gen-network --seed 7) with its 10-scenario sample
+    (sample-shocks --n 10 --seed 11, or another size and seed) and the
+    README risk parameters."""
+    graph = sv.generate_bollobas(sv.BollobasParams(
+        theta=0.2, eta=0.6, zeta=0.2, delta_in=0.5, delta_out=0.5,
+        target_nodes=20, seed=7))
+    net, grouping = sv.build_liabilities(graph, 4, sv.IntergroupLiabilityMatrix(
+        values=np.array([[400.0, 200.0], [300.0, 150.0]])))
+    scen = sv.sample_shocks(sv.ShockParams(
+        nu=3.0, beta_by_group=np.array([100.0, 50.0]), rho=0.3, n=n, seed=seed), grouping)
+    spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=0.2)
+    return net, grouping, scen, spec
+
+
 def exp_scenarios(rng: np.random.Generator, n: int, d: int, scale: float) -> sv.ScenarioSet:
     return sv.ScenarioSet(values=rng.exponential(scale, size=(n, d)))
 

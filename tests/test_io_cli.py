@@ -473,6 +473,11 @@ class TestCli:
         payload = json.load(open(out))
         assert len(payload["p"]) == net.d
         assert payload["total_payment"] <= net.total_obligations + 1e-9
+        # the solver's step count moves with solver internals, so it goes
+        # to the manifest and the artifact holds only results
+        assert "iterations" not in payload
+        manifest = json.load(open(out + ".manifest.json"))
+        assert type(manifest["solver"]["iterations"]) is int
 
     def test_alpha_frac_resolution(self, pipeline, tmp_path):
         net, _ = io.read_network(pipeline["net"])

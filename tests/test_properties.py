@@ -223,6 +223,47 @@ def test_membership_translative_along_group_axis(seed, d, n, axis, shift):
             == sv.membership(net, grouping, scen, spec, z))
 
 
+def _bounds_instance(seed: int, d: int, n: int, cycle: bool):
+    """A random network and cash rows, some of them above every obligation.
+
+    With ``cycle`` the first k banks owe only each other around a ring, a
+    closed class, and every other row holds no cash there: on such a row
+    the least clearing vector is zero on the ring and the greatest is not.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, d)
+    xs = rng.exponential(0.5, size=(n, d)) * (rng.random((n, d)) < 0.7)
+    xs[2::3] += net.pbar
+    if cycle:
+        k = int(rng.integers(2, d + 1))
+        ring = np.arange(k)
+        pi = net.pi.copy()
+        pi[ring] = 0.0
+        pi[ring, (ring + 1) % k] = 1.0
+        net = sv.FinancialNetwork(d=d, pi=pi, pbar=net.pbar)
+        xs[::2, :k] = 0.0
+    return net, xs, rng
+
+
+@_SETTINGS
+@given(seed=seeds, d=st.integers(2, 7), n=st.integers(1, 30), cycle=st.booleans(),
+       offset=st.sampled_from([None, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+def test_picard_bounds_fail_the_rows_the_kernel_fails(seed, d, n, cycle, offset):
+    # alpha at a random level, or within a few bound margins of one row's
+    # total; the rows the bounds decide and the rows they leave to the
+    # kernel together fail exactly where the kernel's totals do
+    net, xs, rng = _bounds_instance(seed, d, n, cycle)
+    totals = aggregate_en_many(net, xs)
+    if offset is None:
+        alpha = float(rng.uniform(0.05, 1.1)) * net.total_obligations
+    else:
+        margin = sysvar.risk._BOUND_MARGIN * net.total_obligations
+        alpha = float(totals[rng.integers(n)]) + VIOL_TOL + offset * margin
+    fails, bounded = sysvar.risk._violations(net, xs, alpha)
+    assert np.array_equal(fails, violates(totals, alpha))
+    assert 0 <= bounded <= n
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=seeds, d=st.integers(3, 6), n=st.integers(4, 40), from_ideal=st.booleans())
 def test_scenario_labels_match_full_membership(seed, d, n, from_ideal):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -17,6 +18,7 @@ from conftest import (
     exhaustive_grid_generators,
     exp_scenarios,
     random_network,
+    readme_instance,
     ring2,
     two_group_split,
 )
@@ -103,6 +105,33 @@ class TestMembership:
         assert full.violation_fraction > 0
         assert sv.membership(net, grouping, scen, spec, box.lo, labels=labels) == full
         assert labels.rows_decided == 0 and labels.rows_cleared == scen.n
+
+    def test_rows_inside_the_bound_margin_reach_the_kernel(self, monkeypatch):
+        # every bank holds more cash than it owes, so both Picard bounds are
+        # the total obligations T.  At alpha = T and T + half the margin
+        # every row lies within the margin, and the kernel passes them all
+        # at T and fails them all above it, with and without a record
+        rng = np.random.default_rng(5)
+        net = random_network(rng, 4)
+        grouping = two_group_split(rng, 4)
+        scen = sv.ScenarioSet(values=net.pbar + rng.uniform(0.0, 1.0, size=(6, 4)))
+        kernel, cleared = sysvar.risk.aggregate_en_many, []
+
+        def spy(net, xs):
+            cleared.append(len(xs))
+            return kernel(net, xs)
+
+        monkeypatch.setattr(sysvar.risk, "aggregate_en_many", spy)
+        total = net.total_obligations
+        margin = sysvar.risk._BOUND_MARGIN * total
+        for alpha, fraction in ((total, 0.0), (total + 0.5 * margin, 1.0)):
+            spec = sv.RiskSpec(alpha=alpha, lam=0.5)
+            labels = _ScenarioLabels(scen.n, grouping.g)
+            for record in (None, labels):
+                res = sv.membership(net, grouping, scen, spec, np.zeros(2), labels=record)
+                assert res.violation_fraction == fraction
+            assert labels.rows_cleared == scen.n and labels.rows_bounded == 0
+        assert cleared == [scen.n] * 4
 
     @pytest.mark.parametrize("budget, stored", [(4 << 20, 40), (3 * 29, 3)])
     def test_record_grows_up_to_its_budget(self, monkeypatch, budget, stored):
@@ -282,6 +311,18 @@ class TestGridAlgorithms:
         a1 = sv.approximate_by_clearing(net, grouping, scen, spec, 0.3)
         assert len(a1.generators) > 1
         assert np.array_equal(a1.generators, a2.generators)
+
+    @pytest.mark.parametrize("epsilon, digest", [
+        (10.0, "e6b626de576c1aa9be219bce01036b2d2c5cbd2194e7f2bf5ce3bc362a338702"),
+        (4.0, "0462798bca5a64e837f7b7d963c503ae20160bfd6a25c01800399f3aab987998"),
+    ])
+    def test_readme_generators_keep_their_bytes(self, epsilon, digest):
+        # algorithm 1 on the README network and sample-shocks --n 1000
+        # --seed 36: the generators' bytes when every open scenario went to
+        # the clearing kernel, before the Picard bounds decided most of them
+        net, grouping, scen, spec = readme_instance(n=1000, seed=36)
+        gens = sv.approximate_by_clearing(net, grouping, scen, spec, epsilon).generators
+        assert hashlib.sha256(np.ascontiguousarray(gens).tobytes()).hexdigest() == digest
 
     def test_boundary_search_call_bound(self, rng, caplog):
         caplog.set_level(logging.DEBUG, logger="sysvar")
