@@ -332,11 +332,13 @@ def write_approx(path: str, approx: ApproxSet, provenance: dict | None = None) -
 def read_approx(path: str) -> ApproxSet:
     data = load_json(path)
     try:
+        g = len(data["box"]["lo"])
         gens = np.asarray(data["generators"], dtype=float)
         if gens.size == 0:
-            gens = gens.reshape(0, len(data["box"]["lo"]))
+            gens = gens.reshape(0, g)
+        if gens.ndim != 2 or gens.shape[1] != g:
+            raise ValidationError(f"generators must be rows of {g} entries, one per group")
         ideal = data["ideal"]
-        g = len(data["box"]["lo"])
         ideal_arr = (np.full(g, np.nan) if ideal is None or any(v is None for v in ideal)
                      else np.asarray(ideal, dtype=float))
         return ApproxSet(
@@ -346,7 +348,9 @@ def read_approx(path: str) -> ApproxSet:
             ideal=ideal_arr,
             feasible=bool(data.get("feasible", True)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers ragged arrays, non-numeric values and the
+        # values' own checks
         raise ValidationError(f"malformed approximation file {path}: {exc}") from exc
 
 

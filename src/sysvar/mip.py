@@ -16,12 +16,15 @@ same computation without the counting constraint.  A node whose forced
 pattern has no cuts yet starts at the uncut point, the inner optimum with
 no cuts (the box projection of the center, or the box optimum of the
 weights); it is the same for every node of a solve, so each solve finds and
-clears it once.  The model checks itself when it is built, and so does
-each value it carries (the network, the grouping, the scenarios, a
-``RiskSpec`` and a ``CapitalBox``, which already holds the projector's
-rows), so a solve neither checks nor converts any of them again.  Each
-solve keeps every pattern's cuts in its own table, as arrays that grow by
-the rows of each round.
+clears it once.  Each solve keeps every pattern's cuts in its own table,
+as arrays that grow by the rows of each round.  A round builds its cuts
+from one stacked product over the short scenarios' supergradients and one
+over the counted ones, and its rounding pattern with one ``lexsort``.  Each
+stacked row is still one matrix-vector product and the counting slope a
+sequential ``cumsum``, so the cuts keep a per-scenario loop's bits; one
+``grads @ bmat.T`` is a matrix-matrix product and moves the last bits.  The
+model and its values check themselves when built, so a solve neither
+checks nor converts them again.
 """
 
 from __future__ import annotations
@@ -127,6 +130,26 @@ class _SolveData:
         )
 
 
+def pattern_cuts(bmat, grads, totals, z, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts ``-s_n @ z' <= totals_n - s_n @ z - alpha``, ``s_n = bmat @ grads_n``."""
+    slopes = (bmat @ grads[:, :, None])[:, :, 0]
+    return -slopes, totals - (slopes[:, None] @ z)[:, 0] - alpha
+
+
+def counting_slope(bmat, grads, alpha) -> np.ndarray:
+    """``sum_n (bmat @ grads_n) / alpha``, added in row order from zero."""
+    terms = (bmat @ grads[:, :, None])[:, :, 0] / alpha
+    return np.cumsum(np.concatenate([np.zeros((1, bmat.shape[0])), terms]), axis=0)[-1]
+
+
+def rounding_pattern(totals: np.ndarray, y_fix: np.ndarray, hits: int) -> frozenset:
+    """The forced scenarios and, up to ``hits`` in all, the free ones with
+    the largest totals, ties to the lower index."""
+    forced, free = np.flatnonzero(y_fix == 1), np.flatnonzero(y_fix == -1)
+    top = free[np.lexsort((free, -totals[free]))][:max(hits - forced.size, 0)]
+    return frozenset(forced.tolist() + top.tolist())
+
+
 def _node_relax(
     model: ScenarioMip,
     y_fix: np.ndarray,
@@ -171,13 +194,10 @@ def _node_relax(
             raise SolverError(f"cut relaxation returned status {res.status}")
         return np.clip(res.x, box.lo, box.hi)
 
-    z = None
     converged = False
     for rounds in range(1, _NODE_MAX_ROUNDS + 1):
         pat_a, pat_b = cuts.get(key, data.no_cuts)
-        rows, rhs = pat_a, pat_b
-        if count_b.size:
-            rows, rhs = np.concatenate([pat_a, count_a]), np.concatenate([pat_b, count_b])
+        rows, rhs = np.concatenate([pat_a, count_a]), np.concatenate([pat_b, count_b])
         if rhs.size or not uncut:
             z = inner(rows, rhs)
             totals, grads = aggregate_en_many(
@@ -190,20 +210,14 @@ def _node_relax(
         ok = True
         short = forced[violates(totals[forced], alpha)]
         if short.size:
-            slopes = [data.bmat @ grads[n] for n in short]
-            cuts[key] = (
-                np.concatenate([pat_a, -np.array(slopes)]),
-                np.concatenate([pat_b, [totals[n] - slope @ z - alpha
-                                        for n, slope in zip(short, slopes)]]),
-            )
+            new_a, new_b = pattern_cuts(data.bmat, grads[short], totals[short], z, alpha)
+            cuts[key] = (np.concatenate([pat_a, new_a]), np.concatenate([pat_b, new_b]))
             ok = False
         if need > 0 and free.size:
             caps = np.minimum(totals[free] / alpha, 1.0)
             phi = float(caps.sum())
             if phi < need - 1e-9:
-                slope = np.zeros(model.grouping.g)
-                for n in free[caps < 1.0]:
-                    slope += (data.bmat @ grads[n]) / alpha
+                slope = counting_slope(data.bmat, grads[free[caps < 1.0]], alpha)
                 count_a = np.concatenate([count_a, -slope[None, :]])
                 count_b = np.concatenate([count_b, [phi - slope @ z - need]])
                 ok = False
@@ -213,8 +227,7 @@ def _node_relax(
 
     y_frac = np.zeros(data.scen.shape[0])
     y_frac[forced] = 1.0
-    if free.size:
-        y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / alpha, 1.0)
+    y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / alpha, 1.0)
     passing = forced.size + int(np.count_nonzero(~violates(totals[free], alpha)))
     value = float(np.sum((data.target - z) ** 2)) if quadratic else float(data.target @ z)
     return _Relaxation(
@@ -289,16 +302,6 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
             trace.append((node_idx, obj))
             log_event("bnb_incumbent", node=node_idx, objective=obj)
 
-    def rounding_pattern(totals: np.ndarray, y_fix: np.ndarray) -> frozenset:
-        forced = set(np.flatnonzero(y_fix == 1).tolist())
-        banned = set(np.flatnonzero(y_fix == 0).tolist())
-        free_sorted = sorted(
-            (n for n in range(n_scen) if n not in forced and n not in banned),
-            key=lambda n: (-totals[n], n),
-        )
-        extra = max(hits - len(forced), 0)
-        return frozenset(forced | set(free_sorted[:extra]))
-
     def prune_ok(bound: float) -> bool:
         if not np.isfinite(inc_obj):
             return False
@@ -312,10 +315,9 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
         return _node_relax(model, y_fix, hits, cuts, uncut, data)
 
     root_fix = np.full(n_scen, -1, dtype=np.int8)
+    # the root bans no scenario, so evaluate never refuses it
     root = evaluate(root_fix)
-    if root is None:
-        return MipSolution("infeasible", None, np.nan, None, 1, np.nan)
-    try_incumbent(rounding_pattern(root.totals, root_fix), 0)
+    try_incumbent(rounding_pattern(root.totals, root_fix, hits), 0)
 
     heap: list = []
     counter = 0
@@ -336,13 +338,10 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
         nodes_done += 1
 
         free = np.flatnonzero(y_fix == -1)
-        if free.size == 0:
-            try_incumbent(frozenset(np.flatnonzero(y_fix == 1).tolist()), nodes_done)
-            continue
-        if relax.converged and relax.feasible_point:
-            # the relaxation optimum itself satisfies the count, so the node
-            # cannot beat it: record and close
-            try_incumbent(rounding_pattern(relax.totals, y_fix), nodes_done)
+        if free.size == 0 or (relax.converged and relax.feasible_point):
+            # a leaf, or a relaxation optimum that itself satisfies the count:
+            # the node cannot beat its rounded pattern, so record and close
+            try_incumbent(rounding_pattern(relax.totals, y_fix, hits), nodes_done)
             continue
 
         frac = np.abs(relax.y_frac[free] - np.round(relax.y_frac[free]))
@@ -361,7 +360,7 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
             child_bound = max(child_relax.value, bound)
             if prune_ok(child_bound):
                 continue
-            try_incumbent(rounding_pattern(child_relax.totals, child), nodes_done)
+            try_incumbent(rounding_pattern(child_relax.totals, child, hits), nodes_done)
             counter += 1
             heapq.heappush(heap, (child_bound, counter, child, child_relax))
 

@@ -351,6 +351,9 @@ class TestCli:
                   "--alpha-frac", "0.8", "--lambda", "0.25"]
     _SAA = ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "0.8",
             "--lambda", "0.25"]
+    # a set file whose generators and epsilon are filled in per case
+    _SET = ('{{"epsilon": {eps}, "generators": {gens}, "ideal": [0.0, 0.0], '
+            '"box": {{"lo": [0.0, 0.0], "hi": [5.0, 5.0]}}}}')
 
     @pytest.mark.parametrize("text, argv", [
         ("source,target\n0,1\n1,x\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
@@ -394,13 +397,18 @@ class TestCli:
         # an unreachable alpha ends the search before any grid is built
         ("", ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "2",
               "--lambda", "0.25", "--epsilon", "inf"]),
+        (_SET.format(gens="[[1.0, 2.0], [3.0]]", eps="1.0"), ["plotdata", "--in", "{bad}"]),
+        (_SET.format(gens="[[1.0, 2.0]]", eps='"abc"'), ["plotdata", "--in", "{bad}"]),
+        (_SET.format(gens="[[1.0, 2.0, 3.0]]", eps="1.0"), ["plotdata", "--in", "{bad}"]),
+        (_SET.format(gens="[1.0, 2.0]", eps="1.0"), ["plotdata", "--in", "{bad}"]),
     ], ids=["edge-cell", "edge-columns", "edge-negative", "truncated-json", "x-length",
             "float-list", "int-list", "size-zero", "size-negative", "no-seeds",
             "lambda-above-one", "pbar-null", "assignment-long", "pi-ragged",
             "assignment-fraction", "d-fraction", "x-nan",
             "m-nan", "theta-nan", "delta-in-nan", "point-long", "point-nan",
             "weights-long", "weights-nan", "epsilon-nan", "epsilon-inf",
-            "epsilon-inf-unreachable-alpha"])
+            "epsilon-inf-unreachable-alpha", "set-ragged", "set-epsilon-text",
+            "set-generator-long", "set-generator-flat"])
     def test_malformed_input_exits_two(self, pipeline, tmp_path, capsys, text, argv):
         bad = tmp_path / "bad"
         bad.write_text(text)

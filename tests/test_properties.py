@@ -33,6 +33,7 @@ import sysvar.scalarize
 from sysvar.cli import main
 from sysvar.clearing import (_dual_supergradient, _solve_payment_lp, _sort_by_pattern,
                              aggregate_en_many)
+from sysvar.mip import counting_slope, pattern_cuts
 from sysvar.saa import Grid, _generators, _traversal
 from sysvar.util import DEFAULT_TOL, VIOL_TOL, max_violations, violates
 from conftest import (brute_force_generators, exhaustive_grid_generators, exp_scenarios,
@@ -175,6 +176,28 @@ def _risk_instance(seed: int, d: int, n: int):
     spec = sv.RiskSpec(alpha=float(rng.uniform(0.75, 0.95)) * net.total_obligations,
                        lam=float(rng.uniform(0.1, 0.5)))
     return net, grouping, scen, spec, rng
+
+
+@_SETTINGS
+@given(seed=seeds, g=st.integers(1, 4), d=st.integers(4, 20), n=st.integers(1, 60))
+def test_stacked_cuts_have_the_per_scenario_loops_bits(seed, g, d, n):
+    # branch-and-bound's cut rows, right-hand sides and counting slope
+    # against the loop over scenarios that built them one at a time
+    rng = np.random.default_rng(seed)
+    bmat = sv.Grouping(g=g, assignment=rng.permutation(np.arange(d) % g)).matrix.astype(float)
+    grads = rng.exponential(1.0, size=(n, d)) * (rng.random((n, d)) < 0.7)
+    totals = rng.exponential(50.0, size=n)
+    z = rng.normal(0.0, 30.0, size=g)
+    alpha = float(rng.uniform(1.0, 100.0))
+    slopes = [bmat @ grads[k] for k in range(n)]
+    rows, rhs = pattern_cuts(bmat, grads, totals, z, alpha)
+    assert rows.tobytes() == (-np.array(slopes)).tobytes()
+    assert rhs.tobytes() == np.array([totals[k] - slopes[k] @ z - alpha
+                                      for k in range(n)]).tobytes()
+    slope = np.zeros(g)
+    for k in range(n):
+        slope += (bmat @ grads[k]) / alpha
+    assert counting_slope(bmat, grads, alpha).tobytes() == slope.tobytes()
 
 
 @_SETTINGS

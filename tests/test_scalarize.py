@@ -7,7 +7,8 @@ import sysvar as sv
 import sysvar.clearing
 import sysvar.risk
 import sysvar.scalarize
-from sysvar.util import VIOL_TOL, ValidationError, max_violations
+from sysvar.mip import rounding_pattern
+from sysvar.util import VIOL_TOL, ValidationError, max_violations, required_hits
 from conftest import (
     exp_scenarios,
     plain_bisection,
@@ -643,17 +644,56 @@ class TestUncutPoint:
 
 class TestLargeSample:
     def test_both_scalarizations_at_two_hundred_scenarios(self):
-        # the README network on sample-shocks --n 200 --seed 36: the dense
-        # two-phase simplex that solved the inner LPs before the vertex
-        # method gave 207.89852522017728 after 46 nodes
+        # the README network on sample-shocks --n 200 --seed 36, pinned to
+        # the bit: the cuts built by stacked products and the rounding
+        # pattern by lexsort keep the per-scenario loops' values, points
+        # and node counts
         net, grouping, scen, spec = readme_instance(n=200, seed=36)
         ws = sv.weighted_sum(net, grouping, scen, spec, np.ones(2))
-        assert ws.value == pytest.approx(207.89852522017728, rel=1e-9)
+        assert ws.value == float.fromhex("0x1.9fcc0b7f66963p+7")
+        assert ws.z.tolist() == [float.fromhex("-0x1.483380b604980p-5"),
+                                 float.fromhex("0x1.9fe08eb771f68p+7")]
         assert ws.solution.nodes == 46
         nm = sv.norm_min(net, grouping, scen, spec, np.zeros(2))
+        assert nm.solution.objective == float.fromhex("0x1.232992b34526dp+15")
         assert nm.value == 193.05125361927205
+        assert nm.z.tolist() == [float.fromhex("0x1.1eca2c925d1cbp+6"),
+                                 float.fromhex("0x1.667cb7b6f463ep+7")]
+        assert nm.solution.nodes == 46
         for z in (ws.z, nm.z):
             assert sv.membership(net, grouping, scen, spec, z).accepted
+
+
+def sorted_rounding_pattern(totals, y_fix, hits):
+    """The rounded pattern by a sort over the free scenarios, largest total
+    first and ties to the lower index."""
+    forced = set(np.flatnonzero(y_fix == 1).tolist())
+    free = sorted((n for n in range(len(totals)) if y_fix[n] == -1),
+                  key=lambda n: (-totals[n], n))
+    return frozenset(forced | set(free[:max(hits - len(forced), 0)]))
+
+
+class TestRoundingPattern:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_sorted_reference(self, seed):
+        # the README network's totals at N = 200 and z = (590, 590): every
+        # solvent row pays the total obligations, so about half the totals tie
+        rng = np.random.default_rng(seed)
+        net, grouping, scen, spec = readme_instance(n=200, seed=36)
+        totals = sv.aggregate_en_many(net, scen.values + grouping.spread(np.full(2, 590.0)))
+        assert 50 < np.count_nonzero(totals == net.total_obligations) < 150
+        hits = required_hits(200, spec.lam)
+        y_fix = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=200, p=[0.6, 0.2, 0.2])
+        for k in (0, 1, hits, 199, 200):
+            assert rounding_pattern(totals, y_fix, k) == sorted_rounding_pattern(totals, y_fix, k)
+
+    def test_no_extra_rows_once_enough_are_forced(self):
+        totals = np.array([3.0, 5.0, 5.0, 1.0, 5.0])
+        y_fix = np.array([1, -1, 1, 0, -1], dtype=np.int8)
+        assert rounding_pattern(totals, y_fix, 2) == frozenset({0, 2})
+        assert rounding_pattern(totals, y_fix, 3) == frozenset({0, 1, 2})
+        assert rounding_pattern(totals, np.full(5, -1, dtype=np.int8), 3) == frozenset({1, 2, 4})
+        assert all(type(n) is int for n in rounding_pattern(totals, y_fix, 3))
 
 
 # the branch-and-bound work of the README instance's three solves: solves,
