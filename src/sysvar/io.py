@@ -71,8 +71,8 @@ def load_json(path: str) -> dict:
 
 # -- network ---------------------------------------------------------------
 
-def network_payload(net: FinancialNetwork, grouping: Grouping,
-                    provenance: dict | None = None) -> dict:
+def write_network(path: str, net: FinancialNetwork, grouping: Grouping,
+                  provenance: dict | None = None) -> None:
     payload = {
         "d": net.d,
         "pbar": net.pbar,
@@ -81,12 +81,7 @@ def network_payload(net: FinancialNetwork, grouping: Grouping,
     }
     if provenance is not None:
         payload["provenance"] = provenance
-    return payload
-
-
-def write_network(path: str, net: FinancialNetwork, grouping: Grouping,
-                  provenance: dict | None = None) -> None:
-    dump_json(path, network_payload(net, grouping, provenance))
+    dump_json(path, payload)
 
 
 def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
@@ -312,7 +307,7 @@ def read_scenarios(path: str) -> ScenarioSet:
 
 # -- approximation sets -------------------------------------------------------
 
-def approx_payload(approx: ApproxSet, provenance: dict | None = None) -> dict:
+def write_approx(path: str, approx: ApproxSet, provenance: dict | None = None) -> None:
     payload = {
         "epsilon": approx.epsilon,
         "box": {"lo": approx.box.lo, "hi": approx.box.hi},
@@ -322,11 +317,7 @@ def approx_payload(approx: ApproxSet, provenance: dict | None = None) -> dict:
     }
     if provenance is not None:
         payload["provenance"] = provenance
-    return payload
-
-
-def write_approx(path: str, approx: ApproxSet, provenance: dict | None = None) -> None:
-    dump_json(path, approx_payload(approx, provenance))
+    dump_json(path, payload)
 
 
 def read_approx(path: str) -> ApproxSet:

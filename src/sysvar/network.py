@@ -26,7 +26,8 @@ class BollobasParams:
 
     theta/eta/zeta are the probabilities of the three growth events and must
     sum to one; delta_in/delta_out are the attachment smoothing constants,
-    finite and nonnegative.  Checked when built.
+    finite and nonnegative; target_nodes is a whole number of at least 1
+    (kept as an int) and the seed a nonnegative integer.  Checked when built.
     """
 
     theta: float
@@ -45,13 +46,17 @@ class BollobasParams:
             raise ValidationError("theta + eta + zeta must equal 1 within 1e-12")
         if not (0 <= self.delta_in < math.inf and 0 <= self.delta_out < math.inf):
             raise ValidationError("delta_in and delta_out must be finite and nonnegative")
-        if not self.target_nodes >= 1:
-            raise ValidationError("target_nodes must be a positive integer")
-        if self.target_nodes > 1 and self.theta + self.zeta == 0:
+        target = int(frozen_whole(self.target_nodes, "target_nodes"))
+        if target < 1:
+            raise ValidationError("target_nodes must be at least 1")
+        if target > 1 and self.theta + self.zeta == 0:
             raise ValidationError(
                 "theta + zeta = 0: the process can never add nodes, so "
                 "target_nodes > 1 is unreachable"
             )
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValidationError("seed must be a nonnegative integer")
+        object.__setattr__(self, "target_nodes", target)
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     if spec.alpha > net.total_obligations:
         return _empty_set(epsilon, box, grouping.g)
     if grid_lo is None:
-        ideal = ideal_point(net, grouping, scenarios, spec, box=box, method="bisection")
+        ideal = ideal_point(net, grouping, scenarios, spec, box=box)
         grid_lo = ideal - _IDEAL_MARGIN
     grid = Grid.build(np.asarray(grid_lo, dtype=float), box.hi, epsilon)
     status = np.zeros(grid.shape, dtype=np.int8)
@@ -384,8 +384,9 @@ def distance_probe(v: np.ndarray, approx: ApproxSet) -> float:
 def insensitive_saa(aggregates: np.ndarray, spec: RiskSpec) -> float:
     """Scalar capital added after aggregation: an order-statistic quantile.
 
-    The least y with at most floor(N*lambda) scenarios below alpha - y is
-    alpha minus the (floor(N*lambda)+1)-th smallest aggregate.
+    The least y with at most k = floor(N*lambda) scenarios below alpha - y is
+    alpha minus the (k+1)-th smallest aggregate, and -inf when k >= N: then
+    every y meets the count, as membership accepts every z in the orthant.
     """
     arr = np.sort(np.asarray(aggregates, dtype=float))
     if arr.size == 0:
@@ -393,7 +394,7 @@ def insensitive_saa(aggregates: np.ndarray, spec: RiskSpec) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("aggregates must be finite")
     k = max_violations(arr.size, spec.lam)
-    return float(spec.alpha - arr[k])
+    return float(spec.alpha - arr[k]) if k < arr.size else -math.inf
 
 
 def convergence_study(
@@ -405,35 +406,30 @@ def convergence_study(
     seeds: list[int],
     epsilon: float,
     n_ref: int,
-    probe_points: list[np.ndarray] | None = None,
 ) -> list[dict]:
     """Distance of sampled sets to a high-sample reference, per seed and size.
 
     For each seed the first n scenarios of one fixed stream feed each sampled
     set, and the full stream of length n_ref feeds the reference (itself an
     approximation, used as a proxy for the unobservable limit).  Reported per
-    cell: Hausdorff distance to the reference and the distance probes; a
-    final median row aggregates the seeds.  Without ``probe_points`` the two
-    probes come from the seed's reference set: its ideal corner and its
-    middle generator (NaN when the reference has no generator).
+    cell: Hausdorff distance to the reference and the distances to two
+    probes from the seed's reference set, its ideal corner (``probe_1``) and
+    its middle generator (``probe_2``, NaN when the reference has no
+    generator); a final median row aggregates the seeds.
     """
     if not (n_list and seeds) or min(n_list) < 1:
         raise ValidationError("need at least one seed and sample sizes of at least 1")
     if n_ref < max(n_list):
         raise ValidationError("n_ref must be at least max(n_list)")
-    n_probes = 2 if probe_points is None else len(probe_points)
 
     rows = []
     for seed in seeds:
         params = replace(shock_params, n=n_ref, seed=seed)
         scen_full = sample_shocks(params, grouping)
         ref = approximate_by_clearing(net, grouping, scen_full, spec, epsilon)
-        probes = probe_points
-        if probes is None:
-            gens = ref.generators
-            probes = ([ref.ideal, gens[len(gens) // 2]] if len(gens)
-                      else [np.full(grouping.g, np.nan)] * 2)
-        probes = [np.asarray(p, dtype=float) for p in probes]
+        gens = ref.generators
+        probes = ([ref.ideal, gens[len(gens) // 2]] if len(gens)
+                  else [np.full(grouping.g, np.nan)] * 2)
         for n in n_list:
             approx = approximate_by_clearing(
                 net, grouping, scen_full.head(n), spec, epsilon
@@ -453,7 +449,7 @@ def convergence_study(
         cells = [r for r in rows if r["N"] == n and isinstance(r["seed"], int)]
         med = {"seed": "median", "N": n,
                "hausdorff_to_ref": float(np.median([c["hausdorff_to_ref"] for c in cells]))}
-        for i in range(1, n_probes + 1):
+        for i in (1, 2):
             med[f"probe_{i}"] = float(np.median([c[f"probe_{i}"] for c in cells]))
         rows.append(med)
     return rows

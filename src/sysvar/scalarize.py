@@ -242,34 +242,25 @@ def ideal_point(
     scenarios: ScenarioSet,
     spec: RiskSpec,
     box: CapitalBox | None = None,
-    method: str = "milp",
 ) -> np.ndarray:
-    """Componentwise minimum of the boxed risk set.
+    """Componentwise minimum of the boxed risk set, the floor of the grid
+    searches.
 
-    Component j solves the unit-weight scalarization, exactly via the
-    mixed-binary program (``milp``) or via the monotone bisection oracle
-    (``bisection``); the two agree within the bisection tolerance.  The
-    ``bisection`` route logs its oracle work: rows sent to the clearing
-    kernel, kernel calls, and the axes that reran on the oracle.
+    Component j is the unit-weight value by the monotone bisection
+    (``bisection_unit``): the least accepted t, within 1e-6 above the exact
+    value, which ``weighted_sum`` with the j-th unit weight gives.  An empty
+    set is refused with ``ValidationError``: one whose alpha exceeds the
+    total obligations (as ``weighted_sum`` and the grid searches treat it,
+    whatever lambda), or whose box top the oracle rejects.  The log line
+    counts the oracle work: rows sent to the clearing kernel, kernel calls,
+    and the axes that reran on the oracle.
     """
+    if spec.alpha > net.total_obligations:
+        raise ValidationError("risk set is empty: alpha exceeds total obligations")
     box = box_or_default(net, grouping, scenarios, box)
     work: Counter = Counter()
-
-    def component(j: int) -> float:
-        if method == "milp":
-            w = np.zeros(grouping.g)
-            w[j] = 1.0
-            res = weighted_sum(net, grouping, scenarios, spec, w, box=box)
-            if res.status == "infeasible":
-                raise ValidationError("risk set is empty: alpha exceeds total obligations")
-            return float(res.value)
-        if method == "bisection":
-            return _bisection_unit(net, grouping, scenarios, spec, j, box, work)
-        raise ValidationError(f"unknown ideal-point method {method!r}")
-
-    ideal = np.asarray([component(j) for j in range(grouping.g)], dtype=float)
-    # the oracle's work; None for the mixed-binary route
-    counts = {key: work[key] if method == "bisection" else None
-              for key in ("rows_cleared", "kernel_calls", "reruns")}
-    log_event("ideal_point", method=method, ideal=ideal, **counts)
+    ideal = np.asarray([_bisection_unit(net, grouping, scenarios, spec, j, box, work)
+                        for j in range(grouping.g)], dtype=float)
+    log_event("ideal_point", ideal=ideal,
+              **{key: work[key] for key in ("rows_cleared", "kernel_calls", "reruns")})
     return ideal

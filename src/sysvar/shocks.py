@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .network import Grouping
-from .util import CapacityError, ValidationError, frozen_array
+from .util import CapacityError, ValidationError, frozen_array, frozen_whole
 
 # Scenario n starts at Philox counter n << 64, whose little-endian uint64
 # words are [0, n, 0, 0]: n goes in word 1.  One scenario consumes d+1
@@ -33,7 +33,9 @@ _SAMPLE_BYTE_CAP = 2 << 30
 
 @dataclass(frozen=True)
 class ShockParams:
-    """Lomax marginals (shape nu, per-group scales) under an equicorrelated copula."""
+    """Lomax marginals (shape nu, per-group scales) under an equicorrelated
+    copula.  Checked when built: n is a whole number of at least 1 (kept as
+    an int) and the seed an integer in [0, 2**128), the Philox key range."""
 
     nu: float
     beta_by_group: np.ndarray
@@ -49,9 +51,13 @@ class ShockParams:
             raise ValidationError("beta_by_group must be a vector of positive scales")
         if not 0 <= self.rho < 1:
             raise ValidationError("rho must lie in [0, 1)")
-        if not self.n >= 1:
-            raise ValidationError("sample count must be positive")
+        n = int(frozen_whole(self.n, "sample count"))
+        if n < 1:
+            raise ValidationError("sample count must be at least 1")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= int(self.seed) < 2**128):
+            raise ValidationError("seed must be an integer in [0, 2**128), Philox's key range")
         object.__setattr__(self, "beta_by_group", beta)
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)

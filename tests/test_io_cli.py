@@ -347,6 +347,8 @@ class TestCli:
     _CONVERGE = ["converge", "--network", "{net}", "--nu", "3", "--beta", "1.0,0.5",
                  "--rho", "0.3", "--alpha-frac", "0.8", "--lambda", "0.25",
                  "--epsilon", "1.0", "--n-ref", "10", "--seeds", "1"]
+    _SHOCKS = ["sample-shocks", "--network", "{net}", "--nu", "3", "--beta", "1.0,0.5",
+               "--rho", "0.3", "--n", "5"]
     _SCALARIZE = ["scalarize", "--network", "{net}", "--scenarios", "{scen}",
                   "--alpha-frac", "0.8", "--lambda", "0.25"]
     _SAA = ["saa", "--network", "{net}", "--scenarios", "{scen}", "--alpha-frac", "0.8",
@@ -388,6 +390,10 @@ class TestCli:
         ("", _GEN + ["--m", "nan,2,3,1.5"]),
         ("", _GEN + ["--m", "4,2,3,1", "--theta", "nan"]),
         ("", _GEN + ["--m", "4,2,3,1", "--delta-in", "nan"]),
+        ("", _GEN + ["--m", "4,2,3,1", "--seed", "-3"]),
+        ("", _SHOCKS + ["--seed", "-1"]),
+        ("", _SHOCKS + ["--seed", str(2**128)]),
+        ("", _CONVERGE + ["--n-list", "5", "--seed", "-5"]),
         ("", _SCALARIZE + ["--point", "0,0,0"]),
         ("", _SCALARIZE + ["--point", "nan,0"]),
         ("", _SCALARIZE + ["--weights", "1,1,1"]),
@@ -405,7 +411,9 @@ class TestCli:
             "float-list", "int-list", "size-zero", "size-negative", "no-seeds",
             "lambda-above-one", "pbar-null", "assignment-long", "pi-ragged",
             "assignment-fraction", "d-fraction", "x-nan",
-            "m-nan", "theta-nan", "delta-in-nan", "point-long", "point-nan",
+            "m-nan", "theta-nan", "delta-in-nan", "growth-seed-negative",
+            "shocks-seed-negative", "shocks-seed-past-key-range", "converge-seed-negative",
+            "point-long", "point-nan",
             "weights-long", "weights-nan", "epsilon-nan", "epsilon-inf",
             "epsilon-inf-unreachable-alpha", "set-ragged", "set-epsilon-text",
             "set-generator-long", "set-generator-flat"])

@@ -13,7 +13,7 @@ import sysvar.risk
 import sysvar.saa
 from sysvar.risk import _ScenarioLabels
 from sysvar.saa import _BALL_SHRINK, Grid, _mark_ball
-from sysvar.util import ValidationError
+from sysvar.util import ValidationError, max_violations
 from conftest import (
     exhaustive_grid_generators,
     exp_scenarios,
@@ -585,6 +585,13 @@ class TestInsensitive:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             sv.insensitive_saa(np.array([]), sv.RiskSpec(alpha=1.0, lam=0.5))
+
+    def test_no_capital_bound_when_every_scenario_may_fail(self):
+        # floor(N * lambda + 1e-9) = N: every y meets the count, as
+        # membership accepts every z in the orthant
+        spec = sv.RiskSpec(alpha=1.0, lam=1.0 - 1e-10)
+        assert max_violations(10, spec.lam) == 10
+        assert sv.insensitive_saa(np.arange(10.0), spec) == -np.inf
 
 
 class TestConvergenceStudy:

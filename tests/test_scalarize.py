@@ -167,6 +167,15 @@ class TestConstruction:
         lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "theta": np.nan}),
         lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "delta_in": np.nan}),
         lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "delta_out": np.inf}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "n": 2.5}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "n": 0}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "seed": -1}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "seed": 2**128}),
+        lambda: sv.ShockParams(**{**TestConstruction._SHOCK, "seed": 1.0}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "target_nodes": 2.5}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "target_nodes": 0}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "seed": -3}),
+        lambda: sv.BollobasParams(**{**TestConstruction._GROWTH, "seed": 7.5}),
         lambda: sv.IntergroupLiabilityMatrix(values=[[4.0, np.nan], [3.0, 1.5]]),
         lambda: sv.IntergroupLiabilityMatrix(values=[[4.0, -2.0], [3.0, 1.5]]),
         lambda: TestConstruction._model(center=[np.nan, 0.0]),
@@ -179,7 +188,10 @@ class TestConstruction:
             "network-fraction-d", "grouping-range", "grouping-empty-group", "grouping-fraction",
             "grouping-fraction-g", "scenarios-nan",
             "scenarios-inf", "scenarios-vector", "shocks-nan-nu", "shocks-nan-beta", "shocks-nan-rho",
-            "growth-nan-theta", "growth-nan-delta", "growth-inf-delta", "intergroup-nan",
+            "growth-nan-theta", "growth-nan-delta", "growth-inf-delta",
+            "shocks-fraction-n", "shocks-zero-n", "shocks-negative-seed",
+            "shocks-seed-past-key-range", "shocks-float-seed", "growth-fraction-nodes",
+            "growth-zero-nodes", "growth-negative-seed", "growth-float-seed", "intergroup-nan",
             "intergroup-negative", "model-nan-center", "model-long-center",
             "model-long-weights", "model-nan-weights", "model-zero-weights",
             "model-two-objectives"])
@@ -204,6 +216,11 @@ class TestConstruction:
         # whole counts given as floats are kept as ints
         assert type(sv.Grouping(g=2.0, assignment=[0.0, 1.0]).g) is int
         assert type(sv.FinancialNetwork(d=2.0, pi=self._RING, pbar=[1.0, 1.0]).d) is int
+        assert type(sv.ShockParams(**{**self._SHOCK, "n": 5.0}).n) is int
+        assert type(sv.BollobasParams(**{**self._GROWTH, "target_nodes": 5.0}).target_nodes) is int
+        # seeds are not counts: those past 2**53 build, up to Philox's key range
+        sv.ShockParams(**{**self._SHOCK, "seed": 2**128 - 1})
+        sv.BollobasParams(**{**self._GROWTH, "seed": 2**70})
         assert np.shares_memory(scen.values, values) and values.flags.writeable
         with pytest.raises(ValidationError):
             scen.check_nonnegative()
@@ -333,23 +350,50 @@ class TestNormMin:
         assert sv.norm_min(net, grouping, scen, spec, np.zeros(2)).status == "infeasible"
 
 
+def cross_check_unit_values(net, grouping, scen, spec):
+    """Each axis's bisection against the exact unit-weight value, at the
+    bisection tolerance; the ideal point, the least accepted t, never falls
+    more than the branch-and-bound gap (1e-6) below the exact value."""
+    ideal = sv.ideal_point(net, grouping, scen, spec)
+    for j in range(grouping.g):
+        exact = sv.weighted_sum(net, grouping, scen, spec, np.eye(grouping.g)[j]).value
+        assert abs(sv.bisection_unit(net, grouping, scen, spec, j) - exact) <= 1e-5
+        assert ideal[j] >= exact - 1e-6
+
+
 class TestIdealPoint:
     def test_single_group_scalar_minimum(self, rng):
         net = random_network(rng, 3)
         grouping = sv.Grouping(g=1, assignment=np.zeros(3, dtype=int))
         scen = exp_scenarios(rng, 5, 3, 0.3)
         spec = sv.RiskSpec(alpha=0.85 * net.total_obligations, lam=0.3)
-        ideal = sv.ideal_point(net, grouping, scen, spec)
-        res = sv.weighted_sum(net, grouping, scen, spec, np.array([1.0]))
-        assert ideal[0] == pytest.approx(res.value, abs=1e-9)
+        cross_check_unit_values(net, grouping, scen, spec)
 
     def test_bisection_cross_check(self, rng):
         for _ in range(4):
-            net, grouping, scen, spec = instance(rng, d=6, n_scen=10)
-            ideal = sv.ideal_point(net, grouping, scen, spec, method="milp")
-            for j in range(grouping.g):
-                b = sv.bisection_unit(net, grouping, scen, spec, j)
-                assert abs(ideal[j] - b) <= 1e-5
+            cross_check_unit_values(*instance(rng, d=6, n_scen=10))
+
+    def test_grid_floor_is_the_ideal_point(self):
+        # the README instance: the set algorithm 1 builds is floored at the
+        # ideal point less its margin, and each component is that axis's
+        # bisection, bit for bit
+        net, grouping, scen, spec = readme_instance(n=50)
+        ideal = sv.ideal_point(net, grouping, scen, spec)
+        approx = sv.approximate_by_clearing(net, grouping, scen, spec, 25.0)
+        assert np.array_equal(approx.ideal, ideal - 1e-5)
+        for j in range(grouping.g):
+            assert ideal[j] == sv.bisection_unit(net, grouping, scen, spec, j)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0 - 1e-11], ids=["some-fail", "all-may-fail"])
+    def test_empty_set_is_refused(self, rng, lam):
+        # alpha above the total obligations empties the set, as weighted_sum
+        # and the grid searches see it, also where the count would let
+        # every scenario fail
+        net, grouping, scen, _ = instance(rng)
+        spec = sv.RiskSpec(alpha=net.total_obligations + 1e-3, lam=lam)
+        assert sv.weighted_sum(net, grouping, scen, spec, np.ones(2)).status == "infeasible"
+        with pytest.raises(ValidationError, match="alpha exceeds total obligations"):
+            sv.ideal_point(net, grouping, scen, spec)
 
     def test_minimality_probe(self, rng):
         net, grouping, scen, spec = instance(rng)
