@@ -3,16 +3,18 @@ and the enumeration of all clearing vectors.
 
 The maximal clearing vector solves p = (pi^T p + x) ^ pbar.  One batched
 kernel, ``aggregate_en_many``, runs the fictitious-default algorithm from
-p = pbar in rounds over a whole batch: each round classifies every row's
-default set and solves the defaulters' linear subsystem exactly, so a row
-settles within d rounds of default-set growth.  It returns the aggregation
-function, the total payment of the maximal clearing vector (minus infinity
-off the nonnegative orthant), and on request its supergradient, which is
-closed-form per default pattern D: (I - pi_DD)^{-1} 1 on the defaulters and
-zero on solvent banks.  Each default pattern's inverse (I - pi_DD^T)^{-1} is
-built once, kept on the network (``FinancialNetwork.derived``) under a fixed
-byte budget, and applied row by row, so a row's results do not depend on the
-rows cleared beside it.  The network's arrays are read-only and were
+p = pbar in rounds over each block of a batch (``util.row_block`` rows, so
+its working memory does not grow with the batch): each round classifies
+every row's default set and solves the defaulters' linear subsystem
+exactly, so a row settles within d rounds of default-set growth.  It
+returns the aggregation function, the total payment of the maximal
+clearing vector (minus infinity off the nonnegative orthant), and on
+request its supergradient, which is closed-form per default pattern D:
+(I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  Each
+default pattern's inverse (I - pi_DD^T)^{-1} is built once, kept on the
+network (``FinancialNetwork.derived``) under a fixed byte budget, and
+applied row by row, so a row's results do not depend on the rows cleared
+beside it.  The network's arrays are read-only and were
 checked when it was built, so the kernel reads them as they are, and the
 cache, built with the network, is never rebuilt.  ``clearing_fixed_point``,
 ``aggregate_en`` and ``en_supergradient`` are one-row calls of the kernel.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .network import DerivedCache, FinancialNetwork
 from .optim import LinearProgram, LpResult, solve_lp
-from .util import CapacityError, DEFAULT_TOL, SolverError, ValidationError
+from .util import CapacityError, DEFAULT_TOL, SolverError, ValidationError, row_block
 
 # per network; patterns past it are solved without being stored
 _PATTERN_BUDGET_BYTES = 4 << 20
@@ -151,9 +153,10 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
     """Aggregate payments for a batch of scenarios (rows of xs).
 
     Rows with a negative entry map to -inf; the rest are cleared by
-    ``_fictitious_default``.  A row that the rounds can neither settle nor
-    continue (its pattern is singular, or its payments leave [0, pbar]) takes
-    its total from one payment-LP solve.
+    ``_fictitious_default``, one block of ``row_block`` rows at a time, into
+    totals (and supergradients) allocated once for the batch.  A row that
+    the rounds can neither settle nor continue (its pattern is singular, or
+    its payments leave [0, pbar]) takes its total from one payment-LP solve.
 
     With ``supergradients=True`` the call returns ``(totals, grads)``, where
     row k of grads is a supergradient of the aggregation function at xs[k]
@@ -164,19 +167,27 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValidationError("expected an N x d scenario matrix")
-    out, groups, fallback = _fictitious_default(net, xs)
-    grads = None
-    if supergradients:
-        grads = np.zeros(xs.shape)
-        grads[out == -np.inf] = np.nan
+    out = np.empty(xs.shape[0])
+    grads = np.zeros(xs.shape) if supergradients else None
+    fallback = []
+    step = row_block(xs.shape[1])
+    for start in range(0, xs.shape[0], step):
+        block = xs[start:start + step]
+        totals, groups, rest = _fictitious_default(net, block)
+        out[start:start + totals.size] = totals
+        fallback.extend(start + k for k in rest)
+        if not supergradients:
+            continue
+        view = grads[start:start + totals.size]
+        view[totals == -np.inf] = np.nan
         for members, system in groups:
             if members.size == 0:
                 continue
             if system.grad is not None:
-                grads[members[:, None], system.idx] = system.grad
+                view[members[:, None], system.idx] = system.grad
             else:
                 for k in members:
-                    grads[k] = _dual_supergradient(_solve_payment_lp(net, xs[k])[1])
+                    view[k] = _dual_supergradient(_solve_payment_lp(net, block[k])[1])
     for k in fallback:
         p, res = _solve_payment_lp(net, xs[k])
         out[k] = p.sum()
@@ -226,10 +237,6 @@ def _fictitious_default(net: FinancialNetwork,
         live = live[order]
         totals, done, again, grown, systems = _fictitious_round(
             net, xs[rows[live]], masks[live], bounds)
-        # allocation order sets peak RSS here: an array made before the
-        # round and kept across it (such as ids) sits on the heap above the
-        # round's full-batch arrays and keeps them from being returned to
-        # the system, about 2 MB more on a 25,000-row batch
         ids = rows[live]
         settled = ids[done]
         out[settled] = totals[done]
@@ -264,8 +271,8 @@ def _fictitious_round(net: FinancialNetwork, x: np.ndarray, masks: np.ndarray,
     [0, pbar], no bank short of its obligations), which rows must go on
     (in range, with banks outside the mask newly short), the masks grown by
     those banks, and the groups' pattern systems.  Rows of a singular
-    pattern neither settle nor go on.  The full-batch arrays are freed on
-    return, before the next round allocates its own.
+    pattern neither settle nor go on.  The round's arrays, one block of
+    rows each, are freed on return, before the next round allocates its own.
     """
     pi, cache = net.pi, net.derived
     trial = np.empty(x.shape)

@@ -11,7 +11,9 @@ two Picard bounds on the greatest clearing vector settle most scenarios
 before any reaches the clearing kernel (``_picard_bounds``): one step down
 from pbar bounds it above, and the iterates up from min(x, pbar) bound it
 below (Eisenberg & Noe 2001; Tarski 1955).  The rest go to
-``aggregate_en_many``, the only source of totals.
+``aggregate_en_many``, the only source of totals.  The oracle shifts, clips
+and bounds the scenarios one block of ``util.row_block`` rows at a time, so
+its working memory does not grow with the sample.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from .clearing import aggregate_en_many
 from .network import FinancialNetwork, Grouping
 from .shocks import ScenarioSet
-from .util import VIOL_TOL, ValidationError, frozen_array, max_violations, violates
+from .util import (VIOL_TOL, ValidationError, frozen_array, max_violations, row_block,
+                   violates)
 
 # slack on the nonnegativity selection constraint, consistent with the
 # violation tolerance on the aggregate threshold
@@ -95,11 +98,13 @@ def z_bounds(net: FinancialNetwork, grouping: Grouping, scenarios: ScenarioSet) 
     scenarios.check_nonnegative()
     if scenarios.d != net.d:
         raise ValidationError("scenario dimension does not match the network")
+    # a group's least cash flow is the least of its banks' column minima
+    floor = scenarios.values.min(axis=0)
     lo = np.empty(grouping.g)
     hi = np.empty(grouping.g)
     for j in range(grouping.g):
         cols = grouping.assignment == j
-        lo[j] = -float(scenarios.values[:, cols].min())
+        lo[j] = -float(floor[cols].min())
         hi[j] = float(net.pbar[cols].max())
     return CapitalBox(lo=lo, hi=hi)
 
@@ -229,15 +234,46 @@ def _picard_bounds(net: FinancialNetwork, xs: np.ndarray,
     return fails, passes
 
 
-def _violations(net: FinancialNetwork, xs: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
-    """Which rows of xs (nonnegative cash flows) violate alpha, and how many
-    of them the Picard bounds decided.  The rows the bounds leave open go
-    to the clearing kernel, through this module's ``aggregate_en_many``."""
-    fails, passes = _picard_bounds(net, xs, alpha)
-    rows = np.flatnonzero(~(fails | passes))
+def _violations(net: FinancialNetwork, xs: np.ndarray, spread: np.ndarray, alpha: float,
+                open_: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Which rows of xs + spread fail at alpha, which of them lie outside
+    the nonnegative orthant, and how many rows went to the clearing kernel.
+
+    A row outside the orthant (an entry below -_SELECT_TOL) fails.  Of the
+    rest, only the ``open_`` rows are decided here, at their shift clipped
+    to the orthant; the others are left passing.  The rows run in blocks of
+    ``row_block`` rows, each shifted, checked, clipped and bounded on its
+    own, so no array spans all N rows and d columns.  The rows the bounds
+    leave open in every block are shifted and clipped again and go to the
+    clearing kernel together, in one call of this module's
+    ``aggregate_en_many``.
+    """
+    n = xs.shape[0]
+    fails = np.zeros(n, dtype=bool)
+    outside = np.zeros(n, dtype=bool)
+    undecided = np.zeros(n, dtype=bool)
+    step = row_block(xs.shape[1])
+    for start in range(0, n, step):
+        shifted = xs[start:start + step] + spread
+        stop = start + shifted.shape[0]
+        # no entry below -tol means no row outside the orthant
+        if shifted.min() < -_SELECT_TOL:
+            np.any(shifted < -_SELECT_TOL, axis=1, out=outside[start:stop])
+        rows = np.flatnonzero(open_[start:stop] & ~outside[start:stop])
+        if rows.size == 0:
+            continue
+        clipped = np.maximum(shifted, 0.0, out=shifted)
+        if rows.size < clipped.shape[0]:
+            clipped = np.take(clipped, rows, axis=0)
+        low, high = _picard_bounds(net, clipped, alpha)
+        fails[start + rows] = low
+        undecided[start + rows] = ~(low | high)
+    rows = np.flatnonzero(undecided)
     if rows.size:
-        fails[rows] = violates(aggregate_en_many(net, np.take(xs, rows, axis=0)), alpha)
-    return fails, xs.shape[0] - rows.size
+        clipped = np.maximum(np.take(xs, rows, axis=0) + spread, 0.0)
+        fails[rows] = violates(aggregate_en_many(net, clipped), alpha)
+    fails |= outside
+    return fails, outside, rows.size
 
 
 def membership(
@@ -261,32 +297,26 @@ def membership(
     the rest go to clearing, and z's labels are recorded.  The rule rests
     on per-scenario monotonicity in floating point, which the grid search
     assumes.  Either way the scenarios left go to the Picard bounds first,
-    and only the ones they leave open to the clearing kernel.
+    one row block at a time, and only the ones they leave open to the
+    clearing kernel (``_violations``).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (grouping.g,):
         raise ValidationError("z must have one entry per group")
-    xs = scenarios.values
-    shifted = xs + grouping.spread(z)[None, :]
-    selection_ok = bool(shifted.min() >= -_SELECT_TOL)
-
-    n = xs.shape[0]
-    # no entry below -tol means no row outside the orthant
-    bad_rows = (np.zeros(n, dtype=bool) if selection_ok
-                else np.any(shifted < -_SELECT_TOL, axis=1))
-    clipped = np.maximum(shifted, 0.0, out=shifted)
+    n = scenarios.n
     if labels is None:
-        fails = bad_rows | _violations(net, clipped, spec.alpha)[0]
+        open_ = np.ones(n, dtype=bool)
     else:
         open_, failing = labels.known(z)
-        fails = bad_rows | failing
-        rows = np.flatnonzero(open_ & ~bad_rows)
-        if rows.size:
-            fails[rows], bounded = _violations(net, np.take(clipped, rows, axis=0), spec.alpha)
-            labels.rows_bounded += bounded
-        labels.rows_cleared += rows.size
-        labels.rows_decided += n - int(np.count_nonzero(bad_rows)) - rows.size
+    fails, outside, sent = _violations(net, scenarios.values, grouping.spread(z),
+                                       spec.alpha, open_)
+    if labels is not None:
+        fails |= failing
+        cleared = int(np.count_nonzero(open_ & ~outside))
+        labels.rows_bounded += cleared - sent
+        labels.rows_cleared += cleared
+        labels.rows_decided += n - int(np.count_nonzero(outside)) - cleared
         labels.add(z, ~fails)
     count = int(np.count_nonzero(fails))
-    accepted = selection_ok and count <= max_violations(n, spec.lam)
+    accepted = not outside.any() and count <= max_violations(n, spec.lam)
     return MembershipResult(accepted=accepted, violation_fraction=count / n)

@@ -445,11 +445,11 @@ def convergence_study(
             for i, p in enumerate(probes, start=1):
                 row[f"probe_{i}"] = distance_probe(p, approx)
             rows.append(row)
+    medians = []
     for n in n_list:
-        cells = [r for r in rows if r["N"] == n and isinstance(r["seed"], int)]
-        med = {"seed": "median", "N": n,
-               "hausdorff_to_ref": float(np.median([c["hausdorff_to_ref"] for c in cells]))}
-        for i in (1, 2):
-            med[f"probe_{i}"] = float(np.median([c[f"probe_{i}"] for c in cells]))
-        rows.append(med)
-    return rows
+        cells = [r for r in rows if r["N"] == n]
+        med = {"seed": "median", "N": n}
+        for key in ("hausdorff_to_ref", "probe_1", "probe_2"):
+            med[key] = float(np.median([c[key] for c in cells]))
+        medians.append(med)
+    return rows + medians

@@ -9,8 +9,10 @@ Scenario n owns the Philox counter block that starts at n * 2^64 (Salmon et
 al. 2011), so it does not depend on the sample count.  One generator is
 reseeked before each scenario by setting its 256-bit counter to the words
 ``[0, n, 0, 0]`` and emptying its output buffer; this is the same stream as
-a fresh ``Philox(key=seed, counter=n << 64)`` per scenario.  The copula and
-the marginal transforms then run once over the whole N x (d+1) matrix.
+a fresh ``Philox(key=seed, counter=n << 64)`` per scenario.  The normals
+are drawn one block of ``util.row_block`` rows at a time into one block
+buffer, and the copula and the marginal transforms, which act element by
+element, write each block straight into the N x d values.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .network import Grouping
-from .util import CapacityError, ValidationError, frozen_array, frozen_whole
+from .util import CapacityError, ValidationError, frozen_array, frozen_whole, row_block
 
 # Scenario n starts at Philox counter n << 64, whose little-endian uint64
 # words are [0, n, 0, 0]: n goes in word 1.  One scenario consumes d+1
 # normals, far below the 2^64 counter steps between two scenarios.
 _SCENARIO_WORD = 1
-# bytes of the N x (d+1) normals and N x d values a sample may allocate
+# bytes a sample may allocate: the N x d values and one block of normals,
+# d + 1 a row
 _SAMPLE_BYTE_CAP = 2 << 30
 
 
@@ -126,9 +129,10 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
         raise ValidationError("beta_by_group length must equal the group count")
 
     d = grouping.assignment.size
+    step = min(params.n, row_block(d + 1))
     # check before allocating, so an oversized request fails fast instead
     # of filling memory
-    if 8 * params.n * (2 * d + 1) > _SAMPLE_BYTE_CAP:
+    if 8 * (params.n * d + step * (d + 1)) > _SAMPLE_BYTE_CAP:
         raise CapacityError(f"{params.n} scenarios of {d} banks exceed "
                             f"{_SAMPLE_BYTE_CAP} bytes of sample arrays")
     beta_bank = params.beta_by_group[grouping.assignment]
@@ -144,18 +148,22 @@ def sample_shocks(params: ShockParams, grouping: Grouping) -> ScenarioSet:
     state["has_uint32"] = 0
     counter = state["state"]["counter"]
     counter[:] = 0
-    normals = np.empty((params.n, d + 1))
-    for n in range(params.n):
-        counter[_SCENARIO_WORD] = n
-        bitgen.state = state
-        gen.standard_normal(out=normals[n])
-    values = np.multiply(normals[:, 1:], sq_own)
-    values += sq_common * normals[:, :1]
-    # 1 - Phi(z) computed as Phi(-z) for tail accuracy
-    np.negative(values, out=values)
-    ndtr(values, out=values)
-    np.power(values, -1.0 / params.nu, out=values)
-    values -= 1.0
-    values *= beta_bank
+    values = np.empty((params.n, d))
+    normals = np.empty((step, d + 1))
+    for start in range(0, params.n, step):
+        block = values[start:start + step]
+        for k in range(block.shape[0]):
+            counter[_SCENARIO_WORD] = start + k
+            bitgen.state = state
+            gen.standard_normal(out=normals[k])
+        drawn = normals[:block.shape[0]]
+        np.multiply(drawn[:, 1:], sq_own, out=block)
+        block += sq_common * drawn[:, :1]
+        # 1 - Phi(z) computed as Phi(-z) for tail accuracy
+        np.negative(block, out=block)
+        ndtr(block, out=block)
+        np.power(block, -1.0 / params.nu, out=block)
+        block -= 1.0
+        block *= beta_bank
 
     return ScenarioSet(values=values)

@@ -28,6 +28,11 @@ VIOL_TOL = 1e-9
 # Default-classification tolerance: bank i defaults iff p_i < pbar_i - DEFAULT_TOL.
 DEFAULT_TOL = 1e-9
 
+# Bytes of one row-block array: the clearing kernel, the membership oracle
+# and the sampler pass over N rows in blocks of ``row_block`` rows, so their
+# working memory does not grow with N.
+_BLOCK_BYTES = 512 << 10
+
 
 class ValidationError(ValueError):
     """Malformed or inconsistent input parameters."""
@@ -56,6 +61,13 @@ def max_violations(n: int, lam: float) -> int:
 def required_hits(n: int, lam: float) -> int:
     """Chance-constraint RHS ceil(N*(1-lambda)), integer-tightened."""
     return n - max_violations(n, lam)
+
+
+def row_block(d: int) -> int:
+    """Rows per block of an N-row pass over d floats a row: as many as fit
+    in ``_BLOCK_BYTES`` (3,276 at d = 20), at least one.  A row's results do
+    not depend on the rows beside it, so the block size changes no bit."""
+    return max(1, _BLOCK_BYTES // (8 * max(d, 1)))
 
 
 def fmt17(x: float) -> str:

@@ -1,14 +1,17 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sysvar as sv
 import sysvar.clearing as clearing
+import sysvar.risk
+import sysvar.shocks
 from sysvar.clearing import polytope_contains
 from sysvar.io import read_network, write_network
-from sysvar.util import CapacityError, ValidationError
-from conftest import picard_totals, random_network, ring2
+from sysvar.util import VIOL_TOL, CapacityError, ValidationError
+from conftest import picard_totals, random_network, readme_instance, ring2
 
 
 _inv = np.linalg.inv
@@ -344,6 +347,106 @@ class TestPatternSystems:
         back, _ = read_network(str(tmp_path / "a.json"))
         assert np.array_equal(back.pi, net.pi) and np.array_equal(back.pbar, net.pbar)
         assert back.derived.entries == {}
+
+
+def _blocks_of(monkeypatch, rows):
+    """Run the kernel's, the oracle's and the sampler's N-row passes in
+    blocks of ``rows`` rows."""
+    for module in (clearing, sysvar.risk, sysvar.shocks):
+        monkeypatch.setattr(module, "row_block", lambda width: rows)
+
+
+class TestRowBlocks:
+    """Blocks of 7 rows give the bits of one block of at least N rows."""
+
+    @pytest.mark.parametrize("path", ["fallback", "dual"])
+    def test_kernel_totals_and_supergradients(self, rng, monkeypatch, path):
+        net = random_network(rng, 6)
+        xs = rng.exponential(0.3, size=(40, 6))
+        floor = net.pbar - net.pi.T @ net.pbar
+        # each kind of row on both sides of a block edge (7, 14, 21, 28)
+        xs[[6, 7], 2] = -1.0                            # off the domain
+        xs[[13, 14]] = np.maximum(floor, 0.0) + 0.1     # all solvent
+        # one step from pbar only bank b is short, so these rows start on
+        # the one-defaulter pattern {b}
+        b = int(np.argmax(floor))
+        xs[[20, 21, 27]] = np.maximum(floor, 0.0) + 0.1
+        xs[[20, 21, 27], b] = 0.0
+        if path == "fallback":
+            # one-defaulter patterns are singular: their rows fall back to
+            # the payment LP
+            _break_pattern_inverse(
+                monkeypatch, lambda m: _singular(m) if m.shape == (1, 1) else _inv(m))
+        else:
+            # settled rows take the payment LP's duals
+            monkeypatch.setattr(clearing, "_PatternSystem", _NoGradient)
+        calls = _count_lp_calls(monkeypatch)
+        runs = []
+        for rows in (7, 40):
+            _blocks_of(monkeypatch, rows)
+            calls.clear()
+            bare = sv.FinancialNetwork(d=6, pi=net.pi, pbar=net.pbar)
+            totals, grads = sv.aggregate_en_many(bare, xs, supergradients=True)
+            solved = [k for k, x in enumerate(xs)
+                      if any(np.array_equal(lp.b_ub, x) for lp in calls)]
+            runs.append((totals.tobytes(), grads.tobytes(), solved))
+        assert runs[0] == runs[1]
+        assert {20, 21, 27} <= set(runs[0][2])
+        assert np.isinf(totals[[6, 7]]).all() and np.isnan(grads[[6, 7]]).all()
+        assert totals[[13, 14]].tolist() == [net.total_obligations] * 2
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_membership(self, monkeypatch, labelled):
+        net, grouping, scen, spec = readme_instance(n=100)
+        box = sv.z_bounds(net, grouping, scen)
+        middle = np.array([150.0, 30.0])
+        # alpha on one row's total at the middle point, so the Picard
+        # bounds leave that row to the kernel there; near the total
+        # obligations the upper bound fails rows by itself
+        shifted = np.maximum(scen.values + grouping.spread(middle), 0.0)
+        specs = [sv.RiskSpec(alpha=alpha, lam=spec.lam) for alpha in (
+            float(clearing.aggregate_en_many(net, shifted)[50]) + VIOL_TOL,
+            0.99 * net.total_obligations)]
+        # about a fifth of the rows leave the orthant below each group's quantile
+        least = np.stack([scen.values[:, grouping.assignment == j].min(axis=1)
+                          for j in range(grouping.g)], axis=1)
+        outside = -np.quantile(least, 0.2, axis=0)
+        zs = [box.hi, middle, outside, (box.lo + box.hi) / 2, middle + 1.0, box.lo]
+        kernel = Counter()
+        raw = sysvar.risk.aggregate_en_many
+
+        def spy(net, xs, *args, **kwargs):
+            kernel["calls"] += 1
+            return raw(net, xs, *args, **kwargs)
+
+        monkeypatch.setattr(sysvar.risk, "aggregate_en_many", spy)
+        runs = []
+        for rows in (7, scen.n):
+            _blocks_of(monkeypatch, rows)
+            kernel.clear()
+            run = []
+            for spec in specs:
+                labels = sysvar.risk._ScenarioLabels(scen.n, grouping.g) if labelled else None
+                results = [sv.membership(net, grouping, scen, spec, z, labels) for z in zs]
+                counts = (() if labels is None else
+                          (labels.rows_cleared, labels.rows_decided, labels.rows_bounded))
+                run.append((results, counts))
+            runs.append((run, kernel["calls"]))
+        assert runs[0] == runs[1]
+        ((near_row, _), (near_total, _)), calls = runs[0]
+        assert calls > 0
+        assert 0 < near_row[2].violation_fraction < 1 and not near_row[2].accepted
+        assert near_total[1].violation_fraction == 1.0
+
+    def test_sampler(self, monkeypatch):
+        params = sv.ShockParams(nu=3.0, beta_by_group=np.array([100.0, 50.0]), rho=0.3,
+                                n=40, seed=11)
+        grouping = sv.Grouping(g=2, assignment=np.array([0, 0, 1, 1, 1]))
+        values = []
+        for rows in (7, 40):
+            _blocks_of(monkeypatch, rows)
+            values.append(sv.sample_shocks(params, grouping).values.tobytes())
+        assert values[0] == values[1]
 
 
 class TestEnumeration:

@@ -282,9 +282,10 @@ def test_picard_bounds_fail_the_rows_the_kernel_fails(seed, d, n, cycle, offset)
     else:
         margin = sysvar.risk._BOUND_MARGIN * net.total_obligations
         alpha = float(totals[rng.integers(n)]) + VIOL_TOL + offset * margin
-    fails, bounded = sysvar.risk._violations(net, xs, alpha)
-    assert np.array_equal(fails, violates(totals, alpha))
-    assert 0 <= bounded <= n
+    fails, outside, sent = sysvar.risk._violations(net, xs, np.zeros(d), alpha,
+                                                   np.ones(n, dtype=bool))
+    assert np.array_equal(fails, violates(totals, alpha)) and not outside.any()
+    assert 0 <= sent <= n
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -607,6 +607,20 @@ class TestConvergenceStudy:
         medians = [r for r in rows if r["seed"] == "median"]
         assert len(medians) == 1 and medians[0]["hausdorff_to_ref"] == 0.0
 
+    def test_numpy_seeds_give_the_int_table(self, rng):
+        # ShockParams takes numpy integers as seeds; the medians come from
+        # the same per-seed rows either way
+        net, grouping, _, spec = instance(rng, n_scen=8)
+        params = sv.ShockParams(nu=3.0, beta_by_group=np.array([0.4, 0.2]),
+                                rho=0.3, n=20, seed=0)
+        tables = [sv.convergence_study(net, grouping, params, spec, n_list=[5, 10],
+                                       seeds=seeds, epsilon=0.4, n_ref=20)
+                  for seeds in ([0, 1], list(np.arange(2)))]
+        assert tables[0] == tables[1]
+        medians = [r for r in tables[1] if r["seed"] == "median"]
+        assert len(medians) == 2
+        assert all(np.isfinite(r["hausdorff_to_ref"]) for r in medians)
+
     def test_rows_cover_grid_of_cells(self, rng):
         net, grouping, _, spec = instance(rng, n_scen=8)
         params = sv.ShockParams(nu=3.0, beta_by_group=np.array([0.4, 0.2]),

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy.special import ndtr, ndtri
 
 import sysvar as sv
+import sysvar.shocks
 from sysvar.shocks import lomax_cdf, lomax_mean
-from sysvar.util import ValidationError
+from sysvar.util import CapacityError, ValidationError, row_block
 
 GROUPING = sv.Grouping(g=2, assignment=np.array([0, 0, 1, 1]))
 
@@ -37,6 +40,32 @@ class TestValidation:
         with pytest.raises(ValidationError):
             scen.head(n)
         assert scen.head(1).n == 1 and scen.head(3).n == 3
+
+
+class TestByteCap:
+    """The cap counts what the sampler allocates: the N x d values and one
+    block of normals, d + 1 a row."""
+
+    def test_request_just_over_the_cap_allocates_nothing(self):
+        d = GROUPING.assignment.size
+        block = row_block(d + 1)
+        most = (sysvar.shocks._SAMPLE_BYTE_CAP // 8 - block * (d + 1)) // d
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                sv.sample_shocks(params(n=most + 1), GROUPING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_counts_one_block_of_normals(self, monkeypatch):
+        # 50 scenarios of 4 banks in blocks of 7: 200 values and 35 normals
+        monkeypatch.setattr(sysvar.shocks, "row_block", lambda width: 7)
+        monkeypatch.setattr(sysvar.shocks, "_SAMPLE_BYTE_CAP", 8 * (50 * 4 + 7 * 5))
+        assert sv.sample_shocks(params(n=50), GROUPING).n == 50
+        with pytest.raises(CapacityError):
+            sv.sample_shocks(params(n=51), GROUPING)
 
 
 class TestSampling:
