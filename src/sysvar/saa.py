@@ -44,7 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import FinancialNetwork, Grouping
-from .risk import CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership
+from .risk import (CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership,
+                   out_of_reach)
 from .scalarize import ideal_point, norm_min
 from .shocks import ScenarioSet, ShockParams, sample_shocks
 from .util import CapacityError, ValidationError, log_event, max_violations
@@ -238,7 +239,7 @@ def _grid_search(net, grouping, scenarios, spec, epsilon, box, grid_lo,
     """
     _check_epsilon(epsilon)
     box = box_or_default(net, grouping, scenarios, box)
-    if spec.alpha > net.total_obligations:
+    if out_of_reach(net, scenarios.n, spec):
         return _empty_set(epsilon, box, grouping.g)
     if grid_lo is None:
         ideal = ideal_point(net, grouping, scenarios, spec, box=box)

@@ -26,7 +26,8 @@ import numpy as np
 from . import clearing
 from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
-from .risk import _SELECT_TOL, CapitalBox, RiskSpec, box_or_default, membership
+from .risk import (_SELECT_TOL, CapitalBox, RiskSpec, box_or_default, membership,
+                   out_of_reach)
 from .shocks import ScenarioSet
 from .util import VIOL_TOL, ValidationError, log_event, max_violations, violates
 
@@ -67,7 +68,7 @@ def weighted_sum(
 ) -> ScalarizationResult:
     """Minimum of weights.z over the sampled risk set (boxed)."""
     model = _model(net, grouping, scenarios, spec, box, weights=weights)
-    if spec.alpha > net.total_obligations:
+    if out_of_reach(net, scenarios.n, spec):
         return ScalarizationResult("infeasible", np.nan, None)
     return _solve(model, node_budget)
 
@@ -88,7 +89,7 @@ def norm_min(
     the nearest point dominates the reference componentwise.
     """
     model = _model(net, grouping, scenarios, spec, box, center=point)
-    if spec.alpha > net.total_obligations:
+    if out_of_reach(net, scenarios.n, spec):
         return ScalarizationResult("infeasible", np.nan, None)
     point = model.center
     inside_box = bool(np.all(point <= model.box.hi + 1e-12))
@@ -249,13 +250,13 @@ def ideal_point(
     Component j is the unit-weight value by the monotone bisection
     (``bisection_unit``): the least accepted t, within 1e-6 above the exact
     value, which ``weighted_sum`` with the j-th unit weight gives.  An empty
-    set is refused with ``ValidationError``: one whose alpha exceeds the
-    total obligations (as ``weighted_sum`` and the grid searches treat it,
-    whatever lambda), or whose box top the oracle rejects.  The log line
-    counts the oracle work: rows sent to the clearing kernel, kernel calls,
-    and the axes that reran on the oracle.
+    set is refused with ``ValidationError``: one whose alpha is out of
+    reach (``risk.out_of_reach``, the rule ``weighted_sum``, the grid
+    searches and the oracle share), or whose box top the oracle rejects.
+    The log line counts the oracle work: rows sent to the clearing kernel,
+    kernel calls, and the axes that reran on the oracle.
     """
-    if spec.alpha > net.total_obligations:
+    if out_of_reach(net, scenarios.n, spec):
         raise ValidationError("risk set is empty: alpha exceeds total obligations")
     box = box_or_default(net, grouping, scenarios, box)
     work: Counter = Counter()

@@ -498,6 +498,40 @@ class TestEnumeration:
                 assert np.asarray(rhs).tobytes() == poly.b_eq.tobytes()
         assert seen > 5
 
+    def test_patterns_match_highs_on_the_written_rows(self, rng):
+        # every pattern's written system, 0 <= p <= pbar with a_ub p <= b_ub,
+        # is feasible for HiGHS exactly when the enumeration lists it: zero
+        # cash, cash at the solvency floor (p = pbar sits on every face the
+        # floor reaches) and random cash, on random networks and the ring
+        from scipy.optimize import linprog
+
+        def floor(net):
+            return np.maximum(net.pbar - net.pi.T @ net.pbar, 0.0)
+
+        cases = [(ring2([2.0, 2.0]), np.zeros(2)), (ring2([1.0, 3.0]), np.array([0.5, 0.0]))]
+        for d, cash in [(2, "zero"), (3, "floor"), (4, "random"), (5, "zero"),
+                        (6, "floor"), (6, "half"), (8, "random"), (10, "zero")]:
+            net = random_network(rng, d, pbar_range=(0.5, 1.5))
+            x = {"zero": np.zeros(d), "floor": floor(net),
+                 "random": rng.exponential(0.3, size=d),
+                 "half": np.where(np.arange(d) % 2, rng.exponential(0.3, size=d), 0.0)}[cash]
+            cases.append((net, x))
+        cases.append((ring2([2.0, 2.0]), floor(ring2([2.0, 2.0]))))
+        listed_total = 0
+        for net, x in cases:
+            d = net.d
+            listed = {tuple(p.y) for p in sv.enumerate_clearing_vectors(net, x)}
+            flow = np.eye(d) - net.pi.T
+            q = float(np.max(net.pi.T @ net.pbar + x))
+            for y in (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1:
+                ref = linprog(np.zeros(d), A_ub=np.vstack([flow, -np.eye(d), -flow]),
+                              b_ub=np.concatenate([x, -net.pbar * y, q * y - x]),
+                              bounds=list(zip(np.zeros(d), net.pbar)), method="highs")
+                assert ref.status in (0, 2)
+                assert (tuple(y) in listed) == (ref.status == 0), (d, y.tolist())
+            listed_total += len(listed)
+        assert listed_total > 2 * len(cases)
+
     def test_capacity_guard(self, rng):
         net = random_network(rng, 13)
         with pytest.raises(CapacityError):

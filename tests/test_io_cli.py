@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -494,6 +495,21 @@ class TestCli:
         assert "iterations" not in payload
         manifest = json.load(open(out + ".manifest.json"))
         assert type(manifest["solver"]["iterations"]) is int
+
+    def test_enumerate_artifact_is_pinned(self, tmp_path):
+        # the CI enumeration run, byte for byte: the listed patterns, their
+        # rows and the JSON layout
+        net = str(tmp_path / "net10.json")
+        out = str(tmp_path / "polys.json")
+        assert run_cli(
+            "gen-network", "--nodes", "10", "--core-size", "2",
+            "--theta", "0.2", "--eta", "0.6", "--zeta", "0.2",
+            "--delta-in", "0.5", "--delta-out", "0.5",
+            "--m", "400,200,300,150", "--seed", "3", "--out", net) == 0
+        assert run_cli("enumerate", "--network", net,
+                       "--x", "1,0,2,0,1,3,0,1,2,0", "--out", out) == 0
+        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digest == "44aae1c8b85f25ba006c014a1832938fd71c63a6f4c213b07d6a17384eed45e1"
 
     def test_alpha_frac_resolution(self, pipeline, tmp_path):
         net, _ = io.read_network(pipeline["net"])

@@ -384,16 +384,47 @@ class TestIdealPoint:
         for j in range(grouping.g):
             assert ideal[j] == sv.bisection_unit(net, grouping, scen, spec, j)
 
-    @pytest.mark.parametrize("lam", [0.3, 1.0 - 1e-11], ids=["some-fail", "all-may-fail"])
-    def test_empty_set_is_refused(self, rng, lam):
-        # alpha above the total obligations empties the set, as weighted_sum
-        # and the grid searches see it, also where the count would let
-        # every scenario fail
+    @pytest.mark.parametrize("excess", [1e-3, 2e-9], ids=["some-fail", "past-the-tolerance"])
+    def test_empty_set_is_refused(self, rng, excess):
+        # alpha more than VIOL_TOL above the total obligations empties the
+        # set, as weighted_sum and the grid searches see it, unless the
+        # count lets every scenario fail
         net, grouping, scen, _ = instance(rng)
-        spec = sv.RiskSpec(alpha=net.total_obligations + 1e-3, lam=lam)
+        spec = sv.RiskSpec(alpha=net.total_obligations + excess, lam=0.3)
         assert sv.weighted_sum(net, grouping, scen, spec, np.ones(2)).status == "infeasible"
         with pytest.raises(ValidationError, match="alpha exceeds total obligations"):
             sv.ideal_point(net, grouping, scen, spec)
+
+    def test_one_rule_for_the_empty_set(self):
+        # the oracle's verdict at the box top, where every bank pays in
+        # full, is every route's: alpha within VIOL_TOL above the total
+        # obligations, or a level that lets every scenario fail, leaves the
+        # set nonempty for the oracle, both scalarizations, the ideal point
+        # and the grid search alike
+        net, grouping, scen, _ = readme_instance()
+        total = net.total_obligations
+        box = sv.z_bounds(net, grouping, scen)
+        verdicts = []
+        for alpha, lam in ((total + 5e-10, 0.2), (1.01 * total, 1.0 - 1e-11),
+                           (total + 2e-9, 0.2), (1.01 * total, 0.2)):
+            spec = sv.RiskSpec(alpha=alpha, lam=lam)
+            accepted = sv.membership(net, grouping, scen, spec, box.hi).accepted
+            assert sysvar.risk.out_of_reach(net, scen.n, spec) is not accepted
+            ws = sv.weighted_sum(net, grouping, scen, spec, np.ones(2))
+            nm = sv.norm_min(net, grouping, scen, spec, np.zeros(2))
+            approx = sv.approximate_by_clearing(net, grouping, scen, spec, 25.0)
+            assert (ws.status == "optimal") is (nm.status == "optimal") is accepted
+            assert approx.feasible is accepted
+            assert (len(approx.generators) > 0) is accepted
+            if accepted:
+                ideal = sv.ideal_point(net, grouping, scen, spec)
+                assert sv.membership(net, grouping, scen, spec, ws.z).accepted
+                assert np.all(ws.z >= ideal - 1e-6)
+            else:
+                with pytest.raises(ValidationError, match="risk set is empty"):
+                    sv.ideal_point(net, grouping, scen, spec)
+            verdicts.append(accepted)
+        assert verdicts == [True, True, False, False]
 
     def test_minimality_probe(self, rng):
         net, grouping, scen, spec = instance(rng)
