@@ -102,9 +102,8 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
 def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray,
                       weights: np.ndarray | None = None) -> tuple[np.ndarray, LpResult]:
     """Solve the payment LP, max weights.p subject to (I - pi^T) p <= x and
-    0 <= p <= pbar (unit weights by default), from p = 0, which x >= 0
-    makes feasible; return its payments clipped to [0, pbar] and the
-    solver's result."""
+    0 <= p <= pbar (unit weights by default), from the corner p = 0; return
+    its payments clipped to [0, pbar] and the solver's result."""
     res = solve_lp(LinearProgram(
         c=np.ones(net.d) if weights is None else weights,
         a_ub=np.eye(net.d) - net.pi.T,
@@ -395,14 +394,12 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
     the constraints forced tight by the pattern (full payment where y_i = 1,
     exact pass-through where y_i = 0).
 
-    With P = {y = 1} and D = {y = 0}, the big-M rows are slack on P, so a
-    pattern's system is the face of the payment region
-    {(I - pi^T) p <= x, 0 <= p <= pbar} on which its equality rows hold.
-    The payment LP with weights c = 1_P + (I - pi^T)^T 1_D, whose objective
-    is the sum of the equality rows' left sides, reaches the sum of their
-    right sides exactly on that face.  So one payment-LP solve per pattern,
-    from p = 0, decides it: the pattern is listed when the largest slack of
-    its equality rows at the optimum is at most 1e-7 max(1, |b_ub|).
+    The big-M rows are slack where y_i = 1, so a system is the face of the
+    payment region on which its equality rows hold.  Each face point is a
+    clearing vector, and all clearing vectors leave the same equity
+    (Eisenberg & Noe 2001), so a nonempty face holds the greatest one, p*,
+    the payment LP's optimum: a pattern is listed when its equality rows'
+    largest slack at p* is at most 1e-7 max(1, |b_ub|).
     """
     x = _check_nonnegative(x)
     d = net.d
@@ -414,6 +411,7 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
     flow = eye - pi.T
     q = float(np.max(pi.T @ pbar + x))
 
+    p, _ = _solve_payment_lp(net, x)
     out: list[ClearingPolytope] = []
     # y_i is bit i of the pattern number, patterns in increasing number
     for y in (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1:
@@ -422,7 +420,6 @@ def enumerate_clearing_vectors(net: FinancialNetwork, x: np.ndarray) -> list[Cle
         b_eq = np.where(paid, pbar, x)
         # raw inequalities: flow p <= x ; -p <= -pbar*y ; -flow p <= Q*y - x
         b_ub = np.concatenate([x, -pbar * y, q * y - x])
-        p, _ = _solve_payment_lp(net, x, weights=a_eq.sum(axis=0))
         if (b_eq - a_eq @ p).max() > 1e-7 * np.abs(b_ub).max(initial=1.0):
             continue
         out.append(ClearingPolytope(

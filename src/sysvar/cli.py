@@ -29,6 +29,7 @@ from . import __version__
 from .clearing import clearing_fixed_point, clearing_lp, enumerate_clearing_vectors
 from .io import (
     dump_json,
+    dump_json_list,
     read_approx,
     read_edges,
     read_network,
@@ -194,7 +195,7 @@ def _cmd_enumerate(args) -> int:
     x = _read_x(args.x, net.d)
     polys = enumerate_clearing_vectors(net, x)
     # fixed schema: a bare list of systems; provenance lives in the manifest
-    dump_json(args.out, [
+    dump_json_list(args.out, [
         {"y": p.y, "A_eq": p.a_eq, "b_eq": p.b_eq, "A_ub": p.a_ub, "b_ub": p.b_ub}
         for p in polys
     ])

@@ -53,7 +53,11 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def dump_json(path: str, payload: dict | list) -> None:
+def dump_json(path: str, payload: dict) -> None:
+    atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+
+
+def dump_json_list(path: str, payload: list) -> None:
     atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
 
 

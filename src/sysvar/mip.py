@@ -177,6 +177,9 @@ def _node_relax(
     """
     quadratic = model.center is not None
     box, alpha = model.box, model.spec.alpha
+    # cuts and caps at a line the box top meets, so solve_lp has a corner:
+    # T, where alpha lies in its VIOL_TOL band past the obligations T
+    reach = min(alpha, model.net.total_obligations)
     forced = np.flatnonzero(y_fix == 1)
     free = np.flatnonzero(y_fix == -1)
     need = hits - forced.size
@@ -187,7 +190,6 @@ def _node_relax(
         if quadratic:
             res = min_norm_qp(data.target, rows, rhs, box)
             return np.clip(res.z, box.lo, box.hi)
-        # valid cuts always keep the box top feasible, so solve_lp has a corner
         res = solve_lp(LinearProgram(c=data.target, a_ub=rows, b_ub=rhs,
                                      lower=box.lo, upper=box.hi))
         return np.clip(res.x, box.lo, box.hi)
@@ -208,14 +210,14 @@ def _node_relax(
         ok = True
         short = forced[violates(totals[forced], alpha)]
         if short.size:
-            new_a, new_b = pattern_cuts(data.bmat, grads[short], totals[short], z, alpha)
+            new_a, new_b = pattern_cuts(data.bmat, grads[short], totals[short], z, reach)
             cuts[key] = (np.concatenate([pat_a, new_a]), np.concatenate([pat_b, new_b]))
             ok = False
         if need > 0 and free.size:
-            caps = np.minimum(totals[free] / alpha, 1.0)
+            caps = np.minimum(totals[free] / reach, 1.0)
             phi = float(caps.sum())
             if phi < need - 1e-9:
-                slope = counting_slope(data.bmat, grads[free[caps < 1.0]], alpha)
+                slope = counting_slope(data.bmat, grads[free[caps < 1.0]], reach)
                 count_a = np.concatenate([count_a, -slope[None, :]])
                 count_b = np.concatenate([count_b, [phi - slope @ z - need]])
                 ok = False
@@ -225,7 +227,7 @@ def _node_relax(
 
     y_frac = np.zeros(data.scen.shape[0])
     y_frac[forced] = 1.0
-    y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / alpha, 1.0)
+    y_frac[free] = np.minimum(np.maximum(totals[free], 0.0) / reach, 1.0)
     passing = forced.size + int(np.count_nonzero(~violates(totals[free], alpha)))
     value = float(np.sum((data.target - z) ** 2)) if quadratic else float(data.target @ z)
     return _Relaxation(

@@ -44,8 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import FinancialNetwork, Grouping
-from .risk import (CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership,
-                   out_of_reach)
+from .risk import CapitalBox, RiskSpec, _ScenarioLabels, box_or_default, membership, out_of_reach
 from .scalarize import ideal_point, norm_min
 from .shocks import ScenarioSet, ShockParams, sample_shocks
 from .util import CapacityError, ValidationError, log_event, max_violations

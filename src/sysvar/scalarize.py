@@ -26,8 +26,7 @@ import numpy as np
 from . import clearing
 from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
-from .risk import (_SELECT_TOL, CapitalBox, RiskSpec, box_or_default, membership,
-                   out_of_reach)
+from .risk import _SELECT_TOL, CapitalBox, RiskSpec, box_or_default, membership, out_of_reach
 from .shocks import ScenarioSet
 from .util import VIOL_TOL, ValidationError, log_event, max_violations, violates
 

@@ -405,7 +405,8 @@ class TestIdealPoint:
         total = net.total_obligations
         box = sv.z_bounds(net, grouping, scen)
         verdicts = []
-        for alpha, lam in ((total + 5e-10, 0.2), (1.01 * total, 1.0 - 1e-11),
+        for alpha, lam in ((total + 5e-10, 0.2), (total + 0.999e-9, 0.2),
+                           (1.01 * total, 1.0 - 1e-11),
                            (total + 2e-9, 0.2), (1.01 * total, 0.2)):
             spec = sv.RiskSpec(alpha=alpha, lam=lam)
             accepted = sv.membership(net, grouping, scen, spec, box.hi).accepted
@@ -424,7 +425,19 @@ class TestIdealPoint:
                 with pytest.raises(ValidationError, match="risk set is empty"):
                     sv.ideal_point(net, grouping, scen, spec)
             verdicts.append(accepted)
-        assert verdicts == [True, True, False, False]
+        assert verdicts == [True, True, True, False, False]
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_cuts_keep_the_box_top_within_the_tolerance_band(self, seed):
+        # alpha just under T + VIOL_TOL: membership accepts the box top, and
+        # branch-and-bound's cuts, taken at T there, keep it feasible (cuts at
+        # alpha itself cut it off, and solve_lp found no corner)
+        net, grouping, scen, _ = instance(np.random.default_rng(seed))
+        spec = sv.RiskSpec(alpha=net.total_obligations + 0.999e-9, lam=0.2)
+        ws = sv.weighted_sum(net, grouping, scen, spec, np.ones(2))
+        nm = sv.norm_min(net, grouping, scen, spec, np.zeros(2))
+        assert ws.status == nm.status == "optimal"
+        assert sv.membership(net, grouping, scen, spec, ws.z).accepted
 
     def test_minimality_probe(self, rng):
         net, grouping, scen, spec = instance(rng)
