@@ -321,6 +321,16 @@ class TestCli:
             "--algo", "1", "--out", out) == [0, []]
         assert io.read_approx(out).feasible
 
+    def test_sample_shocks_loads_no_scipy(self, pipeline, tmp_path):
+        # the sampler's normal CDF is numpy's: no module under src/ loads scipy
+        out = str(tmp_path / "scen.csv")
+        assert scipy_probe(
+            "sample-shocks", "--network", pipeline["net"], "--nu", "3",
+            "--beta", "1.0,0.5", "--rho", "0.3", "--n", "10", "--seed", "3",
+            "--out", out) == [0, []]
+        assert io.read_scenarios(out).values.tobytes() == \
+            io.read_scenarios(pipeline["scen"]).values.tobytes()
+
     def test_validation_error_exits_two(self, tmp_path, capsys):
         code = run_cli(
             "gen-network", "--nodes", "10", "--core-size", "2",

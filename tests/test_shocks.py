@@ -43,13 +43,15 @@ class TestValidation:
 
 
 class TestByteCap:
-    """The cap counts what the sampler allocates: the N x d values and one
-    block of normals, d + 1 a row."""
+    """The cap counts what the sampler allocates: the N x d values, one
+    block of normals, d + 1 a row, and the normal CDF's working arrays for
+    one block of values."""
 
     def test_request_just_over_the_cap_allocates_nothing(self):
         d = GROUPING.assignment.size
         block = row_block(d + 1)
-        most = (sysvar.shocks._SAMPLE_BYTE_CAP // 8 - block * (d + 1)) // d
+        words = sysvar.shocks._NDTR_WORDS
+        most = (sysvar.shocks._SAMPLE_BYTE_CAP // 8 - block * (d + 1 + words * d)) // d
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
@@ -60,12 +62,61 @@ class TestByteCap:
         assert peak < 1 << 20
 
     def test_cap_counts_one_block_of_normals(self, monkeypatch):
-        # 50 scenarios of 4 banks in blocks of 7: 200 values and 35 normals
+        # 50 scenarios of 4 banks in blocks of 7: 200 values, 35 normals and
+        # the CDF's words for 28 cells
+        words = sysvar.shocks._NDTR_WORDS
         monkeypatch.setattr(sysvar.shocks, "row_block", lambda width: 7)
-        monkeypatch.setattr(sysvar.shocks, "_SAMPLE_BYTE_CAP", 8 * (50 * 4 + 7 * 5))
+        monkeypatch.setattr(sysvar.shocks, "_SAMPLE_BYTE_CAP",
+                            8 * (50 * 4 + 7 * 5 + words * 7 * 4))
         assert sv.sample_shocks(params(n=50), GROUPING).n == 50
         with pytest.raises(CapacityError):
             sv.sample_shocks(params(n=51), GROUPING)
+
+
+def _neighbours(points, k=4):
+    """Each point and its k nearest floats on either side."""
+    out = []
+    for c in points:
+        lo = hi = c
+        out.append(c)
+        for _ in range(k):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+class TestNdtr:
+    """The sampler's normal CDF has scipy.special.ndtr's bits, and raises no
+    RuntimeWarning (an error under this suite's settings)."""
+
+    @pytest.mark.parametrize("draw", [
+        *(pytest.param(lambda rng, s=s: s * rng.standard_normal(1_000_000),
+                       id=f"normal-x{s}") for s in (1, 3, 12, 40)),
+        pytest.param(lambda rng: rng.uniform(-40.0, 40.0, 1_000_000), id="uniform-40"),
+        # the edges of Cephes' branches: |x| = 1 and 8, and x^2 = MAXLOG
+        pytest.param(lambda rng: _neighbours(
+            s * np.sqrt(2.0) * b for s in (1.0, -1.0)
+            for b in (1.0, 8.0, np.sqrt(sysvar.shocks._MAXLOG))), id="branch-edges"),
+        pytest.param(lambda rng: np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300,
+                                           5e-324, -5e-324, 1e-310, -1e-310,
+                                           2.2250738585072014e-308]), id="specials"),
+    ])
+    def test_bits_equal_scipy(self, rng, draw):
+        a = draw(rng)
+        got = sysvar.shocks._ndtr(a.copy())
+        assert np.array_equal(got.view(np.int64), ndtr(a).view(np.int64))
+
+    @pytest.mark.parametrize("value", [0.5, 5.0, -20.0, np.inf])
+    def test_working_memory_within_its_count(self, value):
+        # one value everywhere: every cell takes the same branch
+        a = np.full(100_000, value)
+        tracemalloc.start()
+        try:
+            sysvar.shocks._ndtr(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sysvar.shocks._NDTR_WORDS * a.size
 
 
 class TestSampling:
