@@ -32,6 +32,7 @@ from .io import (
     dump_json_list,
     read_approx,
     read_edges,
+    read_lines,
     read_network,
     read_scenarios,
     staircase_rows,
@@ -89,8 +90,7 @@ def _ints(text: str) -> list[int]:
 def _read_x(arg: str, d: int) -> np.ndarray:
     text = arg
     if os.path.exists(arg):
-        with open(arg) as fh:
-            rows = [line.strip() for line in fh if line.strip()]
+        rows = read_lines(arg)
         if rows and rows[0].split(",")[0].strip() == "x1":
             rows = rows[1:]
         if not rows:

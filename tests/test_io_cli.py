@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -46,11 +47,15 @@ class TestRoundTrips:
 
     def test_scenarios_csv_skips_blank_lines(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("\n x1,x2\n1.5,2\n\n   \n0.25,1e-3\n\n")
-        assert io.read_scenarios(str(path)).values.tolist() == [[1.5, 2.0], [0.25, 1e-3]]
+        path.write_text("\n x1,x2\n1.5,2\n\n   \n0.25,1e-3\n \t \n\n7,8\n")
+        assert io.read_scenarios(str(path)).values.tolist() == [[1.5, 2.0], [0.25, 1e-3],
+                                                                [7.0, 8.0]]
+        assert_reads_as_loadtxt(path)
 
     @pytest.mark.parametrize("body", ["1,2\n3\n", "1,2\n3,4,5\n", "1,abc\n", "1,2,\n",
-                                      "# 1,2\n", "", "x1,x2,x3\n1,2\n3,4\n"])
+                                      "# 1,2\n", "", "x1,x2,x3\n1,2\n3,4\n", "1,\n", ",2\n",
+                                      "1,.\n", "1..5,2\n", "1.2.3,4\n", "1..00000000000001,2\n",
+                                      "1-5,2\n", "1/5,2\n"])
     def test_malformed_scenarios_csv_raises_validation_error(self, tmp_path, body):
         # bodies without their own header go under a two-column one
         path = tmp_path / "s.csv"
@@ -192,6 +197,7 @@ class TestStreamedWrite:
         lines += [",".join(fmt17(v) for v in row) for row in values]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert io.read_scenarios(str(path)).values.tobytes() == values.tobytes()
+        assert_reads_as_loadtxt(path)
 
     def test_strided_and_fortran_ordered_values(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -242,6 +248,148 @@ class TestStreamedWrite:
             atomic_write_chunks(str(target), chunks())
         assert target.read_text() == "previous contents\n"
         assert not list(tmp_path.glob(".sysvar-*.tmp"))
+
+
+def loadtxt_reference(path) -> np.ndarray:
+    """np.loadtxt on the lines after the header, blank lines dropped as
+    `read_scenarios` drops them."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.strip()]
+    return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+
+
+def assert_reads_as_loadtxt(path) -> None:
+    values = io.read_scenarios(str(path)).values
+    reference = loadtxt_reference(path)
+    assert values.shape == reference.shape
+    assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+
+
+def lomax(rng, n, d) -> np.ndarray:
+    return 100 * ((1 - rng.random((n, d))) ** (-1 / 3) - 1)
+
+
+def write_values(path, values) -> None:
+    io.write_scenarios(str(path), sv.ScenarioSet(values=np.asarray(values, dtype=float)))
+
+
+@pytest.fixture
+def loadtxt_rows(monkeypatch):
+    """The rows `read_scenarios` hands to np.loadtxt, call by call."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        calls.append(list(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+class TestBlockReader:
+    """`io.read_scenarios` against np.loadtxt, bit for bit."""
+
+    def test_ulp_neighbours_of_band_edges_and_powers(self, tmp_path):
+        centres = [1e-4, 1e16, 1e17, 2.0 ** 53]
+        centres += [10.0 ** k for k in range(-5, 19)] + [2.0 ** k for k in range(-14, 58)]
+        values = [v for c in centres for v in ulp_neighbours(c, steps=3)]
+        write_values(tmp_path / "s.csv", np.array(values).reshape(-1, 7))
+        assert_reads_as_loadtxt(tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("n, d", [(3000, 1), (1000, 20)])
+    def test_random_lomax_sets(self, tmp_path, n, d):
+        write_values(tmp_path / "s.csv", lomax(np.random.default_rng(n + d), n, d))
+        assert_reads_as_loadtxt(tmp_path / "s.csv")
+
+    def test_rows_straddle_block_boundaries(self, tmp_path, monkeypatch):
+        # blocks of about 700 bytes: most of the 200 rows of about 380 bytes
+        # start in one block and end in the next
+        monkeypatch.setattr(io, "_READ_BYTES", 700)
+        write_values(tmp_path / "s.csv", lomax(np.random.default_rng(3), 200, 20))
+        assert_reads_as_loadtxt(tmp_path / "s.csv")
+
+    def test_row_longer_than_the_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_READ_BYTES", 700)
+        path = tmp_path / "s.csv"
+        path.write_text("x1,x2\n1.5,2\n" + " " * 5000 + "3.25,4\n5,6\n")
+        assert_reads_as_loadtxt(path)
+
+    def test_no_trailing_newline(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_values(path, lomax(np.random.default_rng(4), 30, 3))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        assert_reads_as_loadtxt(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, tmp_path, end):
+        path = tmp_path / "s.csv"
+        write_values(path, lomax(np.random.default_rng(5), 30, 3))
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        assert_reads_as_loadtxt(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe(self, tmp_path):
+        # a pipe cannot be read twice, as the row count needs
+        path = tmp_path / "s.csv"
+        write_values(path, lomax(np.random.default_rng(7), 300, 4))
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            values = io.read_scenarios(str(pipe)).values
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(values.view(np.uint64), loadtxt_reference(path).view(np.uint64))
+
+    def test_rows_outside_the_grammar_go_to_loadtxt(self, tmp_path, loadtxt_rows):
+        # the writer's %.17g cells below 1e-4 and from 1e17 up; 18 and more
+        # significant digits (2**65 wraps to 0 in 64 bits); 17 digits more
+        # than 20 places after the point; decimals halfway between two
+        # doubles, which no ulp step matches; a cell of more than 24 bytes;
+        # a sign and whitespace: those rows alone, in runs, in file order
+        rows = ["1.5,2", "1.0000000000000001e-05,3", "4,1e+17", "5,6",
+                "1.23456789012345678,7", "36893488147419103232,8",
+                "0.000012345678901234568,9", "10000000000000001,9007199254740993",
+                "0.0000000000000000000000001,1", "9,10", "+1,2", " 3,4", "0.5,0.25"]
+        path = tmp_path / "s.csv"
+        path.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+        values = io.read_scenarios(str(path)).values
+        assert loadtxt_rows == [rows[1:3], rows[4:9], rows[10:12]]
+        reference = loadtxt_reference(path)
+        assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+
+    def test_ulp_steps_correct_the_first_guess(self, tmp_path, loadtxt_rows):
+        # 17-digit cells whose first guess, the 17-digit integer over the
+        # power of ten, is not the double nearest the decimal: the check
+        # steps each one by ulps, and no row goes to np.loadtxt
+        values = lomax(np.random.default_rng(6), 400, 5).ravel()
+        digits = [format(v, ".17g").partition(".") for v in values]
+        first_guess = np.array([float(a + b) / 10.0 ** len(b) for a, _, b in digits])
+        seventeen = np.array([len((a + b).lstrip("0")) == 17 for a, _, b in digits])
+        off = values[(first_guess != values) & seventeen]
+        assert off.size >= 100
+        path = tmp_path / "s.csv"
+        write_values(path, off[:100].reshape(20, 5))
+        assert np.array_equal(io.read_scenarios(str(path)).values.ravel(), off[:100])
+        assert loadtxt_rows == []
+
+    def test_read_memory_stays_flat(self, tmp_path):
+        # the text is about 9.5 MB and the result 4 MB; the file is read
+        # through one buffer in blocks of about 96 KiB
+        values = lomax(np.random.default_rng(23), 25_000, 20)
+        path = tmp_path / "s.csv"
+        write_values(path, values)
+        tracemalloc.start()
+        try:
+            read = io.read_scenarios(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read.values, values)
+        assert peak - values.nbytes <= 1 << 20
 
 
 def run_cli(*argv):
@@ -436,6 +584,22 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "validation error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw, argv", [
+        (b"x1,x2\n1.5,2\n\xff\xfe,3\n",
+         ["saa", "--network", "{net}", "--scenarios", "{bad}", "--alpha-frac", "0.8",
+          "--lambda", "0.25", "--epsilon", "1.0"]),
+        (b"source,target\n0,1\n\xff,2\n", ["stats", "--graph", "{bad}", "--core-size", "2"]),
+        (b"x1\n\xff1" + b",1" * 9 + b"\n", ["clear", "--network", "{net}", "--x", "{bad}"]),
+    ], ids=["scenarios", "edges", "x"])
+    def test_bytes_that_are_not_utf8_exit_two(self, pipeline, tmp_path, capsys, raw, argv):
+        bad = tmp_path / "bad"
+        bad.write_bytes(raw)
+        code = run_cli(*[a.format(bad=bad, **pipeline) for a in argv],
+                       "--out", str(tmp_path / "out.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
 
     def test_infeasible_exits_three(self, pipeline, tmp_path):
         out = str(tmp_path / "ws.json")
