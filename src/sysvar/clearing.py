@@ -2,12 +2,13 @@
 and the enumeration of all clearing vectors.
 
 The maximal clearing vector solves p = (pi^T p + x) ^ pbar.  One batched
-kernel, ``aggregate_en_many``, runs the fictitious-default algorithm from
-p = pbar in rounds over each block of a batch (``util.row_block`` rows, so
-its working memory does not grow with the batch): each round classifies
-every row's default set and solves the defaulters' linear subsystem
-exactly, so a row settles within d rounds of default-set growth.  It
-returns the aggregation function, the total payment of the maximal
+kernel, ``aggregate_en_many``, runs the fictitious-default algorithm in
+rounds over each block of a batch (``util.row_block`` rows, so its working
+memory does not grow with the batch), each row from the banks short at the
+third capped Picard step down from pbar (Eisenberg & Noe 2001): each round
+classifies every row's default set and solves the defaulters' linear
+subsystem exactly, so a row settles within d rounds of default-set growth.
+It returns the aggregation function, the total payment of the maximal
 clearing vector (minus infinity off the nonnegative orthant), and on
 request its supergradient, which is closed-form per default pattern D:
 (I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  Each
@@ -41,6 +42,8 @@ from .util import CapacityError, DEFAULT_TOL, SolverError, ValidationError, row_
 _PATTERN_BUDGET_BYTES = 4 << 20
 # enumeration solves one LP per default pattern, 2^d in all
 _ENUM_MAX_DIM = 12
+# capped Picard steps down from pbar behind each row's first default mask
+_SEED_STEPS = 3
 
 
 @dataclass
@@ -74,9 +77,9 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
 
     The one-row call of the batched kernel: p is the row's final pattern
     system applied to x, bit for bit the kernel's payment row, or the
-    payment LP's p where the kernel falls back.  ``iterations`` is 1 when no
-    bank is short at pbar, else the kernel's round count plus that first
-    step.
+    payment LP's p where the kernel falls back.  ``iterations`` is 1 when the
+    row settles with no defaulter, else the kernel's round count plus the
+    three Picard steps behind its first default mask.
     """
     x = _check_nonnegative(x)
     pi, pbar = net.pi, net.pbar
@@ -85,7 +88,7 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
     iterations = 1
     if groups and groups[-1][1].idx.size:
         system = groups[-1][1]
-        iterations += len(groups)
+        iterations = _SEED_STEPS + len(groups)
         if fallback:
             p, _ = _solve_payment_lp(net, x)
         else:
@@ -201,13 +204,17 @@ def _fictitious_default(net: FinancialNetwork,
     Fully solvent rows are resolved without iteration: everyone pays in full
     as soon as x >= pbar - pi^T pbar componentwise; rows with a negative
     entry get -inf.  The rest run in batched rounds.  Each row's default
-    mask starts as the banks short of their obligations one step from pbar
-    (certified defaulters, since the clearing vector lies below pbar).  A
-    round sorts its rows by packed mask, applies each pattern's inverse to
-    all of that pattern's rows, and then checks the whole round at once:
-    payments in [0, pbar] and no bank outside the mask short of its
-    obligations.  Rows that show newly short banks add them to their mask
-    and go to the next round, so a row takes at most d rounds.
+    mask starts as the banks short of their obligations at the third capped
+    Picard step q <- min(pbar, x + q pi) down from q = pbar.  The map is
+    monotone and pbar lies above the greatest clearing vector p*, so every
+    iterate lies above p*: a bank short at the third step is short at p*, a
+    certified defaulter.  The steps run in place in one scratch array,
+    freed before the first round.  A round sorts its rows by packed mask,
+    applies each pattern's inverse to all of that pattern's rows, and then
+    checks the whole round at once: payments in [0, pbar] and no bank
+    outside the mask short of its obligations.  Rows that show newly short
+    banks add them to their mask and go to the next round, so a row takes at
+    most d rounds.
 
     Returns the totals (undefined on fallback rows), the ``(members,
     system)`` pair of every pattern group of every round in order, where
@@ -228,7 +235,16 @@ def _fictitious_default(net: FinancialNetwork,
     if rows.size == 0:
         return out, groups, fallback
 
-    masks = xs[rows] + cache.one_step < cache.short_at
+    # q <- min(pbar, x + q pi) from q = pbar, in place; the first step is
+    # the network's one_step, pbar pi, and each later one a product
+    q = xs[rows]
+    q += cache.one_step
+    for _ in range(_SEED_STEPS - 1):
+        np.minimum(q, net.pbar, out=q)
+        np.matmul(q, net.pi, out=q)
+        q += xs[rows]
+    masks = q < cache.short_at
+    del q
     live = np.arange(rows.size)
     while live.size:
         order, bounds = _sort_by_pattern(masks[live])

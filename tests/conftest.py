@@ -17,6 +17,9 @@ import pytest
 from scipy.optimize import linprog
 
 import sysvar as sv
+import sysvar.clearing
+import sysvar.risk
+import sysvar.shocks
 from sysvar.util import max_violations, required_hits
 
 
@@ -176,6 +179,13 @@ def readme_instance(n=10, seed=11):
         nu=3.0, beta_by_group=np.array([100.0, 50.0]), rho=0.3, n=n, seed=seed), grouping)
     spec = sv.RiskSpec(alpha=0.8 * net.total_obligations, lam=0.2)
     return net, grouping, scen, spec
+
+
+def blocks_of(monkeypatch, rows):
+    """Run the kernel's, the oracle's and the sampler's N-row passes in
+    blocks of ``rows`` rows."""
+    for module in (sysvar.clearing, sysvar.risk, sysvar.shocks):
+        monkeypatch.setattr(module, "row_block", lambda width: rows)
 
 
 def exp_scenarios(rng: np.random.Generator, n: int, d: int, scale: float) -> sv.ScenarioSet:

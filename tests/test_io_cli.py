@@ -685,6 +685,21 @@ class TestCli:
         digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
         assert digest == "44aae1c8b85f25ba006c014a1832938fd71c63a6f4c213b07d6a17384eed45e1"
 
+    def test_readme_scenarios_are_pinned(self, tmp_path):
+        # the CI README pipeline's scen-a.csv, byte for byte: the Philox
+        # stream, the copula and marginals, and the CSV formatter
+        net = str(tmp_path / "net.json")
+        out = str(tmp_path / "scen-a.csv")
+        assert run_cli(
+            "gen-network", "--nodes", "20", "--core-size", "4",
+            "--theta", "0.2", "--eta", "0.6", "--zeta", "0.2",
+            "--delta-in", "0.5", "--delta-out", "0.5",
+            "--m", "400,200,300,150", "--seed", "7", "--out", net) == 0
+        assert run_cli("sample-shocks", "--network", net, "--nu", "3", "--beta", "100,50",
+                       "--rho", "0.3", "--n", "50", "--seed", "11", "--out", out) == 0
+        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        assert digest == "f1a44f16d643aa258bcee2959290e50a55054d72cf8574afe1ffd2cb3cd183f2"
+
     def test_alpha_frac_resolution(self, pipeline, tmp_path):
         net, _ = io.read_network(pipeline["net"])
         out = str(tmp_path / "ws.json")

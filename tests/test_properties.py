@@ -4,7 +4,8 @@ For the batched clearing kernel the references are the payment LP, which
 shares no code with the kernel: its payments (``clearing_lp``) and its row
 duals, the aggregation function itself through the global supergradient
 inequality, and the kernel's own one-row calls, which must give the same
-bits as the batch.  For the membership oracle they are the two properties
+bits as the batch; its three-step Picard seed must reach the patterns and
+totals of the same kernel seeded by one step.  For the membership oracle they are the two properties
 the grid search relies on: monotonicity and translativity in the capital
 vector; with per-scenario labels carried between calls, the reference is the
 same oracle without them.  For the unit-weight bisection, whose steps follow
@@ -27,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sysvar as sv
+import sysvar.clearing
 import sysvar.risk
 import sysvar.saa
 import sysvar.scalarize
@@ -132,6 +134,42 @@ def _leaky_cycle_instance(seed: int, d: int, n: int):
     xs = rng.exponential(0.05, size=(n, d)) * pbar * (rng.random((n, d)) < 0.6)
     xs[0] = 0.0
     return net, xs
+
+
+def _picard_seed(net, xs) -> np.ndarray:
+    """The banks short at the third capped Picard step down from pbar."""
+    q = np.broadcast_to(net.pbar, xs.shape)
+    for _ in range(3):
+        step = xs + q @ net.pi
+        q = np.minimum(step, net.pbar)
+    return step < net.pbar - DEFAULT_TOL
+
+
+def _final_patterns(net, xs) -> tuple[np.ndarray, dict, set]:
+    """The kernel's totals, each settled row's final default pattern and
+    the fallback rows."""
+    totals, groups, fallback = sysvar.clearing._fictitious_default(net, xs)
+    patterns = {k: system.idx.tolist() for members, system in groups for k in members.tolist()}
+    return totals, patterns, set(fallback)
+
+
+@_SETTINGS
+@given(seed=seeds, d=st.integers(3, 9), n=st.integers(1, 40), leaky=st.booleans())
+def test_picard_seed_lies_inside_the_final_pattern(seed, d, n, leaky):
+    # the one-step seed's rounds find each row's default pattern; the
+    # three-step seed holds only certified defaulters, so it lies inside
+    # that pattern, and its rounds reach the same pattern and total
+    net, xs = _leaky_cycle_instance(seed, d, n) if leaky else _instance(seed, d, n)[:2]
+    totals, patterns, fallback = _final_patterns(net, xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysvar.clearing, "_SEED_STEPS", 1)
+        totals1, patterns1, fallback1 = _final_patterns(net, xs)
+    seeded = _picard_seed(net, xs)
+    assert fallback <= fallback1
+    for k, pattern in patterns1.items():
+        assert set(np.flatnonzero(seeded[k])) <= set(pattern)
+        assert patterns[k] == pattern
+        assert totals[k] == totals1[k]
 
 
 @_SETTINGS

@@ -9,6 +9,7 @@ import sysvar as sv
 import sysvar.shocks
 from sysvar.shocks import lomax_cdf, lomax_mean
 from sysvar.util import CapacityError, ValidationError, row_block
+from conftest import blocks_of
 
 GROUPING = sv.Grouping(g=2, assignment=np.array([0, 0, 1, 1]))
 
@@ -189,14 +190,27 @@ class TestCounterLayout:
     """The reseeked generator must walk the same stream as one Philox per
     scenario; a change to Philox's state layout fails here bit for bit."""
 
-    @pytest.mark.parametrize("assignment, beta, rho, seed", [
+    CASES = [
         ([0, 0, 1, 1], [100.0, 50.0], 0.3, 11),
         ([0, 1, 2, 0, 1], [10.0, 20.0, 30.0], 0.0, 36),
         ([0], [7.5], 0.5, 5),
         ([1, 0, 1], [2.0, 3.0], 0.9, 2**64 + 3),
         ([0, 1], [1.0, 1.0], 0.2, 2**127 + 12345),
-    ])
+    ]
+
+    @pytest.mark.parametrize("assignment, beta, rho, seed", CASES)
     def test_rows_match_one_generator_per_scenario(self, assignment, beta, rho, seed):
+        self._check(assignment, beta, rho, seed)
+
+    @pytest.mark.parametrize("assignment, beta, rho, seed", CASES)
+    def test_rows_match_across_row_blocks(self, monkeypatch, assignment, beta, rho, seed):
+        # the 40 rows span six blocks of 7, so the reseek is checked at
+        # every block edge
+        blocks_of(monkeypatch, 7)
+        self._check(assignment, beta, rho, seed)
+
+    @staticmethod
+    def _check(assignment, beta, rho, seed):
         assignment = np.array(assignment)
         grouping = sv.Grouping(g=len(beta), assignment=assignment)
         p = sv.ShockParams(nu=2.5, beta_by_group=np.array(beta), rho=rho, n=40, seed=seed)
