@@ -11,14 +11,17 @@ subsystem exactly, so a row settles within d rounds of default-set growth.
 It returns the aggregation function, the total payment of the maximal
 clearing vector (minus infinity off the nonnegative orthant), and on
 request its supergradient, which is closed-form per default pattern D:
-(I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  Each
-default pattern's inverse (I - pi_DD^T)^{-1} is built once, kept on the
-network (``FinancialNetwork.derived``) under a fixed byte budget, and
-applied row by row, so a row's results do not depend on the rows cleared
-beside it.  The network's arrays are read-only and were
-checked when it was built, so the kernel reads them as they are, and the
-cache, built with the network, is never rebuilt.  ``clearing_fixed_point``,
-``aggregate_en`` and ``en_supergradient`` are one-row calls of the kernel.
+(I - pi_DD)^{-1} 1 on the defaulters and zero on solvent banks.  A round
+walks its pattern groups once, each writing its rows' payments and
+gradients into the round's buffers, and the rows it settles go straight
+into the caller's totals and supergradients.  Each default pattern's
+inverse (I - pi_DD^T)^{-1} is built once, kept on the network
+(``FinancialNetwork.derived``) under a fixed byte budget, and applied row
+by row, so a row's results do not depend on the rows cleared beside it.
+The network's arrays are read-only and were checked when it was built, so
+the kernel reads them as they are, and the cache, built with the network,
+is never rebuilt.  ``clearing_fixed_point``, ``aggregate_en`` and
+``en_supergradient`` are one-row calls of the kernel.
 
 The payment LP maximizes a strictly increasing linear objective over the
 limited liability region and recovers the same vector (``clearing_lp``).  It
@@ -77,27 +80,20 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
 
     The one-row call of the batched kernel: p is the row's final pattern
     system applied to x, bit for bit the kernel's payment row, or the
-    payment LP's p where the kernel falls back.  ``iterations`` is 1 when the
-    row settles with no defaulter, else the kernel's round count plus the
-    three Picard steps behind its first default mask.
+    payment LP's p where the kernel falls back.  ``iterations`` is 1 when p
+    shows no defaulter, else the kernel's round count plus the three Picard
+    steps behind its first default mask.
     """
     x = _check_nonnegative(x)
     pi, pbar = net.pi, net.pbar
-    _, groups, fallback = _fictitious_default(net, x[None, :])
-    p = pbar.copy()
-    iterations = 1
-    if groups and groups[-1][1].idx.size:
-        system = groups[-1][1]
-        iterations = _SEED_STEPS + len(groups)
-        if fallback:
-            p, _ = _solve_payment_lp(net, x)
-        else:
-            p[system.idx] = _defaulter_payments(system, x[None, :])[0]
-
+    p = pbar[None, :].copy()
+    fallback, _, rounds = _fictitious_default(net, x[None, :], np.empty(1), pay=p)
+    p = _solve_payment_lp(net, x)[0] if fallback else p[0]
     residual = np.abs(p - np.minimum(pi.T @ p + x, pbar)).max()
     if residual > 1e-7 * max(1.0, pbar.max()):
         raise SolverError(f"clearing iteration left residual {residual:.3e}")
     defaults = p < pbar - DEFAULT_TOL
+    iterations = _SEED_STEPS + rounds if defaults.any() else 1
     return ClearingResult(p=p, defaults=defaults, iterations=iterations,
                           total_payment=float(p.sum()))
 
@@ -153,11 +149,12 @@ def aggregate_en(net: FinancialNetwork, x: np.ndarray) -> float:
 def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: bool = False):
     """Aggregate payments for a batch of scenarios (rows of xs).
 
-    Rows with a negative entry map to -inf; the rest are cleared by
-    ``_fictitious_default``, one block of ``row_block`` rows at a time, into
-    totals (and supergradients) allocated once for the batch.  A row that
-    the rounds can neither settle nor continue (its pattern is singular, or
-    its payments leave [0, pbar]) takes its total from one payment-LP solve.
+    Rows with a negative entry map to -inf, and NaN raises
+    ``ValidationError``; the rest are cleared by ``_fictitious_default``,
+    one block of ``row_block`` rows at a time, straight into totals (and
+    supergradients) allocated once for the batch.  A row that the rounds
+    can neither settle nor continue (its pattern is singular, or its
+    payments leave [0, pbar]) takes its total from one payment-LP solve.
 
     With ``supergradients=True`` the call returns ``(totals, grads)``, where
     row k of grads is a supergradient of the aggregation function at xs[k]
@@ -170,146 +167,134 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
         raise ValidationError("expected an N x d scenario matrix")
     out = np.empty(xs.shape[0])
     grads = np.zeros(xs.shape) if supergradients else None
-    fallback = []
+    fallback, dual = [], []
     step = row_block(xs.shape[1])
     for start in range(0, xs.shape[0], step):
-        block = xs[start:start + step]
-        totals, groups, rest = _fictitious_default(net, block)
-        out[start:start + totals.size] = totals
-        fallback.extend(start + k for k in rest)
-        if not supergradients:
-            continue
-        view = grads[start:start + totals.size]
-        view[totals == -np.inf] = np.nan
-        for members, system in groups:
-            if members.size == 0:
-                continue
-            if system.grad is not None:
-                view[members[:, None], system.idx] = system.grad
-            else:
-                for k in members:
-                    view[k] = _dual_supergradient(_solve_payment_lp(net, block[k])[1])
+        block = slice(start, start + step)
+        lp_rows, dual_rows, _ = _fictitious_default(
+            net, xs[block], out[block], None if grads is None else grads[block])
+        fallback.extend(start + k for k in lp_rows)
+        dual.extend(start + k for k in dual_rows)
     for k in fallback:
         p, res = _solve_payment_lp(net, xs[k])
         out[k] = p.sum()
         if supergradients:
             grads[k] = _dual_supergradient(res)
+    for k in dual:
+        grads[k] = _dual_supergradient(_solve_payment_lp(net, xs[k])[1])
     return (out, grads) if supergradients else out
 
 
-def _fictitious_default(net: FinancialNetwork,
-                        xs: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Totals of the rows of xs by the batched fictitious-default rounds.
+def _fictitious_default(net: FinancialNetwork, xs: np.ndarray, out: np.ndarray,
+                        grads: np.ndarray | None = None,
+                        pay: np.ndarray | None = None) -> tuple[list, list, int]:
+    """Clear the rows of xs by batched fictitious-default rounds, writing
+    each row's total into ``out`` and, on request, its supergradient into
+    ``grads`` and its payments into ``pay`` (left as they were on rows
+    settled without a round).
 
     Fully solvent rows are resolved without iteration: everyone pays in full
-    as soon as x >= pbar - pi^T pbar componentwise; rows with a negative
-    entry get -inf.  The rest run in batched rounds.  Each row's default
-    mask starts as the banks short of their obligations at the third capped
-    Picard step q <- min(pbar, x + q pi) down from q = pbar.  The map is
-    monotone and pbar lies above the greatest clearing vector p*, so every
-    iterate lies above p*: a bank short at the third step is short at p*, a
-    certified defaulter.  The steps run in place in one scratch array,
-    freed before the first round.  A round sorts its rows by packed mask,
-    applies each pattern's inverse to all of that pattern's rows, and then
-    checks the whole round at once: payments in [0, pbar] and no bank
-    outside the mask short of its obligations.  Rows that show newly short
-    banks add them to their mask and go to the next round, so a row takes at
-    most d rounds.
+    as soon as x >= pbar - pi^T pbar componentwise.  Rows with a negative
+    entry get -inf (and NaN gradients); NaN fails x >= 0 too, so only those
+    rows are searched for it.  The rest run in batched rounds.  Each row's default mask starts as the banks short of their
+    obligations at the third capped Picard step q <- min(pbar, x + q pi)
+    down from q = pbar.  The map is monotone and pbar lies above the
+    greatest clearing vector p*, so every iterate lies above p*: a bank
+    short at the third step is short at p*, a certified defaulter.  A round
+    sorts its rows by packed mask and walks the pattern groups once, each
+    writing its rows' payments (NaN for a singular pattern) and gradients
+    into the round's buffers, then checks all its rows at once: payments in
+    [0, pbar] and no bank outside the mask short of its obligations.  Rows
+    that show newly short banks add them to their mask and go on, so a row
+    takes at most d rounds.
 
-    Returns the totals (undefined on fallback rows), the ``(members,
-    system)`` pair of every pattern group of every round in order, where
-    members are the rows that settled under that system (possibly none),
-    and the fallback rows, which neither settled nor went on.  Each
+    Returns the rows that neither settled nor went on (they take the
+    payment LP's total and duals; their outputs are undefined), the settled
+    rows whose pattern gradient is unusable (they take its duals; listed
+    only when ``grads`` is given), and the number of rounds.  Each
     pattern's system is kept in ``net.derived`` up to a fixed byte budget,
     so later calls with the same patterns skip building it; the network's
     constants of the solvent, one-step and range tests live there too.
     """
-    cache = net.derived
-    out = np.empty(xs.shape[0])
+    cache, pi, pbar = net.derived, net.pi, net.pbar
+    inside = (xs >= 0).all(axis=1)
     solvent = (xs >= cache.solvent_floor).all(axis=1)
-    negative = (xs < 0).any(axis=1)
     out[solvent] = cache.total
-    out[negative] = -np.inf
-    rows = (~(solvent | negative)).nonzero()[0]
-    groups, fallback = [], []
+    if not inside.all():
+        if np.isnan(xs[~inside]).any():
+            raise ValidationError("cash flow vector must not hold NaN")
+        out[~inside] = -np.inf
+        if grads is not None:
+            grads[~inside] = np.nan
+    rows = (inside & ~solvent).nonzero()[0]
+    fallback, dual, rounds = [], [], 0
     if rows.size == 0:
-        return out, groups, fallback
+        return fallback, dual, rounds
 
-    # q <- min(pbar, x + q pi) from q = pbar, in place; the first step is
-    # the network's one_step, pbar pi, and each later one a product
-    q = xs[rows]
-    q += cache.one_step
+    # q <- min(pbar, x + q pi) from q = pbar, in one scratch array, freed
+    # with the open rows before the first round; the first step is the
+    # network's one_step, pbar pi, and each later one a product
+    x = xs[rows]
+    q = x + cache.one_step
     for _ in range(_SEED_STEPS - 1):
-        np.minimum(q, net.pbar, out=q)
-        np.matmul(q, net.pi, out=q)
-        q += xs[rows]
+        np.minimum(q, pbar, out=q)
+        np.matmul(q, pi, out=q)
+        q += x
     masks = q < cache.short_at
-    del q
+    del q, x
     live = np.arange(rows.size)
-    while live.size:
+    while True:
+        rounds += 1
         order, bounds = _sort_by_pattern(masks[live])
         live = live[order]
-        totals, done, again, grown, systems = _fictitious_round(
-            net, xs[rows[live]], masks[live], bounds)
         ids = rows[live]
-        settled = ids[done]
-        out[settled] = totals[done]
-        fallback.extend(ids[~(done | again)])
-        # the rows that group j settled are settled[cuts[j]:cuts[j + 1]]
-        cuts = np.zeros(done.size + 1, dtype=np.intp)
-        done.cumsum(out=cuts[1:])
-        cuts = cuts[bounds].tolist()
-        groups.extend((settled[a:b], system)
-                      for system, a, b in zip(systems, cuts[:-1], cuts[1:]))
-        masks[live[again]] = grown[again]
+        xr, mr = xs[ids], masks[live]
+        trial = np.empty(xr.shape)
+        trial[:] = pbar
+        slope = None if grads is None else np.zeros(xr.shape)
+        unusable = []
+        bounds = bounds.tolist()
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            system = _pattern_system(cache, pi, pbar, mr[s])
+            if system.inv is None:
+                trial[s:e] = np.nan
+            elif system.idx.size:
+                # p_D = inv (x_D + inflow); einsum sums each row of a
+                # C-ordered block in one fixed order (a plain fancy index
+                # would give an F-ordered block), so a row's result does not
+                # depend on the rows beside it
+                rhs = xr[s:e].take(system.idx, axis=1)
+                rhs += system.inflow
+                trial[s:e, system.idx] = np.einsum("ij,nj->ni", system.inv, rhs)
+                if slope is None:
+                    continue
+                if system.grad is None:
+                    unusable.append((s, e))
+                else:
+                    slope[s:e, system.idx] = system.grad
+        inflow = trial @ pi
+        inflow += xr
+        inflow += DEFAULT_TOL
+        short = trial > inflow
+        ok = ((trial >= -1e-9) & (trial <= cache.pay_cap)).all(axis=1)
+        done = ok & ~short.any(axis=1)
+        again = ok & (short & ~mr).any(axis=1)
+        # every row of the round is written whole; a row that goes on or
+        # falls back is written again by a later round or by the payment LP
+        out[ids] = trial.sum(axis=1)
+        if slope is not None:
+            grads[ids] = slope
+            for s, e in unusable:
+                dual.extend(ids[s:e][done[s:e]].tolist())
+        if pay is not None:
+            pay[ids] = trial
+        fallback.extend(ids[~(done | again)].tolist())
+        if not again.any():
+            return fallback, dual, rounds
+        masks[live[again]] = (mr | short)[again]
         live = np.sort(live[again])
-    return out, groups, fallback
-
-
-def _defaulter_payments(system: _PatternSystem, x: np.ndarray) -> np.ndarray:
-    """The defaulters' payments inv (x_D + inflow) for each row of x."""
-    # einsum sums each row of a C-ordered block in one fixed order (a plain
-    # fancy index would give an F-ordered block), so a row's result does
-    # not depend on the rows beside it
-    rhs = x.take(system.idx, axis=1)
-    rhs += system.inflow
-    return np.einsum("ij,nj->ni", system.inv, rhs)
-
-
-def _fictitious_round(net: FinancialNetwork, x: np.ndarray, masks: np.ndarray,
-                      bounds: np.ndarray):
-    """One fictitious-default round over rows grouped by default mask
-    (group j is rows bounds[j]:bounds[j + 1]).
-
-    Returns each row's total payment, which rows settled (payments in
-    [0, pbar], no bank short of its obligations), which rows must go on
-    (in range, with banks outside the mask newly short), the masks grown by
-    those banks, and the groups' pattern systems.  Rows of a singular
-    pattern neither settle nor go on.  The round's arrays, one block of
-    rows each, are freed on return, before the next round allocates its own.
-    """
-    pi, cache = net.pi, net.derived
-    trial = np.empty(x.shape)
-    trial[:] = net.pbar
-    systems, singular = [], []
-    bounds = bounds.tolist()
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        system = _pattern_system(cache, pi, net.pbar, masks[s])
-        systems.append(system)
-        if system.inv is None:
-            singular.append((s, e))
-        elif system.idx.size:
-            trial[s:e, system.idx] = _defaulter_payments(system, x[s:e])
-    inflow = trial @ pi
-    inflow += x
-    inflow += DEFAULT_TOL
-    short = trial > inflow
-    ok = (trial >= -1e-9).all(axis=1) & (trial <= cache.pay_cap).all(axis=1)
-    for s, e in singular:
-        ok[s:e] = False
-    done = ok & ~short.any(axis=1)
-    again = ok & (short & ~masks).any(axis=1)
-    return trial.sum(axis=1), done, again, masks | short, systems
+        # free this round's block arrays before the next round makes its own
+        del xr, trial, inflow, slope
 
 
 def _sort_by_pattern(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,18 +334,22 @@ class _PatternSystem:
     __slots__ = ("idx", "inv", "inflow", "grad")
 
     def __init__(self, pi: np.ndarray, pbar: np.ndarray, mask: np.ndarray):
-        self.idx = np.flatnonzero(mask)
-        self.inflow = pi[np.ix_(~mask, self.idx)].T @ pbar[~mask]
+        idx = self.idx = mask.nonzero()[0]
+        # pi_SD and pi_DD as C-ordered blocks, the layout np.ix_ gives, so
+        # the products below keep their bits
+        cols = pi.take(idx, axis=1)
+        rest = ~mask
+        self.inflow = cols[rest].T @ pbar[rest]
         self.inv = self.grad = None
         try:
-            inv = np.linalg.inv(np.eye(self.idx.size) - pi[np.ix_(self.idx, self.idx)].T)
+            inv = np.linalg.inv(np.eye(idx.size) - cols[idx].T)
         except np.linalg.LinAlgError:
             return
-        if not np.all(np.isfinite(inv)):
+        if not np.isfinite(inv).all():
             return
         self.inv = inv
         grad = inv.sum(axis=0)
-        if np.all(np.isfinite(grad) & (grad >= 0)):
+        if (np.isfinite(grad) & (grad >= 0)).all():
             self.grad = grad
 
     @property

@@ -110,6 +110,26 @@ class TestAggregation:
         net = ring2([1.0, 1.0])
         assert sv.aggregate_en(net, np.array([-0.1, 0.5])) == -np.inf
 
+    def test_nan_rows_are_refused(self):
+        # a cash flow holding NaN has no total: the batched calls refuse it,
+        # as the one-row supergradient and fixed point do, instead of
+        # clearing it to a finite number; a negative row still maps to -inf
+        net, _, scen, _ = readme_instance()
+        x = scen.values[0].copy()
+        x[3] = np.nan
+        for engine in (sv.aggregate_en, sv.en_supergradient, sv.clearing_fixed_point):
+            with pytest.raises(ValidationError):
+                engine(net, x)
+        for rows in ([4], [4, 7]):
+            xs = scen.values.copy()
+            xs[7, 0] = -1.0
+            xs[rows, 3] = np.nan
+            for supergradients in (False, True):
+                with pytest.raises(ValidationError):
+                    sv.aggregate_en_many(net, xs, supergradients=supergradients)
+        xs[rows, 3] = 0.0
+        assert sv.aggregate_en_many(net, xs)[7] == -np.inf
+
     def test_saturates_at_total_obligations(self, rng):
         for _ in range(10):
             net = random_network(rng, 6)

@@ -137,9 +137,10 @@ def _leaky_cycle_instance(seed: int, d: int, n: int):
 
 
 def _picard_seed(net, xs) -> np.ndarray:
-    """The banks short at the third capped Picard step down from pbar."""
+    """The banks short at the kernel's last seed step, the ``_SEED_STEPS``-th
+    capped Picard step down from pbar."""
     q = np.broadcast_to(net.pbar, xs.shape)
-    for _ in range(3):
+    for _ in range(sysvar.clearing._SEED_STEPS):
         step = xs + q @ net.pi
         q = np.minimum(step, net.pbar)
     return step < net.pbar - DEFAULT_TOL
@@ -147,9 +148,13 @@ def _picard_seed(net, xs) -> np.ndarray:
 
 def _final_patterns(net, xs) -> tuple[np.ndarray, dict, set]:
     """The kernel's totals, each settled row's final default pattern and
-    the fallback rows."""
-    totals, groups, fallback = sysvar.clearing._fictitious_default(net, xs)
-    patterns = {k: system.idx.tolist() for members, system in groups for k in members.tolist()}
+    the fallback rows.  A settled pattern D's gradient (I - pi_DD)^{-1} 1
+    is at least 1 on D and zero off it, so its support is the pattern."""
+    totals, grads = np.empty(len(xs)), np.zeros(xs.shape)
+    fallback, dual, _ = sysvar.clearing._fictitious_default(net, xs, totals, grads)
+    assert dual == []
+    patterns = {k: np.flatnonzero(grads[k]).tolist()
+                for k in range(len(xs)) if k not in fallback}
     return totals, patterns, set(fallback)
 
 
@@ -173,11 +178,14 @@ def test_picard_seed_lies_inside_the_final_pattern(seed, d, n, leaky):
 
 
 @_SETTINGS
-@given(seed=seeds, d=st.integers(3, 9), n=st.integers(1, 30))
+@given(seed=seeds, d=st.integers(5, 9), n=st.integers(1, 30))
 def test_rounds_match_scalar_engine_on_leaky_cycles(seed, d, n):
+    # the zero-cash row's default spreads one bank per Picard step, so past
+    # four banks it takes more hops than the kernel's seed steps: its
+    # rounds must grow the seeded mask
     net, xs = _leaky_cycle_instance(seed, d, n)
     totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
-    seeded = xs + net.pbar @ net.pi < net.pbar - DEFAULT_TOL
+    seeded = _picard_seed(net, xs)
     needs_rounds = 0
     for k, x in enumerate(xs):
         defaults = _matches_lp(net, x, grads[k])
@@ -563,7 +571,7 @@ def test_row_results_do_not_depend_on_the_batch(seed):
     # batch and under a row permutation: on leaky cycles, where rows settle
     # in different rounds, and at 70 banks, where patterns take two key words
     net, xs = _leaky_cycle_instance(seed, 8, 60)
-    seeded = xs + net.pbar @ net.pi < net.pbar - DEFAULT_TOL
+    seeded = _picard_seed(net, xs)
     final = np.array([sv.clearing_lp(net, x).defaults for x in xs])
     assert np.any(seeded != final)
     _same_bits_alone_and_in_any_order(net, xs, seed)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -831,3 +832,33 @@ class TestBranchAndBoundWork:
         pins = README_WORK[mode]
         assert {key: work[key] for key in pins} == pins
 
+
+
+# sha256 of the weighted sum (1, 1) z, value and nodes, the norm minimum
+# from (0, 0) likewise, and algorithm 2's generators at epsilon 200, on the
+# README network and sample-shocks --n 10 for each seed
+TEN_SCENARIO_DIGESTS = {
+    11: "13a715ca3bd334b9173070e5d24cce6f2d1c680bad63bf6090dbcef2b5c9e3f3",
+    36: "1dae6258dd4c919a1be171e20997dfbbcacd65d83d453e31d97d5c1b191bda3c",
+    492: "e58749932c68810c80a0aafd71c516ac2e4852ffb351ab1752e61ebc76a027b2",
+    924: "2fe26c688db6a3c4eee50c846a80cfc31c62b1081ad0264d52c293f9036a7cbc",
+}
+
+
+class TestTenScenarios:
+    @pytest.mark.parametrize("seed", list(TEN_SCENARIO_DIGESTS))
+    def test_branch_and_bound_bits_are_pinned(self, seed):
+        # the benchmark's N = 10 branch-and-bound path, where every cut
+        # round is one kernel call with supergradients: a kernel change
+        # that moves a bit moves the digest
+        net, grouping, scen, spec = readme_instance(n=10, seed=seed)
+        ws = sv.weighted_sum(net, grouping, scen, spec, np.ones(2))
+        nm = sv.norm_min(net, grouping, scen, spec, np.zeros(2))
+        a2 = sv.approximate_by_norm_min(net, grouping, scen, spec, 200.0)
+        assert (ws.status, nm.status) == ("optimal", "optimal")
+        digest = hashlib.sha256()
+        for res in (ws, nm):
+            digest.update(res.z.tobytes() + np.float64(res.value).tobytes()
+                          + np.int64(res.solution.nodes).tobytes())
+        digest.update(np.ascontiguousarray(a2.generators).tobytes())
+        assert digest.hexdigest() == TEN_SCENARIO_DIGESTS[seed]
