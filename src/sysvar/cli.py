@@ -10,6 +10,15 @@ config hash, library versions, and wall time; numeric artifacts embed the
 configuration but never timestamps or solver step counts, so reruns are
 byte-identical and a solver change moves an artifact only through its
 results.  ``clear`` records its solver's step count in the manifest.
+
+A process that calls ``main`` many times builds the parser once and keeps
+the last network file a command parsed (``read_network``).  A later command
+whose network file holds the same bytes reuses that network and grouping,
+with the pattern systems the clearing kernel cached on them, so it builds
+none of them again.  The file is read in full by every command and its
+bytes compared, so a rewritten file is always parsed anew; the objects are
+read-only and the cached systems are those a fresh build gives, so the
+artifacts are a fresh process's.
 """
 
 from __future__ import annotations
@@ -30,10 +39,10 @@ from .clearing import clearing_fixed_point, clearing_lp, enumerate_clearing_vect
 from .io import (
     dump_json,
     dump_json_list,
+    network_from_bytes,
     read_approx,
     read_edges,
     read_lines,
-    read_network,
     read_scenarios,
     staircase_rows,
     write_approx,
@@ -44,6 +53,8 @@ from .io import (
 )
 from .network import (
     BollobasParams,
+    FinancialNetwork,
+    Grouping,
     IntergroupLiabilityMatrix,
     build_liabilities,
     core_periphery_grouping,
@@ -60,6 +71,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_CAPACITY = 4
+
+# the last network file a command parsed in this process: its bytes, then
+# the network and grouping built from them
+_last_network: tuple[bytes, FinancialNetwork, Grouping] | None = None
 
 
 class _JsonLineFormatter(logging.Formatter):
@@ -85,6 +100,21 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return _numbers(text, int)
+
+
+def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
+    """The network file at path, as every command reads it.  The file is
+    read in full every time.  When its bytes equal those of the last file
+    parsed, that file's objects are returned, with the pattern systems the
+    clearing kernel cached on them; otherwise the bytes are parsed
+    (``io.network_from_bytes``, as ``io.read_network`` parses them) and
+    kept."""
+    global _last_network
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if _last_network is None or _last_network[0] != raw:
+        _last_network = (raw, *network_from_bytes(raw, path))
+    return _last_network[1], _last_network[2]
 
 
 def _read_x(arg: str, d: int) -> np.ndarray:

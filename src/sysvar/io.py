@@ -98,12 +98,19 @@ def dump_json_list(path: str, payload: list) -> None:
     atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
+def _json_of(raw: bytes, path: str) -> Any:
+    """The JSON value in raw, read as UTF-8 text; bytes that are not UTF-8
+    or not JSON raise ``ValidationError``."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        # UnicodeDecodeError is a ValueError too
+        raise ValidationError(f"malformed JSON file {path}: {exc}") from exc
+
+
 def load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"malformed JSON file {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        return _json_of(fh.read(), path)
 
 
 # -- network ---------------------------------------------------------------
@@ -121,8 +128,10 @@ def write_network(path: str, net: FinancialNetwork, grouping: Grouping,
     dump_json(path, payload)
 
 
-def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
-    data = load_json(path)
+def network_from_bytes(raw: bytes, path: str) -> tuple[FinancialNetwork, Grouping]:
+    """The network and grouping that the network file's bytes raw hold;
+    ``path`` names the file in error messages."""
+    data = _json_of(raw, path)
     try:
         net = FinancialNetwork(d=data["d"], pi=data["pi"], pbar=data["pbar"])
         grouping = Grouping(g=data["grouping"]["g"], assignment=data["grouping"]["assignment"])
@@ -131,6 +140,12 @@ def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
         raise ValidationError(f"malformed network file {path}: {exc}") from exc
     grouping.check_banks(net.d)
     return net, grouping
+
+
+def read_network(path: str) -> tuple[FinancialNetwork, Grouping]:
+    """The network file at path, as new objects on every call."""
+    with open(path, "rb") as fh:
+        return network_from_bytes(fh.read(), path)
 
 
 # -- text ---------------------------------------------------------------------

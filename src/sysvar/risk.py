@@ -208,38 +208,53 @@ def _picard_bounds(net: FinancialNetwork, xs: np.ndarray,
     is at least line + m, and fails if U < line - m, with m =
     ``_BOUND_MARGIN`` times the total obligations T; the rest are open.
     L at the start decides first, U only the rows it leaves open, and
-    ``_LOWER_STEPS`` steps then run on the rows both leave open.
+    ``_LOWER_STEPS`` steps then run on the rows both leave open.  A row
+    passes at the first iterate whose L passes, and the steps stop once
+    every row has: the iterates rise, so the last step's L would pass it
+    too, and each L is a bound of its own, so either decision is
+    certified.  Each sum is one product with a ones vector.
 
     The margin covers two errors.  Each entry of a bound caps a sum of
-    d + 1 nonnegative terms, so U and each step's L are off by at most
-    about 2(d + 1) u T (u = 2^-53), and pi's rows sum to one, so L's error
-    grows by that much per step: below 1e-11 T for d <= 1,000 and 5 steps.
-    The kernel's total carries the rounding of its pattern solves and the
-    DEFAULT_TOL up to which it lets a short bank count as solvent.  With
-    m = 1e-7 T, the kernel's total may be off by nearly m before a row the
-    bounds decide would fall on the other side of the line from it, and a
-    row within m of the line costs only a kernel call.
+    d + 1 nonnegative terms, and each sum adds d nonnegative entries, so U
+    and each step's L are off by at most about 2(d + 1) u T (u = 2^-53).
+    That holds in any order of summation, and with fused multiply-adds, so
+    the matrix products and the ones-vector sums may take whatever order
+    BLAS takes, also one that changes with the number of rows.  pi's rows
+    sum to one, so L's error grows by that much per step: below 1e-11 T for
+    d <= 1,000 and 5 steps.  The kernel's total carries the rounding of its
+    pattern solves and the DEFAULT_TOL up to which it lets a short bank
+    count as solvent.  With m = 1e-7 T, the kernel's total may be off by
+    nearly m before a row the bounds decide would fall on the other side of
+    the line from it, and a row within m of the line costs only a kernel
+    call.
     """
     pbar, cache = net.pbar, net.derived
     line = alpha - VIOL_TOL
     margin = _BOUND_MARGIN * cache.total
+    ones = np.ones(xs.shape[1])
     q = np.minimum(xs, pbar)
-    passes = q.sum(axis=1) >= line + margin
+    passes = q @ ones >= line + margin
     fails = np.zeros_like(passes)
     rows = np.flatnonzero(~passes)
     # min(pbar, x + one_step) is min(pbar, q + one_step) at q = min(x, pbar)
     step = np.take(q, rows, axis=0)
     step += cache.one_step
-    fails[rows] = np.minimum(step, pbar, out=step).sum(axis=1) < line - margin
-    # the iterates rise, so only the rows still open take the steps
+    fails[rows] = np.minimum(step, pbar, out=step) @ ones < line - margin
+    # the iterates rise, so only the rows still open take the steps; a row
+    # passes at the first iterate that passes, and the steps stop once
+    # every row has
     rows = np.flatnonzero(~(passes | fails))
     if rows.size:
         x, q, step = np.take(xs, rows, axis=0), np.take(q, rows, axis=0), step[:rows.size]
+        up = np.zeros(rows.size, dtype=bool)
         for _ in range(_LOWER_STEPS):
             np.matmul(q, net.pi, out=step)
             step += x
             np.minimum(step, pbar, out=q)
-        passes[rows] = q.sum(axis=1) >= line + margin
+            up |= q @ ones >= line + margin
+            if up.all():
+                break
+        passes[rows] = up
     return fails, passes
 
 

@@ -9,11 +9,12 @@ to unit-weight values, and the ideal point that floors the grid searches.
 The bisection needs no oracle call per step.  Along its ray each scenario's
 aggregate is concave, nondecreasing and piecewise affine (Eisenberg & Noe
 2001), so batched Newton steps with the clearing kernel's supergradients
-find the least t at which each scenario passes, and membership accepts once
-t reaches the (k+1)-th largest of these thresholds.  The bisection's
-midpoints are decided against that order statistic, and two membership calls
-confirm the final bracket; if either disagrees, the bisection reruns on the
-oracle.
+find the least t at which each scenario passes (a scenario that
+membership's Picard bounds pass at the ray's floor takes the floor without a
+kernel call), and membership accepts once t reaches the (k+1)-th largest of
+these thresholds.  The bisection's midpoints are decided against that order
+statistic, and two membership calls confirm the final bracket; if either
+disagrees, the bisection reruns on the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clearing
+from . import clearing, risk
 from .mip import MipSolution, ScenarioMip, branch_and_bound
 from .network import FinancialNetwork, Grouping
 from .risk import _SELECT_TOL, CapitalBox, RiskSpec, box_or_default, membership, out_of_reach
@@ -125,8 +126,10 @@ def bisection_unit(
 
 
 def _bisection_unit(net, grouping, scenarios, spec, j, box, work: Counter) -> float:
-    """``bisection_unit``, adding its oracle work to ``work``: rows sent to
-    the clearing kernel, kernel calls, and reruns on the oracle."""
+    """``bisection_unit``, adding its oracle work to ``work``: rows the
+    Picard bounds settled at the floor, rows sent to the clearing kernel
+    (every row of a membership call), kernel calls, and reruns on the
+    oracle."""
     box = box_or_default(net, grouping, scenarios, box)
     lo, hi = box.lo, box.hi
     if not 0 <= j < grouping.g:
@@ -205,21 +208,35 @@ def _ray_thresholds(net, grouping, xs, alpha, j, lo_j, hi, work: Counter) -> np.
     shrinking default set, at most d + 1 of them, so rows still open after
     2d + 8 steps are off that model; they keep their last iterate, a lower
     bound, and the bisection's confirmation calls judge the result.
+
+    Before the first step, membership's Picard bounds (``risk._picard_bounds``)
+    are asked once at lo_j, and the rows they show to pass take lo_j as their
+    threshold without a kernel call (``rows_bounded`` in ``work``); a row
+    they leave open goes to the kernel as before, so every threshold is the
+    one the steps alone give.  Later iterates land on the line within the
+    bounds' margin, where the bounds settle no row, so they are not asked
+    again.  ``rows_cleared`` counts the rows sent to the kernel.
     """
     n, d = xs.shape
     cols = grouping.assignment == j
     fixed = grouping.spread(hi)[~cols]
     t = np.full(n, float(lo_j))
     thresholds = np.full(n, np.inf)
-    open_ = np.arange(n)
-    for _ in range(2 * d + 8):
-        if not open_.size:
-            break
+
+    def shifted(open_: np.ndarray) -> np.ndarray:
         rows = np.take(xs, open_, axis=0)
         rows[:, ~cols] += fixed
         rows[:, cols] += t[open_, None]
-        np.maximum(rows, 0.0, out=rows)
-        values, grads = clearing.aggregate_en_many(net, rows, supergradients=True)
+        return np.maximum(rows, 0.0, out=rows)
+
+    _, settled = risk._picard_bounds(net, shifted(np.arange(n)), alpha)
+    thresholds[settled] = lo_j
+    open_ = np.flatnonzero(~settled)
+    work["rows_bounded"] += n - open_.size
+    for _ in range(2 * d + 8):
+        if not open_.size:
+            break
+        values, grads = clearing.aggregate_en_many(net, shifted(open_), supergradients=True)
         work.update(rows_cleared=open_.size, kernel_calls=1)
         here = t[open_]
         passed = ~violates(values, alpha)
@@ -252,8 +269,10 @@ def ideal_point(
     set is refused with ``ValidationError``: one whose alpha is out of
     reach (``risk.out_of_reach``, the rule ``weighted_sum``, the grid
     searches and the oracle share), or whose box top the oracle rejects.
-    The log line counts the oracle work: rows sent to the clearing kernel,
-    kernel calls, and the axes that reran on the oracle.
+    The log line counts the oracle work: rows sent to the clearing kernel
+    (each confirmation call counts all its rows), kernel calls, the axes
+    that reran on the oracle, and the rows the Picard bounds settled at
+    each axis's floor before any kernel call.
     """
     if out_of_reach(net, scenarios.n, spec):
         raise ValidationError("risk set is empty: alpha exceeds total obligations")
@@ -262,5 +281,6 @@ def ideal_point(
     ideal = np.asarray([_bisection_unit(net, grouping, scenarios, spec, j, box, work)
                         for j in range(grouping.g)], dtype=float)
     log_event("ideal_point", ideal=ideal,
-              **{key: work[key] for key in ("rows_cleared", "kernel_calls", "reruns")})
+              **{key: work[key] for key in ("rows_cleared", "kernel_calls", "reruns",
+                                             "rows_bounded")})
     return ideal

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sysvar as sv
 import sysvar.cli
+import sysvar.clearing
 import sysvar.risk
 from sysvar import io
 from sysvar.cli import main
@@ -924,6 +925,47 @@ class TestOneProcess:
                            env=env, check=True)
         for name, _ in self.STEPS:
             assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_network_reuse_is_keyed_on_the_file_bytes(self, tmp_path, monkeypatch, capsys):
+        # one process: a rerun on unchanged bytes builds no pattern system;
+        # after the network file is rewritten with other obligations, the
+        # artifact is a fresh process's; an invalid file after a valid one
+        # exits 2
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(one)
+        for _, argv in self.STEPS[:3]:
+            assert run_cli(*argv) == 0
+        before = (one / "ws.json").read_bytes()
+        builds = []
+        build = sysvar.clearing._PatternSystem
+
+        def spy(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(sysvar.clearing, "_PatternSystem", spy)
+        ws = self.STEPS[2][1]
+        assert run_cli(*ws) == 0
+        assert builds == [] and (one / "ws.json").read_bytes() == before
+        network = json.loads((one / "net.json").read_text())
+        network["pbar"] = [1.25 * v for v in network["pbar"]]
+        for where in (one, fresh):
+            (where / "net.json").write_text(json.dumps(network))
+        (fresh / "scen.csv").write_bytes((one / "scen.csv").read_bytes())
+        assert run_cli(*ws) == 0
+        assert builds
+        env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-m", "sysvar.cli", *ws], cwd=fresh, env=env,
+                       check=True)
+        after = (one / "ws.json").read_bytes()
+        assert after == (fresh / "ws.json").read_bytes() and after != before
+        network["pbar"][0] = None
+        (one / "net.json").write_text(json.dumps(network))
+        capsys.readouterr()
+        assert run_cli(*ws) == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_debug_level_does_not_outlive_its_call(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -334,6 +334,38 @@ def test_picard_bounds_fail_the_rows_the_kernel_fails(seed, d, n, cycle, offset)
     assert 0 <= sent <= n
 
 
+@_SETTINGS
+@given(seed=seeds, d=st.integers(2, 7), n=st.integers(1, 30), cycle=st.booleans(),
+       offset=st.floats(-0.5, 0.5))
+def test_picard_bounds_match_the_plain_rule(seed, d, n, cycle, offset):
+    # the bounds against the plain rule: row totals by .sum(axis=1), every
+    # lower step on every row the upper bound leaves open, and a pass at
+    # the start or at the last step.  The line lies within half the margin
+    # of one row's total, and a third of the rows are that row moved by at
+    # most 0.4 margins in sum, so they lie within the margin of the line
+    net, xs, rng = _bounds_instance(seed, d, n, cycle)
+    pbar, pi = net.pbar, net.pi
+    margin = sysvar.risk._BOUND_MARGIN * net.total_obligations
+    r = int(rng.integers(n))
+    near = rng.random(n) < 1 / 3
+    near[r] = True
+    moves = rng.uniform(-1.0, 1.0, size=(n, d))
+    moves *= 0.4 * margin / np.abs(moves).sum(axis=1, keepdims=True)
+    moves[r] = 0.0
+    xs[near] = np.maximum(xs[r] + moves[near], 0.0)
+    line = float(aggregate_en_many(net, xs[r:r + 1])[0]) + offset * margin
+    alpha = line + VIOL_TOL
+    q = np.minimum(xs, pbar)
+    start = q.sum(axis=1) >= line + margin
+    fails = ~start & (np.minimum(pbar, q + pbar @ pi).sum(axis=1) < line - margin)
+    for _ in range(sysvar.risk._LOWER_STEPS):
+        q = np.minimum(pbar, xs + q @ pi)
+    passes = start | (~fails & (q.sum(axis=1) >= line + margin))
+    low, high = sysvar.risk._picard_bounds(net, xs, alpha)
+    assert np.array_equal(low, fails) and np.array_equal(high, passes)
+    assert not (low | high)[near].any()
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=seeds, d=st.integers(3, 6), n=st.integers(4, 40), from_ideal=st.booleans())
 def test_scenario_labels_match_full_membership(seed, d, n, from_ideal):

@@ -49,6 +49,11 @@ def count_oracle_calls(monkeypatch):
     return calls
 
 
+def undecided(net, xs, alpha):
+    """Picard bounds that decide no row, so every row reaches the kernel."""
+    return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
+
+
 def force_thresholds(monkeypatch, value):
     """Make the ray-threshold search report ``value`` for every scenario."""
     monkeypatch.setattr(sysvar.scalarize, "_ray_thresholds",
@@ -552,9 +557,6 @@ class TestBisection:
             values = np.where(passes, 2.0, 0.0)
             return (values, np.ones(xs.shape)) if supergradients else values
 
-        def undecided(net, xs, alpha):
-            return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
-
         # the Picard bounds would read the real ring, so every row goes to
         # the fake kernel instead
         monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
@@ -613,6 +615,8 @@ class TestRayThresholds:
             grads[:, grouping.assignment == 0] = slopes[:len(xs), None]
             return np.zeros(len(xs)), grads
 
+        # the bounds would read the real network and settle rows at the floor
+        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
         monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
         few = sv.ScenarioSet(values=scen.values[:4])
         ts = self.thresholds(net, grouping, few, spec, 0, box)
@@ -629,6 +633,8 @@ class TestRayThresholds:
             calls.append(len(xs))
             return np.zeros(len(xs)), np.full(xs.shape, spec.alpha * 1e6)
 
+        # the bounds would read the real network and settle rows at the floor
+        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
         monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
         work = Counter()
         ts = self.thresholds(net, grouping, scen, spec, 0, box, work)
@@ -636,6 +642,44 @@ class TestRayThresholds:
         assert len(calls) == work["kernel_calls"] == steps
         assert work["rows_cleared"] == steps * scen.n
         assert np.all((box.lo[0] < ts) & (ts < box.lo[0] + 1e-4))
+
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_bounds_at_the_floor_send_only_open_rows_to_the_kernel(self, monkeypatch,
+                                                                      offset):
+        # at the floor, a rich row the Picard bounds pass never reaches the
+        # kernel, and a row within the bounds' margin of the line, on
+        # either side of it, does; every threshold is the one the Newton
+        # steps alone give
+        net, grouping, scen, spec = bisection_instance()
+        box = sv.z_bounds(net, grouping, scen)
+        # ten times every obligation: solvent at every point of the box
+        xs = np.vstack([scen.values, 10 * net.pbar])
+        floor = box.hi.copy()
+        floor[0] = box.lo[0]
+        at_floor = np.maximum(xs + grouping.spread(floor), 0.0)
+        margin = sysvar.risk._BOUND_MARGIN * net.total_obligations
+        alpha = float(sv.aggregate_en_many(net, at_floor)[0]) + VIOL_TOL + offset * margin
+        calls = []
+        real = sysvar.clearing.aggregate_en_many
+
+        def kernel(net, rows, supergradients=False):
+            calls.append(rows.copy())
+            return real(net, rows, supergradients=supergradients)
+
+        monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
+        work = Counter()
+        ts = sysvar.scalarize._ray_thresholds(net, grouping, xs, alpha, 0, box.lo[0],
+                                              box.hi, work)
+        assert calls and not any((rows >= 5 * net.pbar).all(axis=1).any() for rows in calls)
+        assert (calls[0] == at_floor[0]).all(axis=1).any()
+        assert ts[-1] == box.lo[0] and (ts[0] == box.lo[0]) == (offset < 0)
+        assert work["rows_bounded"] + len(calls[0]) == len(xs)
+        assert work["rows_cleared"] == sum(len(rows) for rows in calls)
+        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
+        steps = sysvar.scalarize._ray_thresholds(net, grouping, xs, alpha, 0, box.lo[0],
+                                                 box.hi, Counter())
+        assert np.array_equal(ts, steps)
 
 
 # the README instance's solutions: z and objective bits, nodes, gap and the
