@@ -7,7 +7,8 @@ rounds over each block of a batch (``util.row_block`` rows, so its working
 memory does not grow with the batch), each row from the banks short at the
 third capped Picard step down from pbar (Eisenberg & Noe 2001): each round
 classifies every row's default set and solves the defaulters' linear
-subsystem exactly, so a row settles within d rounds of default-set growth.
+subsystem exactly, so a row settles within d rounds of default-set growth,
+and a fully solvent row in its first, on the empty pattern.
 It returns the aggregation function, the total payment of the maximal
 clearing vector (minus infinity off the nonnegative orthant), and on
 request its supergradient, which is closed-form per default pattern D:
@@ -23,12 +24,12 @@ the kernel reads them as they are, and the cache, built with the network,
 is never rebuilt.  ``clearing_fixed_point``, ``aggregate_en`` and
 ``en_supergradient`` are one-row calls of the kernel.
 
-The payment LP maximizes a strictly increasing linear objective over the
-limited liability region and recovers the same vector (``clearing_lp``).  It
-is also the kernel's one fallback: a row whose pattern is singular or whose
-payments leave [0, pbar] takes its payments, and its supergradient from the
-row duals, from a single LP solve; a settled row whose pattern gradient is
-unusable takes the duals of the same LP.
+The payment LP maximizes the total payment over the limited liability
+region and recovers the same vector (``clearing_lp``).  It is also the
+kernel's one fallback: a row whose pattern is singular, whose pattern
+gradient is unusable when supergradients are asked for, or whose payments
+leave [0, pbar] takes its payments, its total and its supergradient (the
+row duals) from a single LP solve inside the kernel.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
     """
     x = _check_nonnegative(x)
     pi, pbar = net.pi, net.pbar
-    p = pbar[None, :].copy()
-    fallback, _, rounds = _fictitious_default(net, x[None, :], np.empty(1), pay=p)
-    p = _solve_payment_lp(net, x)[0] if fallback else p[0]
+    pay = np.empty((1, net.d))
+    rounds = _fictitious_default(net, x[None, :], np.empty(1), pay=pay)
+    p = pay[0]
     residual = np.abs(p - np.minimum(pi.T @ p + x, pbar)).max()
     if residual > 1e-7 * max(1.0, pbar.max()):
         raise SolverError(f"clearing iteration left residual {residual:.3e}")
@@ -98,13 +99,12 @@ def clearing_fixed_point(net: FinancialNetwork, x: np.ndarray) -> ClearingResult
                           total_payment=float(p.sum()))
 
 
-def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray,
-                      weights: np.ndarray | None = None) -> tuple[np.ndarray, LpResult]:
-    """Solve the payment LP, max weights.p subject to (I - pi^T) p <= x and
-    0 <= p <= pbar (unit weights by default), from the corner p = 0; return
-    its payments clipped to [0, pbar] and the solver's result."""
+def _solve_payment_lp(net: FinancialNetwork, x: np.ndarray) -> tuple[np.ndarray, LpResult]:
+    """Solve the payment LP, max 1.p subject to (I - pi^T) p <= x and
+    0 <= p <= pbar, from the corner p = 0; return its payments clipped to
+    [0, pbar] and the solver's result."""
     res = solve_lp(LinearProgram(
-        c=np.ones(net.d) if weights is None else weights,
+        c=np.ones(net.d),
         a_ub=np.eye(net.d) - net.pi.T,
         b_ub=x,
         lower=np.zeros(net.d),
@@ -127,15 +127,12 @@ def _dual_supergradient(res: LpResult) -> np.ndarray:
     return np.maximum(mu, 0.0)
 
 
-def clearing_lp(net: FinancialNetwork, x: np.ndarray,
-                f_weights: np.ndarray | None = None) -> ClearingResult:
-    """Clearing vector from the payment-maximization LP."""
+def clearing_lp(net: FinancialNetwork, x: np.ndarray) -> ClearingResult:
+    """Clearing vector from the payment LP, which maximizes the total
+    payment; any strictly increasing linear objective gives the same
+    optimum, the greatest clearing vector (Eisenberg & Noe 2001)."""
     x = _check_nonnegative(x)
-    if f_weights is not None:
-        f_weights = np.asarray(f_weights, dtype=float)
-        if np.any(f_weights <= 0):
-            raise ValidationError("objective weights must be strictly positive")
-    p, res = _solve_payment_lp(net, x, f_weights)
+    p, res = _solve_payment_lp(net, x)
     defaults = p < net.pbar - DEFAULT_TOL
     return ClearingResult(p=p, defaults=defaults, iterations=res.iterations,
                           total_payment=float(p.sum()))
@@ -151,85 +148,74 @@ def aggregate_en_many(net: FinancialNetwork, xs: np.ndarray, supergradients: boo
 
     Rows with a negative entry map to -inf, and NaN raises
     ``ValidationError``; the rest are cleared by ``_fictitious_default``,
-    one block of ``row_block`` rows at a time, straight into totals (and
-    supergradients) allocated once for the batch.  A row that the rounds
-    can neither settle nor continue (its pattern is singular, or its
-    payments leave [0, pbar]) takes its total from one payment-LP solve.
+    payment-LP fallbacks included, one block of ``row_block`` rows at a
+    time, straight into totals (and supergradients) allocated once for the
+    batch.
 
     With ``supergradients=True`` the call returns ``(totals, grads)``, where
     row k of grads is a supergradient of the aggregation function at xs[k]
     (see ``en_supergradient``; NaN on rows off the domain): the pattern's
     closed form on settled rows, and the row duals of the payment LP on
-    fallback rows and on rows whose pattern gradient is unusable.
+    fallback rows.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValidationError("expected an N x d scenario matrix")
     out = np.empty(xs.shape[0])
     grads = np.zeros(xs.shape) if supergradients else None
-    fallback, dual = [], []
     step = row_block(xs.shape[1])
     for start in range(0, xs.shape[0], step):
         block = slice(start, start + step)
-        lp_rows, dual_rows, _ = _fictitious_default(
-            net, xs[block], out[block], None if grads is None else grads[block])
-        fallback.extend(start + k for k in lp_rows)
-        dual.extend(start + k for k in dual_rows)
-    for k in fallback:
-        p, res = _solve_payment_lp(net, xs[k])
-        out[k] = p.sum()
-        if supergradients:
-            grads[k] = _dual_supergradient(res)
-    for k in dual:
-        grads[k] = _dual_supergradient(_solve_payment_lp(net, xs[k])[1])
+        _fictitious_default(net, xs[block], out[block],
+                            None if grads is None else grads[block])
     return (out, grads) if supergradients else out
 
 
 def _fictitious_default(net: FinancialNetwork, xs: np.ndarray, out: np.ndarray,
                         grads: np.ndarray | None = None,
-                        pay: np.ndarray | None = None) -> tuple[list, list, int]:
+                        pay: np.ndarray | None = None) -> int:
     """Clear the rows of xs by batched fictitious-default rounds, writing
     each row's total into ``out`` and, on request, its supergradient into
-    ``grads`` and its payments into ``pay`` (left as they were on rows
-    settled without a round).
+    ``grads`` and its payments into ``pay`` (left as they were on rows off
+    the domain); return the number of rounds.
 
-    Fully solvent rows are resolved without iteration: everyone pays in full
-    as soon as x >= pbar - pi^T pbar componentwise.  Rows with a negative
-    entry get -inf (and NaN gradients); NaN fails x >= 0 too, so only those
-    rows are searched for it.  The rest run in batched rounds.  Each row's default mask starts as the banks short of their
-    obligations at the third capped Picard step q <- min(pbar, x + q pi)
-    down from q = pbar.  The map is monotone and pbar lies above the
-    greatest clearing vector p*, so every iterate lies above p*: a bank
-    short at the third step is short at p*, a certified defaulter.  A round
-    sorts its rows by packed mask and walks the pattern groups once, each
-    writing its rows' payments (NaN for a singular pattern) and gradients
-    into the round's buffers, then checks all its rows at once: payments in
-    [0, pbar] and no bank outside the mask short of its obligations.  Rows
-    that show newly short banks add them to their mask and go on, so a row
-    takes at most d rounds.
+    Rows with a negative entry get -inf (and NaN gradients); NaN fails
+    x >= 0 too, so only those rows are searched for it.  Every other row
+    runs in batched rounds.  Each row's default mask starts as the banks
+    short of their obligations at the third capped Picard step
+    q <- min(pbar, x + q pi) down from q = pbar.  The map is monotone and
+    pbar lies above the greatest clearing vector p*, so every iterate lies
+    above p*: a bank short at the third step is short at p*, a certified
+    defaulter.  A round sorts its rows by packed mask and walks the pattern groups once, each
+    writing its rows' payments and gradients into the round's buffers, then
+    checks all its rows at once: payments in [0, pbar] and no bank outside
+    the mask short of its obligations.  Rows that show newly short banks
+    add them to their mask and go on, so a row takes at most d rounds.  A
+    fully solvent row (x >= pbar - pi^T pbar) shows no bank short, so it
+    settles in its first round on the empty pattern, paying pbar with a
+    zero gradient.
 
-    Returns the rows that neither settled nor went on (they take the
-    payment LP's total and duals; their outputs are undefined), the settled
-    rows whose pattern gradient is unusable (they take its duals; listed
-    only when ``grads`` is given), and the number of rounds.  Each
-    pattern's system is kept in ``net.derived`` up to a fixed byte budget,
-    so later calls with the same patterns skip building it; the network's
-    constants of the solvent, one-step and range tests live there too.
+    A pattern that is singular, or whose gradient is unusable when
+    ``grads`` is given, writes NaN payments, so its rows neither settle
+    nor go on; nor do rows whose payments leave [0, pbar].  Each such row
+    falls back to one payment-LP solve, which gives its payments, its total
+    and, from the row duals, its supergradient.  Each pattern's system is
+    kept in ``net.derived`` up to a fixed byte budget, so later calls with
+    the same patterns skip building it; the network's constants of the
+    one-step and range tests live there too.
     """
     cache, pi, pbar = net.derived, net.pi, net.pbar
     inside = (xs >= 0).all(axis=1)
-    solvent = (xs >= cache.solvent_floor).all(axis=1)
-    out[solvent] = cache.total
     if not inside.all():
         if np.isnan(xs[~inside]).any():
             raise ValidationError("cash flow vector must not hold NaN")
         out[~inside] = -np.inf
         if grads is not None:
             grads[~inside] = np.nan
-    rows = (inside & ~solvent).nonzero()[0]
-    fallback, dual, rounds = [], [], 0
+    rows = inside.nonzero()[0]
+    fallback, rounds = [], 0
     if rows.size == 0:
-        return fallback, dual, rounds
+        return rounds
 
     # q <- min(pbar, x + q pi) from q = pbar, in one scratch array, freed
     # with the open rows before the first round; the first step is the
@@ -252,11 +238,10 @@ def _fictitious_default(net: FinancialNetwork, xs: np.ndarray, out: np.ndarray,
         trial = np.empty(xr.shape)
         trial[:] = pbar
         slope = None if grads is None else np.zeros(xr.shape)
-        unusable = []
         bounds = bounds.tolist()
         for s, e in zip(bounds[:-1], bounds[1:]):
             system = _pattern_system(cache, pi, pbar, mr[s])
-            if system.inv is None:
+            if system.inv is None or (slope is not None and system.grad is None):
                 trial[s:e] = np.nan
             elif system.idx.size:
                 # p_D = inv (x_D + inflow); einsum sums each row of a
@@ -266,11 +251,7 @@ def _fictitious_default(net: FinancialNetwork, xs: np.ndarray, out: np.ndarray,
                 rhs = xr[s:e].take(system.idx, axis=1)
                 rhs += system.inflow
                 trial[s:e, system.idx] = np.einsum("ij,nj->ni", system.inv, rhs)
-                if slope is None:
-                    continue
-                if system.grad is None:
-                    unusable.append((s, e))
-                else:
+                if slope is not None:
                     slope[s:e, system.idx] = system.grad
         inflow = trial @ pi
         inflow += xr
@@ -284,17 +265,23 @@ def _fictitious_default(net: FinancialNetwork, xs: np.ndarray, out: np.ndarray,
         out[ids] = trial.sum(axis=1)
         if slope is not None:
             grads[ids] = slope
-            for s, e in unusable:
-                dual.extend(ids[s:e][done[s:e]].tolist())
         if pay is not None:
             pay[ids] = trial
         fallback.extend(ids[~(done | again)].tolist())
         if not again.any():
-            return fallback, dual, rounds
+            break
         masks[live[again]] = (mr | short)[again]
         live = np.sort(live[again])
         # free this round's block arrays before the next round makes its own
         del xr, trial, inflow, slope
+    for k in fallback:
+        p, res = _solve_payment_lp(net, xs[k])
+        out[k] = p.sum()
+        if grads is not None:
+            grads[k] = _dual_supergradient(res)
+        if pay is not None:
+            pay[k] = p
+    return rounds
 
 
 def _sort_by_pattern(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,13 +315,17 @@ class _PatternSystem:
     sums of inv.  ``inv`` is None for a singular pattern (D holds a closed
     class): ``np.linalg.inv`` raises or returns non-finite entries.
     ``grad`` is None where the gradient is unusable: singular, non-finite
-    or with a negative entry.
+    or with a negative entry.  The empty pattern, where every bank pays in
+    full, is built without an inverse to take.
     """
 
     __slots__ = ("idx", "inv", "inflow", "grad")
 
     def __init__(self, pi: np.ndarray, pbar: np.ndarray, mask: np.ndarray):
         idx = self.idx = mask.nonzero()[0]
+        if not idx.size:
+            self.inflow, self.inv, self.grad = np.empty(0), np.empty((0, 0)), np.empty(0)
+            return
         # pi_SD and pi_DD as C-ordered blocks, the layout np.ix_ gives, so
         # the products below keep their bits
         cols = pi.take(idx, axis=1)

@@ -58,7 +58,6 @@ cannot be read twice, is held whole):
 from __future__ import annotations
 
 import json
-import math
 from io import BytesIO
 from typing import Any
 
@@ -68,34 +67,18 @@ from .network import DirectedMultigraph, FinancialNetwork, Grouping
 from .risk import CapitalBox
 from .saa import ApproxSet
 from .shocks import ScenarioSet
-from .util import ValidationError, atomic_write_chunks, atomic_write_text, fmt17
+from .util import ValidationError, atomic_write_chunks, atomic_write_text, fmt17, jsonable
 
 # rows per chunk of the streamed scenario write; at d = 20 every temporary of
 # a block stays below glibc's 128 KiB mmap threshold, so memory stays flat
 _WRITE_BLOCK_ROWS = 256
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def dump_json(path: str, payload: dict | list) -> None:
+    atomic_write_text(path, json.dumps(jsonable(payload), indent=2) + "\n")
 
 
-def dump_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
-
-
-def dump_json_list(path: str, payload: list) -> None:
-    atomic_write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+dump_json_list = dump_json
 
 
 def _json_of(raw: bytes, path: str) -> Any:

@@ -80,8 +80,7 @@ class DerivedCache:
 
     The kernel keeps its per-pattern linear systems in ``entries`` and
     their size in ``nbytes``.  Next to them sit the network's constants of
-    its solvent, one-step and range tests: ``solvent_floor``
-    (pbar - pi^T pbar), ``one_step`` (pbar pi), ``short_at``
+    its one-step and range tests: ``one_step`` (pbar pi), ``short_at``
     (pbar - DEFAULT_TOL), ``pay_cap`` (pbar + 1e-9) and ``total`` (the sum
     of pbar).  The network's arrays are read-only, so nothing here ever
     goes stale.
@@ -90,7 +89,6 @@ class DerivedCache:
     def __init__(self, pi: np.ndarray, pbar: np.ndarray) -> None:
         self.entries: dict = {}
         self.nbytes = 0
-        self.solvent_floor = pbar - pi.T @ pbar
         self.one_step = pbar @ pi
         self.short_at = pbar - DEFAULT_TOL
         self.pay_cap = pbar + 1e-9

@@ -127,9 +127,8 @@ def bisection_unit(
 
 def _bisection_unit(net, grouping, scenarios, spec, j, box, work: Counter) -> float:
     """``bisection_unit``, adding its oracle work to ``work``: rows the
-    Picard bounds settled at the floor, rows sent to the clearing kernel
-    (every row of a membership call), kernel calls, and reruns on the
-    oracle."""
+    Picard bounds settled (at the floor and in each membership call), rows
+    sent to the clearing kernel, kernel calls, and reruns on the oracle."""
     box = box_or_default(net, grouping, scenarios, box)
     lo, hi = box.lo, box.hi
     if not 0 <= j < grouping.g:
@@ -138,8 +137,13 @@ def _bisection_unit(net, grouping, scenarios, spec, j, box, work: Counter) -> fl
     def accepted(t: float) -> bool:
         z = hi.copy()
         z[j] = t
-        work.update(rows_cleared=scenarios.n, kernel_calls=1)
-        return membership(net, grouping, scenarios, spec, z).accepted
+        # an empty record decides nothing; it counts the rows by path
+        labels = risk._ScenarioLabels(scenarios.n, grouping.g)
+        res = membership(net, grouping, scenarios, spec, z, labels)
+        kernel = labels.rows_cleared - labels.rows_bounded
+        work.update(rows_cleared=kernel, rows_bounded=labels.rows_bounded,
+                    kernel_calls=int(kernel > 0))
+        return res.accepted
 
     def bracket(accepts) -> tuple[float, float | None] | None:
         """(least accepted t, greatest rejected t or None) by the decisions
@@ -269,10 +273,10 @@ def ideal_point(
     set is refused with ``ValidationError``: one whose alpha is out of
     reach (``risk.out_of_reach``, the rule ``weighted_sum``, the grid
     searches and the oracle share), or whose box top the oracle rejects.
-    The log line counts the oracle work: rows sent to the clearing kernel
-    (each confirmation call counts all its rows), kernel calls, the axes
-    that reran on the oracle, and the rows the Picard bounds settled at
-    each axis's floor before any kernel call.
+    The log line counts the oracle work: rows sent to the clearing kernel,
+    kernel calls, the axes that reran on the oracle, and the rows the
+    Picard bounds settled, at each axis's floor and in the membership
+    calls, without a kernel call.
     """
     if out_of_reach(net, scenarios.n, spec):
         raise ValidationError("risk set is empty: alpha exceeds total obligations")

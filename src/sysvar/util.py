@@ -79,17 +79,25 @@ def fmt17(x: float) -> str:
 def log_event(event: str, level: int = logging.DEBUG, **fields) -> None:
     """Emit one JSON object per line on the package logger."""
     if log.isEnabledFor(level):
-        log.log(level, json.dumps({"event": event, **fields}, default=_json_default))
+        log.log(level, json.dumps(jsonable({"event": event, **fields})))
 
 
-def _json_default(obj):
+def jsonable(obj):
+    """obj with numpy arrays and scalars, tuples and nested containers
+    turned into plain JSON values, and every NaN into None (null); the
+    artifact writers and the log lines share it."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        return None if math.isnan(f) else f
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return str(obj)
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
 
 
 def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:

@@ -86,6 +86,8 @@ class TestEngines:
             sv.clearing_fixed_point(net, np.array([-0.1, 1.0]))
 
     def test_engines_agree_on_random_networks(self, rng):
+        from scipy.optimize import linprog
+
         for _ in range(25):
             d = int(rng.integers(2, 12))
             net = random_network(rng, d)
@@ -93,9 +95,13 @@ class TestEngines:
             fp = sv.clearing_fixed_point(net, x)
             lp = sv.clearing_lp(net, x)
             assert np.abs(fp.p - lp.p).max() <= 1e-7
-            # objective reweighting does not change the optimum
-            lp2 = sv.clearing_lp(net, x, f_weights=np.ones(d) + 99 * (np.arange(d) == 0))
-            assert np.abs(lp.p - lp2.p).max() <= 1e-7
+            # objective reweighting does not change the optimum: HiGHS on
+            # the payment LP with bank 0 weighted 100 times the rest
+            weights = np.ones(d) + 99 * (np.arange(d) == 0)
+            ref = linprog(-weights, A_ub=np.eye(d) - net.pi.T, b_ub=x,
+                          bounds=list(zip(np.zeros(d), net.pbar)), method="highs")
+            assert ref.status == 0
+            assert np.abs(lp.p - ref.x).max() <= 1e-7
 
     def test_matches_picard_oracle(self, rng):
         for _ in range(10):
@@ -130,11 +136,23 @@ class TestAggregation:
         xs[rows, 3] = 0.0
         assert sv.aggregate_en_many(net, xs)[7] == -np.inf
 
-    def test_saturates_at_total_obligations(self, rng):
-        for _ in range(10):
-            net = random_network(rng, 6)
-            x = net.pbar + rng.exponential(1.0, size=6)
-            assert sv.aggregate_en(net, x) == pytest.approx(net.total_obligations, abs=1e-9)
+    def test_saturates_at_total_obligations(self, rng, monkeypatch):
+        # at and above the solvent floor x >= pbar - pi^T pbar every bank
+        # pays in full: the row settles in its first round, on the empty
+        # pattern, with no payment LP
+        calls = _count_lp_calls(monkeypatch)
+        nets = [random_network(rng, 6) for _ in range(10)] + [readme_instance()[0]]
+        for net in nets:
+            floor = np.maximum(net.pbar - net.pi.T @ net.pbar, 0.0)
+            xs = np.vstack([floor, floor + rng.exponential(1.0, size=net.d),
+                            net.pbar + rng.exponential(1.0, size=net.d)])
+            totals, grads = sv.aggregate_en_many(net, xs, supergradients=True)
+            assert totals.tolist() == [net.total_obligations] * 3
+            assert not grads.any()
+            for x in xs:
+                res = sv.clearing_fixed_point(net, x)
+                assert np.array_equal(res.p, net.pbar) and res.iterations == 1
+        assert calls == []
 
     def test_example_value(self):
         net = ring2([2.0, 2.0])
@@ -212,10 +230,10 @@ class TestSupergradient:
         assert defaulting > 0
         lp_calls = _count_lp_calls(monkeypatch)
         monkeypatch.setattr(clearing, "_PatternSystem", _NoGradient)
-        # first a usable inverse without a usable gradient, so rows settle in
-        # the kernel; then an inverse that raises, is not finite, or has
-        # negative column sums, so rows fall back.  Either way each
-        # defaulting row takes the duals of exactly one payment LP.
+        # first a usable inverse without a usable gradient, then an inverse
+        # that raises, is not finite, or has negative column sums: either
+        # way each defaulting row falls back and takes its total and duals
+        # from exactly one payment LP
         for fake in (None, _singular, lambda m: np.full(m.shape, np.nan), lambda m: -_inv(m)):
             if fake is not None:
                 _break_pattern_inverse(monkeypatch, fake)
@@ -223,9 +241,11 @@ class TestSupergradient:
             solves = 0
             for x in xs:
                 lp_calls.clear()
-                mu = sv.en_supergradient(bare, x)
+                totals, grads = sv.aggregate_en_many(bare, x[None, :], supergradients=True)
+                mu = grads[0]
                 solves += len(lp_calls)
                 if lp_calls:
+                    assert totals[0] == clearing._solve_payment_lp(net, x)[0].sum()
                     assert np.array_equal(mu, _lp_dual(net, x))
                 x2 = rng.exponential(0.5, size=5)
                 rhs = sv.aggregate_en(bare, x) + mu @ (x2 - x)
@@ -349,7 +369,7 @@ class TestPatternSystems:
         assert np.array_equal(net.pi, kept_pi) and np.array_equal(net.pbar, kept_pbar)
         # the constants built with the network equal a fresh network's
         fresh = sv.FinancialNetwork(d=6, pi=kept_pi, pbar=kept_pbar)
-        for name in ("solvent_floor", "one_step", "short_at", "pay_cap", "total"):
+        for name in ("one_step", "short_at", "pay_cap", "total"):
             assert np.array_equal(getattr(net.derived, name), getattr(fresh.derived, name))
         totals0, grads0 = sv.aggregate_en_many(fresh, xs, supergradients=True)
         assert np.array_equal(totals, totals0)
@@ -396,7 +416,8 @@ class TestRowBlocks:
             _break_pattern_inverse(
                 monkeypatch, lambda m: _singular(m) if m.shape == (1, 1) else _inv(m))
         else:
-            # settled rows take the payment LP's duals
+            # patterns without a usable gradient send their rows to the
+            # payment LP, for their totals and duals
             monkeypatch.setattr(clearing, "_PatternSystem", _NoGradient)
         calls = _count_lp_calls(monkeypatch)
         runs = []
@@ -423,6 +444,16 @@ class TestRowBlocks:
         totals, grads = sv.aggregate_en_many(net, scen.values, supergradients=True)
         digest = hashlib.sha256(totals.tobytes() + grads.tobytes()).hexdigest()
         assert digest == "e123e5cd5c067ae063fa3858d5afb5a55398cd26d6fb1a5ca278ea9045cdbf2d"
+
+    def test_readme_sample_payments_are_pinned(self):
+        # the one-row path on the same sample: clearing_fixed_point's
+        # payments on its first 200 rows, each a defaulting row, keep their
+        # bits
+        net, _, scen, _ = readme_instance(n=7000, seed=36)
+        payments = np.stack([sv.clearing_fixed_point(net, x).p for x in scen.values[:200]])
+        assert (payments < net.pbar - 1e-9).any(axis=1).all()
+        digest = hashlib.sha256(payments.tobytes()).hexdigest()
+        assert digest == "3410e43159748487b63d9be176ab4f8bacb6a6bfae51ad455d133d402f94f4fb"
 
     @pytest.mark.parametrize("labelled", [False, True])
     def test_membership(self, monkeypatch, labelled):

@@ -20,7 +20,7 @@ import sysvar.clearing
 import sysvar.risk
 from sysvar import io
 from sysvar.cli import main
-from sysvar.util import atomic_write_chunks, fmt17
+from sysvar.util import atomic_write_chunks, fmt17, log_event
 from conftest import exp_scenarios, random_network, two_group_split
 
 
@@ -185,6 +185,25 @@ class TestBlockFormatter:
                                  np.float64("nan")])
 def test_fmt17_writes_every_nan_as_nan(nan):
     assert fmt17(nan) == "nan"
+
+
+def test_artifacts_and_log_lines_write_nan_as_null(tmp_path, caplog):
+    # the artifact writers and the log lines share one converter: numpy
+    # arrays, scalars and tuples become plain JSON values and every NaN
+    # null, so a log line is strict JSON
+    payload = {"z": np.array([1.5, np.nan]), "n": np.int64(3), "v": np.float32("nan"),
+               "pair": (np.float64(0.25), 2)}
+    expected = {"z": [1.5, None], "n": 3, "v": None, "pair": [0.25, 2]}
+
+    def strict(text):
+        return json.loads(text, parse_constant=lambda name: pytest.fail(name))
+
+    path = tmp_path / "a.json"
+    io.dump_json(str(path), payload)
+    assert strict(path.read_text()) == expected
+    with caplog.at_level(logging.DEBUG, logger="sysvar"):
+        log_event("probe", **payload)
+    assert strict(caplog.records[-1].getMessage()) == {"event": "probe", **expected}
 
 
 class TestStreamedWrite:

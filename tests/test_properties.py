@@ -148,14 +148,21 @@ def _picard_seed(net, xs) -> np.ndarray:
 
 def _final_patterns(net, xs) -> tuple[np.ndarray, dict, set]:
     """The kernel's totals, each settled row's final default pattern and
-    the fallback rows.  A settled pattern D's gradient (I - pi_DD)^{-1} 1
+    the fallback rows, those whose cash flow reached a payment-LP solve
+    (one solve each).  A settled pattern D's gradient (I - pi_DD)^{-1} 1
     is at least 1 on D and zero off it, so its support is the pattern."""
     totals, grads = np.empty(len(xs)), np.zeros(xs.shape)
-    fallback, dual, _ = sysvar.clearing._fictitious_default(net, xs, totals, grads)
-    assert dual == []
+    solved = []
+    solve = sysvar.clearing._solve_payment_lp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysvar.clearing, "_solve_payment_lp",
+                   lambda net, x: solved.append(x.tobytes()) or solve(net, x))
+        sysvar.clearing._fictitious_default(net, xs, totals, grads)
+    fallback = {k for k, x in enumerate(xs) if x.tobytes() in solved}
+    assert len(solved) == len(fallback)
     patterns = {k: np.flatnonzero(grads[k]).tolist()
                 for k in range(len(xs)) if k not in fallback}
-    return totals, patterns, set(fallback)
+    return totals, patterns, fallback
 
 
 @_SETTINGS

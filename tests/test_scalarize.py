@@ -41,9 +41,9 @@ def count_oracle_calls(monkeypatch):
     calls = []
     real = sysvar.scalarize.membership
 
-    def spy(*args):
-        calls.append(args[-1])
-        return real(*args)
+    def spy(net, grouping, scenarios, spec, z, *rest):
+        calls.append(z)
+        return real(net, grouping, scenarios, spec, z, *rest)
 
     monkeypatch.setattr(sysvar.scalarize, "membership", spy)
     return calls
@@ -506,6 +506,27 @@ class TestBisection:
             # steps clear fewer rows than the plain bisection's 22 calls
             assert len(calls) == 2 and work["reruns"] == 0
             assert work["rows_cleared"] < 22 * scen.n
+
+    def test_confirmations_count_kernel_rows_by_path(self, monkeypatch):
+        # the README network at N = 1,000 (seed 41): the Picard bounds pass
+        # every row of axis 0 at its floor, so the cut is the floor, and its
+        # one confirmation call sends no row to the kernel either; its rows
+        # count as bounded, not cleared
+        net, grouping, scen, spec = readme_instance(n=1000, seed=41)
+        box = sv.z_bounds(net, grouping, scen)
+        kernel = []
+        for module in (sysvar.clearing, sysvar.risk):
+            real = module.aggregate_en_many
+            monkeypatch.setattr(module, "aggregate_en_many",
+                                lambda net, xs, *rest, real=real, **kwargs:
+                                kernel.append(len(xs)) or real(net, xs, *rest, **kwargs))
+        calls = count_oracle_calls(monkeypatch)
+        work = Counter()
+        ideal = sysvar.scalarize._bisection_unit(net, grouping, scen, spec, 0, box, work)
+        assert ideal == box.lo[0] and len(calls) == 1
+        assert kernel == []
+        assert work["rows_cleared"] == work["kernel_calls"] == 0
+        assert work["rows_bounded"] == 2 * scen.n
 
     @pytest.mark.parametrize("where", ["top", "bottom", "below_top"])
     def test_wrong_record_falls_back_to_plain_bisection(self, monkeypatch, where):
