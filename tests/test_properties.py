@@ -20,6 +20,7 @@ the same artifacts byte for byte.
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,76 @@ def test_threshold_bisection_is_plain_bisection(seed, d, n, leaky, at_kink):
         mp.setattr(sysvar.scalarize, "membership", spy)
         assert sv.bisection_unit(net, grouping, scen, spec, j) == plain
     assert len(calls) == 2
+
+
+def _cut_from_every_threshold(net, grouping, scen, spec, j, box) -> float:
+    """The acceptance cut as the order statistic of every row's Newton
+    threshold on the ray, each row cleared to its threshold."""
+    xs = scen.values
+    cols = grouping.assignment == j
+    least = xs.min(axis=0)
+    if np.any((least + grouping.spread(box.hi))[~cols] < -sysvar.risk._SELECT_TOL):
+        return np.inf
+    inside = -sysvar.risk._SELECT_TOL - least[cols].min()
+    k = max_violations(scen.n, spec.lam)
+    if k >= scen.n:
+        return inside
+    every = sysvar.scalarize._ray_thresholds(net, grouping, xs, spec.alpha, j, box.lo[j],
+                                             box.hi, Counter())
+    return max(inside, float(np.sort(every)[scen.n - 1 - k]))
+
+
+def _bound_kink(net, grouping, x, j, box, rng) -> float:
+    """An alpha at which the one-step upper bound of x crosses the line at
+    one of its breakpoints on the ray, inside the box."""
+    cols = grouping.assignment == j
+    z = np.array(box.hi, dtype=float)
+    z[j] = box.lo[j]
+    floor = np.maximum(x + grouping.spread(z), 0.0)
+    one_step = net.pbar @ net.pi
+    breaks = (net.pbar - one_step - floor)[cols]
+    inside = breaks[(breaks > 0) & (breaks < box.hi[j] - box.lo[j])]
+    assume(inside.size)
+    z[j] += rng.choice(inside)
+    at = np.maximum(x + grouping.spread(z), 0.0)
+    return float(np.minimum(net.pbar, at + one_step).sum()) + VIOL_TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=seeds, d=st.integers(3, 8), n=st.integers(1, 40), leaky=st.booleans(),
+       kink=st.sampled_from(["none", "aggregate", "bound"]))
+def test_acceptance_cut_is_the_order_statistic_of_every_threshold(seed, d, n, leaky, kink):
+    # the cut from certified brackets, which clears only the rows that
+    # straddle the order statistic, has the bits of the order statistic of
+    # every row's threshold; the line sits anywhere, at a kink of one row's
+    # aggregate, or at a kink of one row's one-step upper bound
+    rng = np.random.default_rng(seed)
+    if leaky:
+        net, xs = _leaky_cycle_instance(seed, d, n)
+    else:
+        net = random_network(rng, d, pbar_range=(0.5, 1.6))
+        xs = rng.exponential(0.3, size=(n, d))
+    grouping = two_group_split(rng, d)
+    scen = sv.ScenarioSet(values=xs)
+    box = sv.z_bounds(net, grouping, scen)
+    lam = float(rng.uniform(0.05, 0.5))
+    j = int(rng.integers(2))
+    m = int(rng.integers(n))
+    if kink == "aggregate":
+        z = _kink(net, grouping, xs[m], j, box, rng)
+        alpha = float(aggregate_en_many(net, np.maximum(xs[m:m + 1] + grouping.spread(z),
+                                                        0.0))[0]) + VIOL_TOL
+    elif kink == "bound":
+        alpha = _bound_kink(net, grouping, xs[m], j, box, rng)
+    else:
+        alpha = float(rng.uniform(0.75, 0.99)) * net.total_obligations
+    assume(alpha < net.total_obligations)
+    spec = sv.RiskSpec(alpha=alpha, lam=lam)
+    for axis in (j, 1 - j):
+        cut, _ = sysvar.scalarize._acceptance_cut(net, grouping, scen, spec, axis,
+                                                  box.lo[axis], box.hi, Counter())
+        every = _cut_from_every_threshold(net, grouping, scen, spec, axis, box)
+        assert float(cut).hex() == float(every).hex()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -54,10 +54,10 @@ def undecided(net, xs, alpha):
     return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
 
 
-def force_thresholds(monkeypatch, value):
-    """Make the ray-threshold search report ``value`` for every scenario."""
-    monkeypatch.setattr(sysvar.scalarize, "_ray_thresholds",
-                        lambda net, grouping, xs, *rest: np.full(len(xs), value))
+def force_cut(monkeypatch, value):
+    """Make the acceptance cut predict ``value``, with no verdict at the
+    floor, as a record of ray thresholds all equal to ``value`` would."""
+    monkeypatch.setattr(sysvar.scalarize, "_acceptance_cut", lambda *args: (value, False))
 
 
 class TestBounds:
@@ -509,9 +509,10 @@ class TestBisection:
 
     def test_confirmations_count_kernel_rows_by_path(self, monkeypatch):
         # the README network at N = 1,000 (seed 41): the Picard bounds pass
-        # every row of axis 0 at its floor, so the cut is the floor, and its
-        # one confirmation call sends no row to the kernel either; its rows
-        # count as bounded, not cleared
+        # every row of axis 0 at its floor, so the cut is the floor, and
+        # membership there would repeat that computation on the same rows:
+        # the floor call's verdict stands in for its confirmation call, no
+        # row reaches the kernel, and the floor's rows count as bounded
         net, grouping, scen, spec = readme_instance(n=1000, seed=41)
         box = sv.z_bounds(net, grouping, scen)
         kernel = []
@@ -523,23 +524,40 @@ class TestBisection:
         calls = count_oracle_calls(monkeypatch)
         work = Counter()
         ideal = sysvar.scalarize._bisection_unit(net, grouping, scen, spec, 0, box, work)
-        assert ideal == box.lo[0] and len(calls) == 1
+        assert ideal == box.lo[0] and len(calls) == 0
         assert kernel == []
         assert work["rows_cleared"] == work["kernel_calls"] == 0
-        assert work["rows_bounded"] == 2 * scen.n
+        assert work["rows_bounded"] == scen.n
+
+    def test_a_row_open_at_the_floor_keeps_the_confirmation(self, monkeypatch):
+        # with axis 1's top at 223.75, the bounds pass 999 of the 1,000
+        # rows at axis 0's floor: the cut is still the floor, but the
+        # floor's bounds did not accept it, so membership is asked
+        net, grouping, scen, spec = readme_instance(n=1000, seed=41)
+        full = sv.z_bounds(net, grouping, scen)
+        box = sv.CapitalBox(lo=full.lo, hi=np.array([full.hi[0], 223.75]))
+        cut = Counter()
+        assert sysvar.scalarize._acceptance_cut(net, grouping, scen, spec, 0, box.lo[0],
+                                                box.hi, cut) == (box.lo[0], False)
+        assert cut == Counter(rows_bounded=scen.n - 1)
+        calls = count_oracle_calls(monkeypatch)
+        work = Counter()
+        assert sysvar.scalarize._bisection_unit(net, grouping, scen, spec, 0, box,
+                                                work) == box.lo[0]
+        assert len(calls) == 1 and work["reruns"] == 0
+        assert work["rows_bounded"] + work["rows_cleared"] == 2 * scen.n - 1
 
     @pytest.mark.parametrize("where", ["top", "bottom", "below_top"])
     def test_wrong_record_falls_back_to_plain_bisection(self, monkeypatch, where):
-        # a wrong record of ray thresholds: past the top (the top is
-        # predicted rejected), at the floor (the floor is predicted
-        # accepted), or just below the top (the left end of the predicted
-        # bracket is acceptable)
+        # a wrong cut: past the top (the top is predicted rejected), at the
+        # floor (the floor is predicted accepted), or just below the top
+        # (the left end of the predicted bracket is acceptable)
         net, grouping, scen, spec = bisection_instance()
         box = sv.z_bounds(net, grouping, scen)
         plain = plain_bisection(net, grouping, scen, spec, 0, box)
         assert box.lo[0] < plain < box.hi[0] - 1e-3
-        force_thresholds(monkeypatch, {"top": np.inf, "bottom": box.lo[0],
-                                       "below_top": box.hi[0] - 1e-3}[where])
+        force_cut(monkeypatch, {"top": np.inf, "bottom": box.lo[0],
+                                "below_top": box.hi[0] - 1e-3}[where])
         calls = count_oracle_calls(monkeypatch)
         work = Counter()
         assert sysvar.scalarize._bisection_unit(net, grouping, scen, spec, 0, box,
@@ -636,8 +654,6 @@ class TestRayThresholds:
             grads[:, grouping.assignment == 0] = slopes[:len(xs), None]
             return np.zeros(len(xs)), grads
 
-        # the bounds would read the real network and settle rows at the floor
-        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
         monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
         few = sv.ScenarioSet(values=scen.values[:4])
         ts = self.thresholds(net, grouping, few, spec, 0, box)
@@ -654,8 +670,6 @@ class TestRayThresholds:
             calls.append(len(xs))
             return np.zeros(len(xs)), np.full(xs.shape, spec.alpha * 1e6)
 
-        # the bounds would read the real network and settle rows at the floor
-        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
         monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
         work = Counter()
         ts = self.thresholds(net, grouping, scen, spec, 0, box, work)
@@ -668,19 +682,22 @@ class TestRayThresholds:
     @pytest.mark.parametrize("offset", [-0.5, 0.5])
     def test_bounds_at_the_floor_send_only_open_rows_to_the_kernel(self, monkeypatch,
                                                                       offset):
-        # at the floor, a rich row the Picard bounds pass never reaches the
-        # kernel, and a row within the bounds' margin of the line, on
-        # either side of it, does; every threshold is the one the Newton
-        # steps alone give
+        # two scenarios, both of which must pass: at the floor, a rich row
+        # the Picard bounds pass never reaches the kernel, and a row within
+        # the bounds' margin of the line, on either side of it, does; the
+        # cut is the one the Newton steps alone give
         net, grouping, scen, spec = bisection_instance()
-        box = sv.z_bounds(net, grouping, scen)
         # ten times every obligation: solvent at every point of the box
-        xs = np.vstack([scen.values, 10 * net.pbar])
+        xs = np.vstack([scen.values[:1], 10 * net.pbar])
+        two = sv.ScenarioSet(values=xs)
+        box = sv.z_bounds(net, grouping, two)
         floor = box.hi.copy()
         floor[0] = box.lo[0]
         at_floor = np.maximum(xs + grouping.spread(floor), 0.0)
         margin = sysvar.risk._BOUND_MARGIN * net.total_obligations
         alpha = float(sv.aggregate_en_many(net, at_floor)[0]) + VIOL_TOL + offset * margin
+        both = sv.RiskSpec(alpha=alpha, lam=0.1)
+        assert max_violations(2, both.lam) == 0
         calls = []
         real = sysvar.clearing.aggregate_en_many
 
@@ -690,17 +707,86 @@ class TestRayThresholds:
 
         monkeypatch.setattr(sysvar.clearing, "aggregate_en_many", kernel)
         work = Counter()
-        ts = sysvar.scalarize._ray_thresholds(net, grouping, xs, alpha, 0, box.lo[0],
-                                              box.hi, work)
+        cut, _ = sysvar.scalarize._acceptance_cut(net, grouping, two, both, 0, box.lo[0],
+                                                  box.hi, work)
         assert calls and not any((rows >= 5 * net.pbar).all(axis=1).any() for rows in calls)
-        assert (calls[0] == at_floor[0]).all(axis=1).any()
-        assert ts[-1] == box.lo[0] and (ts[0] == box.lo[0]) == (offset < 0)
-        assert work["rows_bounded"] + len(calls[0]) == len(xs)
+        assert np.array_equal(calls[0], at_floor[:1])
+        assert (cut == box.lo[0]) == (offset < 0)
+        assert work["rows_bounded"] == 1
         assert work["rows_cleared"] == sum(len(rows) for rows in calls)
-        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
         steps = sysvar.scalarize._ray_thresholds(net, grouping, xs, alpha, 0, box.lo[0],
                                                  box.hi, Counter())
-        assert np.array_equal(ts, steps)
+        assert cut == steps.max()
+
+
+def cut_and_work(net, grouping, scen, spec, j, box):
+    work = Counter()
+    cut, _ = sysvar.scalarize._acceptance_cut(net, grouping, scen, spec, j, box.lo[j],
+                                              box.hi, work)
+    return cut, work
+
+
+class TestThresholdBrackets:
+    """The acceptance cut clears only the rows whose certified brackets
+    straddle the order statistic; the README network at N = 1,000 (scenario
+    seed 41), whose axis 1 leaves about 950 rows open at its floor."""
+
+    @pytest.fixture(scope="class")
+    def readme(self):
+        net, grouping, scen, spec = readme_instance(n=1000, seed=41)
+        box = sv.z_bounds(net, grouping, scen)
+        return net, grouping, scen, spec, box
+
+    def test_ideal_point_clears_few_rows_and_keeps_its_bits(self, readme, monkeypatch):
+        # 2,220 kernel rows in 7 calls when every open row took Newton steps
+        net, grouping, scen, spec, box = readme
+        lines = []
+        monkeypatch.setattr(sysvar.scalarize, "log_event",
+                            lambda event, **fields: lines.append(fields))
+        ideal = sv.ideal_point(net, grouping, scen, spec)
+        assert [float(v).hex() for v in ideal] == ["-0x1.df8135ba75100p-6",
+                                                   "0x1.8c5303b7e0a6bp+5"]
+        assert lines[0]["rows_cleared"] < 50 and lines[0]["reruns"] == 0
+
+    def test_bounds_that_decide_nothing_leave_every_row_straddling(self, readme,
+                                                                     monkeypatch):
+        net, grouping, scen, spec, box = readme
+        cut, work = cut_and_work(net, grouping, scen, spec, 1, box)
+        monkeypatch.setattr(sysvar.risk, "_picard_bounds", undecided)
+        calls = []
+        real = sysvar.clearing.aggregate_en_many
+        monkeypatch.setattr(sysvar.clearing, "aggregate_en_many",
+                            lambda net, xs, **kwargs: calls.append(len(xs)) or
+                            real(net, xs, **kwargs))
+        forced, forced_work = cut_and_work(net, grouping, scen, spec, 1, box)
+        assert forced == cut
+        assert calls[0] == scen.n and forced_work["rows_bounded"] == 0
+        assert work["rows_cleared"] < 50 < forced_work["rows_cleared"]
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_a_wrong_proposal_is_refused_by_the_bounds(self, readme, monkeypatch, shift):
+        # a proposal one unit off puts the line outside [low, up]: the
+        # bounds refuse the end on the wrong side of every open row, so
+        # every row they leave open at the floor straddles, and the cut is
+        # unchanged
+        net, grouping, scen, spec, box = readme
+        cut, _ = cut_and_work(net, grouping, scen, spec, 1, box)
+        floor = box.hi.copy()
+        floor[1] = box.lo[1]
+        _, passes = sysvar.risk._picard_bounds(
+            net, np.maximum(scen.values + grouping.spread(floor), 0.0), spec.alpha)
+        real = sysvar.scalarize._proposal
+        monkeypatch.setattr(sysvar.scalarize, "_proposal",
+                            lambda *args: tuple(end + shift for end in real(*args)))
+        calls = []
+        real_kernel = sysvar.clearing.aggregate_en_many
+        monkeypatch.setattr(sysvar.clearing, "aggregate_en_many",
+                            lambda net, xs, **kwargs: calls.append(len(xs)) or
+                            real_kernel(net, xs, **kwargs))
+        forced, work = cut_and_work(net, grouping, scen, spec, 1, box)
+        assert forced == cut
+        assert 0 < work["rows_bounded"] == np.count_nonzero(passes)
+        assert calls[0] == scen.n - work["rows_bounded"]
 
 
 # the README instance's solutions: z and objective bits, nodes, gap and the
